@@ -50,8 +50,8 @@ void RemoteScraper::request_chunk(std::uint16_t index) {
   }
   // The policy's backoff before attempt k doubles as attempt k-1's
   // response timeout; give up once max_attempts is exhausted. The timer
-  // is homed on the scraper host's domain: deliveries (on_packet) run
-  // there, so pending_/attempts_ stay single-lane under sharding.
+  // is homed on the scraper host's domain, where deliveries (on_packet)
+  // run too.
   const SimDuration timeout =
       config_.retry.delay_before(attempt + 1, retry_rng_);
   network_.queue().schedule_on(

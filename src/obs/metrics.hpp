@@ -37,9 +37,9 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 std::string labels_to_string(const Labels& labels);
 
 /// A monotonically increasing count. Increments are lock-free and safe
-/// from any simnet shard thread (relaxed atomics: totals are exact, but a
-/// reader racing a writer may see a slightly stale value — reads happen
-/// between runs in practice).
+/// from the chain's batch worker threads (relaxed atomics: totals are
+/// exact, but a reader racing a writer may see a slightly stale value —
+/// reads happen between batches in practice).
 class Counter {
  public:
   Counter() = default;
@@ -67,7 +67,7 @@ class Counter {
 };
 
 /// A point-in-time value (queue depth, store size, balance). Updates are
-/// atomic so shard threads may touch disjoint gauges concurrently; a
+/// atomic so worker threads may touch disjoint gauges concurrently; a
 /// single gauge written from several threads keeps a correct high-water
 /// mark but last-writer-wins on the point value.
 class Gauge {
@@ -185,11 +185,11 @@ class Histogram {
  private:
   const std::atomic<bool>* enabled_ = nullptr;
   // Serializes writers: histograms are the one metric whose update is a
-  // read-modify-write over a whole bucket vector, and simnet shard
-  // threads record into shared histograms (link delay, pop latency).
+  // read-modify-write over a whole bucket vector, and the chain's batch
+  // workers record into shared histograms (contract result latency).
   // The enabled check stays outside the lock, so a disabled histogram
   // still costs one relaxed load. Readers (percentiles, snapshots) run
-  // between runs, after the shard barrier, and stay lock-free.
+  // between batches and stay lock-free.
   mutable std::mutex mu_;
   std::vector<std::uint64_t> buckets_ =
       std::vector<std::uint64_t>(kBucketCount, 0);
@@ -262,8 +262,8 @@ class MetricsRegistry {
             const Labels& labels);
 
   std::atomic<bool> enabled_{false};
-  // Guards the three maps: lookups can create metrics lazily from shard
-  // threads mid-run (e.g. net.parse_rejected{reason} on a damaged frame).
+  // Guards the three maps, so lookups are safe from the chain's batch
+  // worker threads.
   // Returned metric references stay stable — entries are unique_ptrs and
   // never erased — so cached pointers remain lock-free.
   mutable std::mutex mu_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <utility>
 
 #include "util/flat_hash.hpp"
@@ -11,27 +10,11 @@ namespace debuglet::simnet {
 
 namespace {
 
-/// The dispatch context of the thread's currently executing event. A
-/// plain pointer to a stack frame inside the run loop; null outside
-/// dispatch (the main thread between runs, or foreign threads).
-struct DispatchContext {
-  EventQueue* queue = nullptr;
-  std::size_t lane = 0;
-  SimTime now = 0;
-  std::uint32_t domain = EventQueue::kControlDomain;
-  std::uint64_t event_id = 0;
-  std::uint64_t children = 0;
-};
-
-thread_local DispatchContext* tl_ctx = nullptr;
-
 // Event-id layout: the high bits identify the scheduling context (the
 // hash of the parent event's id, or a root sequence number for events
 // scheduled outside dispatch), the low bits count children within that
 // context. Equal-time events from the SAME context therefore fire in
-// scheduling order — the legacy single-queue contract — while ids stay
-// invariant under the shard count (they never depend on which thread
-// pushed first).
+// scheduling order.
 constexpr unsigned kChildIndexBits = 20;
 constexpr std::uint64_t kChildIndexMask = (1ULL << kChildIndexBits) - 1;
 
@@ -97,23 +80,7 @@ EventQueue::EventQueue()
       pop_latency_ns_(
           &obs::registry().histogram("simnet.event_queue.pop_ns")),
       events_processed_(
-          &obs::registry().counter("simnet.event_queue.events")) {
-  lanes_.push_back(std::make_unique<Lane>());
-}
-
-EventQueue::~EventQueue() { stop_workers(); }
-
-SimTime EventQueue::now() const {
-  const DispatchContext* ctx = tl_ctx;
-  if (ctx != nullptr && ctx->queue == this) return ctx->now;
-  return global_now_;
-}
-
-std::uint32_t EventQueue::current_domain() const {
-  const DispatchContext* ctx = tl_ctx;
-  if (ctx != nullptr && ctx->queue == this) return ctx->domain;
-  return kControlDomain;
-}
+          &obs::registry().counter("simnet.event_queue.events")) {}
 
 SimDuration EventQueue::lookahead() const {
   return min_link_floor_ > 2 ? min_link_floor_ / 2 : SimDuration{1};
@@ -125,42 +92,22 @@ void EventQueue::note_link_floor(SimDuration floor) {
     min_link_floor_ = floor;
 }
 
-std::size_t EventQueue::lane_of(std::uint32_t domain) const {
-  const std::size_t shard_count = lanes_.size();
-  if (shard_count == 1 || domain == kControlDomain) return 0;
-  return 1 + domain % (shard_count - 1);
-}
-
 void EventQueue::enqueue(std::uint32_t domain, SimTime at, Event ev) {
-  DispatchContext* ctx = tl_ctx;
-  if (ctx != nullptr && ctx->queue != this) ctx = nullptr;
-  const SimTime current = ctx != nullptr ? ctx->now : global_now_;
-  const std::uint32_t from_domain =
-      ctx != nullptr ? ctx->domain : kControlDomain;
-  if (at < current) at = current;
-  if (domain != from_domain) {
-    // The conservative-synchronization contract: crossing a domain costs
-    // at least the lookahead. Applied at every shard count so the event
-    // schedule is shard-count-invariant (docs/SIMNET.md).
-    const SimTime earliest = current + lookahead();
+  const SimTime t = now();
+  if (at < t) at = t;
+  if (domain != current_domain()) {
+    // Crossing a domain costs at least the lookahead (docs/SIMNET.md).
+    const SimTime earliest = t + lookahead();
     if (at < earliest) at = earliest;
   }
   ev.at = at;
   ev.domain = domain;
-  ev.id = ctx != nullptr
-              ? (util::mix64(ctx->event_id) << kChildIndexBits) |
-                    (ctx->children++ & kChildIndexMask)
+  ev.id = current_.active
+              ? (util::mix64(current_.event_id) << kChildIndexBits) |
+                    (current_.children++ & kChildIndexMask)
               : (root_seq_++ << kChildIndexBits);
-  const std::size_t target = lane_of(domain);
-  if (ctx != nullptr && target != ctx->lane) {
-    Lane& lane = *lanes_[target];
-    std::lock_guard<std::mutex> lock(lane.inbox_mu);
-    lane.inbox.push_back(std::move(ev));
-    return;
-  }
-  heap::push(lanes_[target]->heap, std::move(ev));
-  if (lanes_.size() == 1)
-    depth_gauge_->set(static_cast<double>(lanes_[0]->heap.size()));
+  heap::push(heap_, std::move(ev));
+  depth_gauge_->set(static_cast<double>(heap_.size()));
 }
 
 void EventQueue::schedule_at(SimTime at, Callback fn) {
@@ -187,42 +134,12 @@ void EventQueue::schedule_raw_on(std::uint32_t domain, SimTime at, RawFn fn,
   enqueue(domain, at, std::move(ev));
 }
 
-void EventQueue::set_shards(std::size_t count) {
-  if (count < 1) count = 1;
-  if (count == lanes_.size()) return;
-  stop_workers();
-  std::vector<Event> all;
-  for (auto& lane : lanes_) {
-    for (Event& ev : lane->heap) all.push_back(std::move(ev));
-    std::lock_guard<std::mutex> lock(lane->inbox_mu);
-    for (Event& ev : lane->inbox) all.push_back(std::move(ev));
-  }
-  lanes_.clear();
-  for (std::size_t i = 0; i < count; ++i)
-    lanes_.push_back(std::make_unique<Lane>());
-  for (Event& ev : all)
-    heap::push(lanes_[lane_of(ev.domain)]->heap, std::move(ev));
-}
-
-std::size_t EventQueue::pending() const {
-  std::size_t total = 0;
-  for (const auto& lane : lanes_) {
-    total += lane->heap.size();
-    std::lock_guard<std::mutex> lock(lane->inbox_mu);
-    total += lane->inbox.size();
-  }
-  return total;
-}
-
-void EventQueue::dispatch_single_lane(Event ev) {
-  Lane& lane = *lanes_[0];
-  DispatchContext* ctx = tl_ctx;
-  ctx->now = ev.at;
-  ctx->domain = ev.domain;
-  ctx->event_id = ev.id;
-  ctx->children = 0;
-  global_now_ = ev.at;
-  lane.last_at = ev.at;
+void EventQueue::dispatch(Event ev) {
+  current_.now = ev.at;
+  current_.domain = ev.domain;
+  current_.event_id = ev.id;
+  current_.children = 0;
+  now_ = ev.at;
   if (pop_latency_ns_->enabled()) {
     const auto begin = std::chrono::steady_clock::now();
     if (ev.raw != nullptr)
@@ -233,7 +150,7 @@ void EventQueue::dispatch_single_lane(Event ev) {
     pop_latency_ns_->record(static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
             .count()));
-    depth_gauge_->set(static_cast<double>(lane.heap.size()));
+    depth_gauge_->set(static_cast<double>(heap_.size()));
   } else {
     if (ev.raw != nullptr)
       ev.raw(ev.arg);
@@ -241,155 +158,26 @@ void EventQueue::dispatch_single_lane(Event ev) {
       ev.fn();
   }
   events_processed_->add();
-  ++lane.processed;
 }
 
-std::size_t EventQueue::run_single_lane(SimTime deadline, bool until_empty) {
-  Lane& lane = *lanes_[0];
-  DispatchContext ctx;
-  ctx.queue = this;
-  ctx.lane = 0;
-  DispatchContext* previous = tl_ctx;
-  tl_ctx = &ctx;
+std::size_t EventQueue::drain(SimTime deadline, bool until_empty) {
+  // A run started from inside an event resumes that event's context after.
+  const Dispatch outer = current_;
+  current_.active = true;
   std::size_t processed = 0;
-  while (!lane.heap.empty() &&
-         (until_empty || lane.heap.front().at <= deadline)) {
-    dispatch_single_lane(heap::pop(lane.heap));
+  while (!heap_.empty() && (until_empty || heap_.front().at <= deadline)) {
+    dispatch(heap::pop(heap_));
     ++processed;
   }
-  tl_ctx = previous;
+  current_ = outer;
   return processed;
 }
 
-void EventQueue::run_lane_window(std::size_t lane_index, SimTime horizon) {
-  Lane& lane = *lanes_[lane_index];
-  DispatchContext ctx;
-  ctx.queue = this;
-  ctx.lane = lane_index;
-  DispatchContext* previous = tl_ctx;
-  tl_ctx = &ctx;
-  std::size_t batch = 0;
-  while (!lane.heap.empty() && lane.heap.front().at < horizon) {
-    Event ev = heap::pop(lane.heap);
-    ctx.now = ev.at;
-    ctx.domain = ev.domain;
-    ctx.event_id = ev.id;
-    ctx.children = 0;
-    lane.last_at = ev.at;
-    if (ev.raw != nullptr)
-      ev.raw(ev.arg);
-    else
-      ev.fn();
-    ++batch;
-  }
-  tl_ctx = previous;
-  if (batch != 0) {
-    lane.processed += batch;
-    events_processed_->add(batch);
-  }
-}
-
-std::size_t EventQueue::run_sharded(SimTime deadline, bool until_empty) {
-  ensure_workers();
-  std::size_t processed_before = 0;
-  for (const auto& lane : lanes_) processed_before += lane->processed;
-  constexpr SimTime kNone = std::numeric_limits<SimTime>::max();
-  while (true) {
-    // Inboxes are empty here (flushed at the previous barrier), so the
-    // next window start is the min over lane heap heads.
-    SimTime window_start = kNone;
-    for (const auto& lane : lanes_) {
-      if (!lane->heap.empty() && lane->heap.front().at < window_start)
-        window_start = lane->heap.front().at;
-    }
-    if (window_start == kNone) break;
-    if (!until_empty && window_start > deadline) break;
-    SimTime horizon = window_start + lookahead();
-    if (horizon <= window_start)  // overflow guard: run the rest in one go
-      horizon = kNone;
-    if (!until_empty && deadline < kNone - 1 && horizon > deadline + 1)
-      horizon = deadline + 1;  // run_until's deadline is inclusive
-    {
-      std::lock_guard<std::mutex> lock(barrier_mu_);
-      window_horizon_ = horizon;
-      workers_done_ = 0;
-      ++window_gen_;
-    }
-    window_start_cv_.notify_all();
-    run_lane_window(0, horizon);
-    {
-      std::unique_lock<std::mutex> lock(barrier_mu_);
-      window_done_cv_.wait(
-          lock, [this] { return workers_done_ == workers_.size(); });
-    }
-    for (auto& lane : lanes_) {
-      if (lane->last_at > global_now_) global_now_ = lane->last_at;
-      std::lock_guard<std::mutex> lock(lane->inbox_mu);
-      for (Event& ev : lane->inbox) heap::push(lane->heap, std::move(ev));
-      lane->inbox.clear();
-    }
-  }
-  std::size_t processed_after = 0;
-  for (const auto& lane : lanes_) processed_after += lane->processed;
-  return processed_after - processed_before;
-}
-
-void EventQueue::ensure_workers() {
-  if (workers_.size() + 1 == lanes_.size()) return;
-  stop_workers();
-  stopping_ = false;
-  for (std::size_t i = 1; i < lanes_.size(); ++i)
-    workers_.emplace_back([this, i] { worker_main(i); });
-}
-
-void EventQueue::stop_workers() {
-  if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(barrier_mu_);
-    stopping_ = true;
-  }
-  window_start_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
-  stopping_ = false;
-  window_gen_ = 0;
-}
-
-void EventQueue::worker_main(std::size_t lane_index) {
-  std::uint64_t seen_gen = 0;
-  while (true) {
-    SimTime horizon;
-    {
-      std::unique_lock<std::mutex> lock(barrier_mu_);
-      window_start_cv_.wait(lock, [this, seen_gen] {
-        return stopping_ || window_gen_ != seen_gen;
-      });
-      if (stopping_) return;
-      seen_gen = window_gen_;
-      horizon = window_horizon_;
-    }
-    run_lane_window(lane_index, horizon);
-    {
-      std::lock_guard<std::mutex> lock(barrier_mu_);
-      ++workers_done_;
-    }
-    window_done_cv_.notify_one();
-  }
-}
-
-std::size_t EventQueue::run() {
-  if (lanes_.size() == 1) return run_single_lane(0, /*until_empty=*/true);
-  return run_sharded(0, /*until_empty=*/true);
-}
+std::size_t EventQueue::run() { return drain(0, /*until_empty=*/true); }
 
 std::size_t EventQueue::run_until(SimTime deadline) {
-  std::size_t processed;
-  if (lanes_.size() == 1) {
-    processed = run_single_lane(deadline, /*until_empty=*/false);
-  } else {
-    processed = run_sharded(deadline, /*until_empty=*/false);
-  }
-  if (global_now_ < deadline) global_now_ = deadline;
+  const std::size_t processed = drain(deadline, /*until_empty=*/false);
+  if (now_ < deadline) now_ = deadline;
   return processed;
 }
 

@@ -172,7 +172,7 @@ class LinkModel {
   /// Hard lower bound on this direction's delay, in milliseconds: half
   /// the propagation time, at least 1 µs. traverse() never returns a
   /// copy faster than this even when negative route offsets and jitter
-  /// conspire (it used to clamp at zero); the event queue's cross-shard
+  /// conspire (it used to clamp at zero); the event queue's cross-domain
   /// lookahead is derived from the smallest floor of any configured link
   /// (docs/SIMNET.md). Calibrated scenarios sit far above their floors,
   /// so the clamp never binds in practice.

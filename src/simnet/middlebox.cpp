@@ -271,7 +271,7 @@ MiddleboxVerdict apply_middlebox(const MiddleboxPlan& plan,
   v.cls = classify_packet(packet);
 
   // Adaptive mode: stateful flows + the signature learner may override
-  // the static class. Pure counting over lane-owned state — no RNG draws.
+  // the static class. Pure counting over the domain's state — no RNG draws.
   const AdaptiveConfig& ad = plan.adaptive_config();
   if (ad.enabled) {
     const std::uint64_t fkey = middlebox_flow_key(packet);

@@ -12,7 +12,7 @@ namespace {
 
 // Per-domain RNG stream labels. Each domain's bundle forks purely from
 // the scenario seed and the domain number, never from traffic-dependent
-// state, so equal-seed runs draw identical streams at any shard count.
+// state, so equal-seed runs draw identical streams.
 constexpr std::uint64_t kTransitRngSalt = 0x7A4E517ULL;
 constexpr std::uint64_t kAccessRngSalt = 0xACCE55ULL;
 constexpr std::uint64_t kIcmpRngSalt = 0x1C3BULL;
@@ -20,7 +20,7 @@ constexpr std::uint64_t kMiddleboxRngSalt = 0xD71B0CULL;
 
 // Total duplication fan-out bound per original packet. The budget rides
 // with each copy and halves on every fork, so the bound holds no matter
-// which lane mints the copies.
+// which hop mints the copies.
 constexpr int kMaxCopies = 16;
 
 std::uint32_t clamp_u32(std::uint64_t v) {
@@ -52,8 +52,8 @@ std::uint64_t flow_hash_of(const net::Packet& packet) {
   return h;
 }
 
-/// All mutable forwarding state owned by one domain. Only the event-queue
-/// lane owning the domain ever touches it, so no field needs a lock.
+/// All mutable forwarding state owned by one domain, touched only by
+/// events homed on that domain.
 struct SimulatedNetwork::DomainState {
   Rng transit_rng{0};
   Rng access_rng{0};
@@ -98,12 +98,10 @@ struct SimulatedNetwork::FlightCopy {
 };
 
 struct SimulatedNetwork::FlightPool {
-  std::mutex mu;
   std::vector<std::unique_ptr<FlightCopy>> all;  // owns every node
   std::vector<FlightCopy*> free_list;
 
   FlightCopy* acquire() {
-    std::lock_guard<std::mutex> lock(mu);
     if (!free_list.empty()) {
       FlightCopy* fc = free_list.back();
       free_list.pop_back();
@@ -122,7 +120,6 @@ struct SimulatedNetwork::FlightPool {
     fc->int_header = telemetry::IntHeader{};
     fc->int_active = false;
     fc->deliver_host = nullptr;
-    std::lock_guard<std::mutex> lock(mu);
     free_list.push_back(fc);
   }
 };
@@ -157,7 +154,7 @@ SimulatedNetwork::SimulatedNetwork(EventQueue& queue,
   obs_.hop_program_traps = &reg.counter("telemetry.hop_program_traps");
 
   // One DomainState per AS plus the control domain, up front: the index
-  // is immutable once events run, so lanes can read it without locks.
+  // is immutable once events run.
   auto make_domain = [this](std::uint32_t d) {
     auto ds = std::make_unique<DomainState>();
     const std::uint64_t salt = static_cast<std::uint64_t>(d) << 20;
@@ -228,7 +225,7 @@ Status SimulatedNetwork::configure_link(topology::InterfaceKey from,
       (static_cast<std::uint64_t>(from.interface) << 16) ^ to.asn ^
       (static_cast<std::uint64_t>(to.interface) << 48)));
   // The link's latency floor bounds how fast anything can cross it; the
-  // smallest floor over all links is the queue's cross-shard lookahead.
+  // smallest floor over all links sets the queue's cross-domain lookahead.
   queue_.note_link_floor(duration::from_ms(model->floor_ms()));
   links_.insert(link_key(from), LinkEntry{to, std::move(model)});
   return ok_status();
@@ -293,15 +290,11 @@ Result<std::shared_ptr<const topology::AsPath>> SimulatedNetwork::resolve_path(
     topology::AsNumber src, topology::AsNumber dst) const {
   if (auto it = pinned_paths_.find({src, dst}); it != pinned_paths_.end())
     return it->second;
-  {
-    std::lock_guard<std::mutex> lock(path_mu_);
-    if (auto it = path_cache_.find({src, dst}); it != path_cache_.end())
-      return it->second;
-  }
+  if (auto it = path_cache_.find({src, dst}); it != path_cache_.end())
+    return it->second;
   auto path = topology_.shortest_path(src, dst);
   if (!path) return fail(path.error_message());
   auto shared = std::make_shared<const topology::AsPath>(std::move(*path));
-  std::lock_guard<std::mutex> lock(path_mu_);
   path_cache_[{src, dst}] = shared;
   return shared;
 }
@@ -457,24 +450,22 @@ NetworkStats SimulatedNetwork::stats() const {
   NetworkStats out;
   for (net::Protocol p : net::kAllProtocols) {
     const std::size_t i = proto_index(p);
-    if (auto v = sent_[i].load(std::memory_order_relaxed)) out.sent[p] = v;
-    if (auto v = delivered_[i].load(std::memory_order_relaxed))
-      out.delivered[p] = v;
-    if (auto v = dropped_[i].load(std::memory_order_relaxed))
-      out.dropped[p] = v;
+    if (sent_[i] != 0) out.sent[p] = sent_[i];
+    if (delivered_[i] != 0) out.delivered[p] = delivered_[i];
+    if (dropped_[i] != 0) out.dropped[p] = dropped_[i];
   }
   return out;
 }
 
 void SimulatedNetwork::reset_stats() {
-  for (auto& a : sent_) a.store(0, std::memory_order_relaxed);
-  for (auto& a : delivered_) a.store(0, std::memory_order_relaxed);
-  for (auto& a : dropped_) a.store(0, std::memory_order_relaxed);
+  sent_.fill(0);
+  delivered_.fill(0);
+  dropped_.fill(0);
   for (auto& ds : domains_) ds->drops = 0;
 }
 
 void SimulatedNetwork::count_drop(net::Protocol protocol) {
-  dropped_[proto_index(protocol)].fetch_add(1, std::memory_order_relaxed);
+  ++dropped_[proto_index(protocol)];
   obs_.dropped[proto_index(protocol)]->add();
   current_domain_state().drops += 1;
 }
@@ -563,7 +554,7 @@ Status SimulatedNetwork::send(net::Ipv4Address from_address, Bytes wire) {
 
   const net::Protocol protocol = packet.protocol;
   const std::uint64_t flow = flow_hash_of(packet);
-  sent_[proto_index(protocol)].fetch_add(1, std::memory_order_relaxed);
+  ++sent_[proto_index(protocol)];
   obs_.sent[proto_index(protocol)]->add();
   obs_.path_links->record(static_cast<double>(path->hops.size()) - 1.0);
 
@@ -652,7 +643,7 @@ Status SimulatedNetwork::send(net::Ipv4Address from_address, Bytes wire) {
 
   // First crossing: homed on the link's ingress AS, timed at the midpoint
   // of the link's latency floor so both event edges clear the queue's
-  // cross-shard lookahead (which is half the smallest floor).
+  // cross-domain lookahead (which is half the smallest floor).
   const auto [from0, to0] = path->link_after(0);
   const LinkEntry* first = find_link(from0, to0);
   queue_.schedule_raw_on(
@@ -818,8 +809,8 @@ void SimulatedNetwork::process_hop(FlightCopy* fc) {
     // The adversarial middlebox of the AS being entered (if any) inspects
     // every copy at the ingress border — before transit, so added dwell
     // lands in the same INT residence the per-hop record exposes. This
-    // event is homed on hop.asn's lane, so the draw order, throttle
-    // windows and ground-truth tally are all lane-owned (shard-invariant).
+    // event is homed on hop.asn, so the draws, throttle windows and
+    // ground-truth tally all live in that domain's state.
     double residence_ms = 0.0;
     if (any_middlebox_) {
       if (MiddleboxEntry* mb = middleboxes_.find(hop.asn);
@@ -992,8 +983,7 @@ void SimulatedNetwork::process_delivery(FlightCopy* fc) {
     // probe-sample filtering).
     d.packet = std::move(*reparsed);
   }
-  delivered_[proto_index(d.packet.protocol)].fetch_add(
-      1, std::memory_order_relaxed);
+  ++delivered_[proto_index(d.packet.protocol)];
   obs_.delivered[proto_index(d.packet.protocol)]->add();
   host->on_packet(d);
   flights_->release(fc);

@@ -58,9 +58,9 @@ topology::InterfaceKey chain_egress(std::size_t i);
 topology::InterfaceKey chain_ingress(std::size_t i_plus_1);
 
 /// Builds an AS1..ASn ring (the chain closed back on itself) with uniform
-/// mild links — the scale substrate for the sharded event-queue bench and
-/// stress tests. Every AS is its own shard domain, so traffic spread
-/// around the ring exercises as many lanes as the queue is given.
+/// mild links — the scale substrate for the simulator throughput bench
+/// and the determinism tests. Every AS is its own domain, so traffic
+/// spread around the ring exercises as many domains as it crosses.
 Scenario build_internet_scenario(std::size_t as_count, std::uint64_t seed,
                                  double hop_ms = 5.0);
 

@@ -44,7 +44,7 @@
 //                      [--link-corrupt PM] [--link-truncate PM]
 //                      [--link-dup PM] [--link-reorder PM]
 //                      [--link-flap-ms D] [--int] [--check-determinism]
-//                      [--shards N] [--trace-out FILE]
+//                      [--trace-out FILE]
 //                      [--middlebox ASN:MODE[:SEVERITY]]...
 //                      [--detect-discrimination]
 //       Inject a link fault AND executor failures (killed agents, crashed
@@ -82,9 +82,8 @@
 //       injection (the verdict then expects a clean localization).
 //       --check-determinism replays the scenario with the same seed and
 //       verifies the retry/failover/fault-matrix trace is bit-identical.
-//       --shards N runs the simulation on N event-queue shards (worker
-//       threads); the trace must be byte-identical at every N. --trace-out
-//       writes the deterministic trace to FILE so CI can diff shard counts.
+//       --trace-out writes the deterministic trace to FILE, so runs of two
+//       builds can be byte-diffed.
 //
 //   debuglet chaos     --mass-purchase [N] [--pairs P] [--workers W]
 //                      [--seed S] [--check-determinism] [--trace-out FILE]
@@ -695,10 +694,6 @@ struct ChaosParams {
   /// Localize with the in-band INT strategy (falls back to binary search
   /// when chaos destroys the probe's record stack).
   bool int_mode = false;
-  /// Event-queue shards: 1 = classic single-threaded pop-min loop; N>1
-  /// runs N lanes under the conservative window barrier. The trace is
-  /// shard-count-invariant by contract.
-  std::size_t shards = 1;
   /// Adversarial middleboxes (--middlebox ASN:MODE[:SEVERITY]) and the
   /// twin-probe counter-measurement (--detect-discrimination).
   struct MiddleboxSpec {
@@ -756,7 +751,6 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
   ChaosOutcome out;
   core::DebugletSystem system(
       simnet::build_chain_scenario(p.ases, p.seed, 5.0));
-  system.queue().set_shards(p.shards);
 
   if (p.fault_ms > 0.0) {
     simnet::FaultSpec fault;
@@ -1340,7 +1334,6 @@ int cmd_chaos(const Args& args) {
   p.link_reorder_pm = args.get_int("link-reorder", 0);
   p.link_flap_ms = args.get_int("link-flap-ms", 0);
   p.int_mode = args.has("int");
-  p.shards = static_cast<std::size_t>(args.get_int("shards", 1));
   p.detect_discrimination = args.has("detect-discrimination");
   for (const std::string& text : args.get_all("middlebox")) {
     if (text.empty()) continue;
@@ -1426,8 +1419,8 @@ int cmd_chaos(const Args& args) {
   }
   if (const std::string out_path = args.get("trace-out", "");
       !out_path.empty()) {
-    // The file is the cross-shard determinism artifact: CI runs the same
-    // seed at several --shards values and byte-diffs the outputs.
+    // The file is the determinism artifact: the same seed on two builds
+    // must produce byte-identical files.
     std::ofstream out(out_path, std::ios::binary);
     if (!out) {
       std::printf("cannot write %s\n", out_path.c_str());
