@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "marketplace/calendar.hpp"
 #include "marketplace/reputation.hpp"
 
 namespace debuglet::marketplace {
@@ -43,27 +44,6 @@ Result<chain::Address> decode_address(BytesView data) {
   return out;
 }
 
-Bytes encode_slots(const std::vector<TimeSlot>& slots) {
-  BytesWriter w;
-  w.u32(static_cast<std::uint32_t>(slots.size()));
-  for (const TimeSlot& slot : slots) write_slot(w, slot);
-  return w.take();
-}
-
-Result<std::vector<TimeSlot>> decode_slots(BytesView data) {
-  BytesReader r(data);
-  auto count = r.u32();
-  if (!count) return count.error();
-  std::vector<TimeSlot> out;
-  out.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto slot = read_slot(r);
-    if (!slot) return slot.error();
-    out.push_back(*slot);
-  }
-  return out;
-}
-
 Bytes encode_ids(const std::vector<chain::ObjectId>& ids) {
   BytesWriter w;
   w.u32(static_cast<std::uint32_t>(ids.size()));
@@ -85,13 +65,13 @@ Result<std::vector<chain::ObjectId>> decode_ids(BytesView data) {
   return out;
 }
 
-/// The slot list for `key`, or empty when none have been registered.
-std::vector<TimeSlot> read_slot_list(chain::CallContext& ctx,
-                                     topology::InterfaceKey key) {
+/// The calendar of `key`, or an empty one when no slots were registered.
+SlotCalendar read_calendar(chain::CallContext& ctx,
+                           topology::InterfaceKey key) {
   auto data = ctx.read_named(slots_key(key));
   if (!data) return {};
-  auto slots = decode_slots(BytesView(data->data(), data->size()));
-  return slots ? std::move(*slots) : std::vector<TimeSlot>{};
+  auto calendar = SlotCalendar::decode(BytesView(data->data(), data->size()));
+  return calendar ? std::move(*calendar) : SlotCalendar{};
 }
 
 /// On-chain strike count against `asn` (cross-contract read into the
@@ -232,22 +212,15 @@ Result<Bytes> MarketplaceContract::register_time_slot(chain::CallContext& ctx,
   // are, in fact, associated with the calling executor".
   if (!(*owner == ctx.sender()))
     return fail("caller does not own executor " + parsed->key.to_string());
+  // Rejected before the calendar is read, so a call whose access set omits
+  // the calendar still fails on its arguments rather than on the access.
   for (const TimeSlot& slot : parsed->slots) {
     if (slot.end <= slot.start)
       return fail("slot with non-positive duration");
   }
-  std::vector<TimeSlot> list = read_slot_list(ctx, parsed->key);
-  list.insert(list.end(), parsed->slots.begin(), parsed->slots.end());
-  std::sort(list.begin(), list.end(),
-            [](const TimeSlot& a, const TimeSlot& b) {
-              return a.start != b.start ? a.start < b.start : a.end < b.end;
-            });
-  // Slots must be non-overlapping per the paper's ExecutionSlotsMap.
-  for (std::size_t i = 0; i + 1 < list.size(); ++i) {
-    if (list[i].end > list[i + 1].start)
-      return fail("overlapping time slots for " + parsed->key.to_string());
-  }
-  if (auto s = ctx.write_named(slots_key(parsed->key), encode_slots(list)); !s)
+  SlotCalendar calendar = read_calendar(ctx, parsed->key);
+  if (auto s = calendar.add(parsed->slots, parsed->key); !s) return s.error();
+  if (auto s = ctx.write_named(slots_key(parsed->key), calendar.encode()); !s)
     return s.error();
   obs_.slots_registered->add(parsed->slots.size());
   return Bytes{};
@@ -255,41 +228,11 @@ Result<Bytes> MarketplaceContract::register_time_slot(chain::CallContext& ctx,
 
 SlotQuote MarketplaceContract::quote(chain::CallContext& ctx,
                                      const LookupSlotArgs& q) const {
-  SlotQuote out;
-  const std::vector<TimeSlot> client_slots = read_slot_list(ctx, q.client_key);
-  const std::vector<TimeSlot> server_slots = read_slot_list(ctx, q.server_key);
-  out.client_strikes = strikes_of(ctx, q.client_key.asn);
-  out.server_strikes = strikes_of(ctx, q.server_key.asn);
-  // Earliest pair of slots with a nonempty common window and sufficient
-  // resources on both sides.
-  for (const TimeSlot& cs : client_slots) {
-    if (!cs.accommodates(q.cores, q.memory_bytes, q.bandwidth_bps)) continue;
-    if (cs.end <= q.earliest_start) continue;
-    for (const TimeSlot& ss : server_slots) {
-      if (!ss.accommodates(q.cores, q.memory_bytes, q.bandwidth_bps))
-        continue;
-      if (ss.end <= q.earliest_start) continue;
-      const SimTime start =
-          std::max({cs.start, ss.start, q.earliest_start});
-      const SimTime end = std::min(cs.end, ss.end);
-      if (start >= end) continue;
-      if (!out.found || start < out.window_start) {
-        out.found = true;
-        out.client_slot = cs;
-        out.server_slot = ss;
-        out.window_start = start;
-        out.window_end = end;
-        out.list_price = cs.price + ss.price;
-        // Reputation penalty: each implicated side sells at a discount
-        // (10% per strike, capped at 50%) — the accountability teeth of
-        // the discrimination detector's on-chain reports.
-        out.total_price =
-            apply_reputation_penalty(cs.price, out.client_strikes) +
-            apply_reputation_penalty(ss.price, out.server_strikes);
-      }
-    }
-  }
-  return out;
+  const SlotCalendar client = read_calendar(ctx, q.client_key);
+  const SlotCalendar server = read_calendar(ctx, q.server_key);
+  const std::uint32_t client_strikes = strikes_of(ctx, q.client_key.asn);
+  const std::uint32_t server_strikes = strikes_of(ctx, q.server_key.asn);
+  return quote_calendars(client, server, q, client_strikes, server_strikes);
 }
 
 Result<Bytes> MarketplaceContract::lookup_slot(chain::CallContext& ctx,
@@ -319,17 +262,15 @@ Result<Bytes> MarketplaceContract::purchase_slot(chain::CallContext& ctx,
   if (!server_address) return server_address.error();
 
   // Both slots must still be available exactly as quoted (no partial
-  // purchase: validate both before consuming either).
-  std::vector<TimeSlot> client_list = read_slot_list(ctx, parsed->client_key);
-  std::vector<TimeSlot> server_list = read_slot_list(ctx, parsed->server_key);
-  auto client_it =
-      std::find(client_list.begin(), client_list.end(), parsed->client_slot);
-  if (client_it == client_list.end())
+  // purchase: validate both before consuming either). The calendars are
+  // copies, stored below only if every check passes; when client and server
+  // are one executor, the server's copy is stored last.
+  SlotCalendar client_calendar = read_calendar(ctx, parsed->client_key);
+  SlotCalendar server_calendar = read_calendar(ctx, parsed->server_key);
+  if (!client_calendar.remove(parsed->client_slot))
     return fail("client slot not available at " +
                 parsed->client_key.to_string());
-  auto server_it =
-      std::find(server_list.begin(), server_list.end(), parsed->server_slot);
-  if (server_it == server_list.end())
+  if (!server_calendar.remove(parsed->server_slot))
     return fail("server slot not available at " +
                 parsed->server_key.to_string());
 
@@ -353,14 +294,12 @@ Result<Bytes> MarketplaceContract::purchase_slot(chain::CallContext& ctx,
   if (window_start >= window_end)
     return fail("slots share no common time window");
 
-  client_list.erase(client_it);
-  server_list.erase(server_it);
   if (auto s = ctx.write_named(slots_key(parsed->client_key),
-                               encode_slots(client_list));
+                               client_calendar.encode());
       !s)
     return s.error();
   if (auto s = ctx.write_named(slots_key(parsed->server_key),
-                               encode_slots(server_list));
+                               server_calendar.encode());
       !s)
     return s.error();
 
@@ -536,8 +475,9 @@ std::vector<TimeSlot> MarketplaceContract::available_slots(
   const chain::NamedEntry* entry = chain_->named_entry(
       chain::named_access_key(kContractName, slots_key(key)));
   if (entry == nullptr) return {};
-  auto slots = decode_slots(BytesView(entry->data.data(), entry->data.size()));
-  return slots ? std::move(*slots) : std::vector<TimeSlot>{};
+  auto calendar =
+      SlotCalendar::decode(BytesView(entry->data.data(), entry->data.size()));
+  return calendar ? calendar->slots() : std::vector<TimeSlot>{};
 }
 
 std::vector<chain::ObjectId> MarketplaceContract::applications_for(

@@ -4,7 +4,14 @@
 // itself is stateless and re-entrant — conflict-free calls execute
 // concurrently under Blockchain::submit_batch:
 //   ExecutorAddressMap : named entry  "exec/⟨AS#intf⟩"  -> executor address
-//   ExecutionSlotsMap  : named entry  "slots/⟨AS#intf⟩" -> sorted slots
+//   ExecutionSlotsMap  : named entry  "slots/⟨AS#intf⟩" -> slot calendar:
+//                        sorted runs of back-to-back slots with equal
+//                        length, resources and price, each stored as its
+//                        first slot plus a count (marketplace/calendar.hpp).
+//                        A quote walks both calendars once, O(runs); a
+//                        purchase finds its slot by binary search,
+//                        O(log runs), splits that run and re-encodes the
+//                        calendar, O(runs).
 //   ApplicationsMap    : named entry  "apps/⟨ck⟩|⟨sk⟩"  -> application ids
 //   application state  : the ApplicationObject itself (executor address,
 //                        embedded tokens, reported flag, result) — so

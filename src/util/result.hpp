@@ -34,21 +34,21 @@ class [[nodiscard]] Result {
 
   /// The held value. Precondition: ok().
   const T& value() const& {
-    require(ok(), "Result::value() on error: " + error_message());
+    if (!ok()) throw_on_error();
     return std::get<T>(state_);
   }
   T& value() & {
-    require(ok(), "Result::value() on error: " + error_message());
+    if (!ok()) throw_on_error();
     return std::get<T>(state_);
   }
   T&& value() && {
-    require(ok(), "Result::value() on error: " + error_message());
+    if (!ok()) throw_on_error();
     return std::move(std::get<T>(state_));
   }
 
   /// The held error. Precondition: !ok().
   const Error& error() const {
-    require(!ok(), "Result::error() on success");
+    if (ok()) throw std::logic_error("Result::error() on success");
     return std::get<Error>(state_);
   }
 
@@ -63,8 +63,9 @@ class [[nodiscard]] Result {
   T* operator->() { return &value(); }
 
  private:
-  static void require(bool cond, const std::string& what) {
-    if (!cond) throw std::logic_error(what);
+  // Out of line of the accessors: the message is built only when thrown.
+  [[noreturn]] void throw_on_error() const {
+    throw std::logic_error("Result::value() on error: " + error_message());
   }
   std::variant<T, Error> state_;
 };

@@ -11,13 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 
+#include "calendar_oracle.hpp"
 #include "chain/chain.hpp"
 #include "crypto/schnorr.hpp"
 #include "executor/manifest.hpp"
 #include "executor/result.hpp"
+#include "marketplace/contract.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/wire.hpp"
@@ -1068,6 +1072,314 @@ TEST(FuzzAccessEnforcement, UndeclaredTouchesAbortAndRollBack) {
   // The fuzz distribution must genuinely exercise both directions.
   EXPECT_GT(compliant_runs, iterations / 10);
   EXPECT_GT(violating_runs, iterations / 10);
+}
+
+// --- Contract-argument fuzzing: the marketplace slot calendar ---------------
+//
+// Valid RegisterTimeSlot, LookupSlot and PurchaseSlot arguments, damaged at
+// the byte level (link_damage) and at the field level (times at the ends of
+// SimTime, end - start past INT64_MAX, slot counts around the 65,536 cap),
+// go to the real contract. Every call must either succeed with each
+// calendar sorted, non-overlapping and equal to the flat reference
+// (calendar_oracle.hpp), or fail with the error the reference predicts.
+
+using marketplace::TimeSlot;
+using marketplace::oracle::FlatCalendar;
+
+constexpr SimTime kTimeMin = std::numeric_limits<SimTime>::min();
+constexpr SimTime kTimeMax = std::numeric_limits<SimTime>::max();
+
+SimTime small_time(Rng& rng, std::size_t below) {
+  return static_cast<SimTime>(rng.index(below));
+}
+
+/// A valid batch of slots around the busy part of the calendars.
+std::vector<TimeSlot> fuzz_slots(Rng& rng) {
+  std::vector<TimeSlot> out;
+  SimTime t = small_time(rng, 3000);
+  const SimTime length = 1 + small_time(rng, 20);
+  const int n = 1 + static_cast<int>(rng.index(8));
+  for (int i = 0; i < n; ++i) {
+    TimeSlot slot;
+    slot.start = t;
+    slot.end = t + length;
+    slot.price = rng.chance(0.5) ? 5 : 7;
+    slot.cores = 1 + static_cast<std::uint32_t>(rng.index(2));
+    out.push_back(slot);
+    t += length + (rng.chance(0.3) ? small_time(rng, 5) : 0);
+  }
+  return out;
+}
+
+/// Moves a slot to the ends of SimTime or inverts it.
+void mutate_slot(Rng& rng, TimeSlot& slot) {
+  switch (rng.index(6)) {
+    case 0: slot.start = kTimeMin; break;
+    case 1: slot.end = kTimeMax; break;
+    case 2:  // end - start does not fit in SimTime
+      slot.start = kTimeMin + small_time(rng, 4);
+      slot.end = kTimeMax - small_time(rng, 4);
+      break;
+    case 3:
+      slot.start = kTimeMax - 1 - small_time(rng, 3);
+      slot.end = kTimeMax;
+      break;
+    case 4: std::swap(slot.start, slot.end); break;
+    default: slot.end = slot.start; break;
+  }
+}
+
+/// RegisterTimeSlot arguments with the slot count rewritten (the varint
+/// after the 6-byte executor key) and the slots left as they were.
+Bytes with_slot_count(const Bytes& args, std::uint64_t count) {
+  BytesReader r(BytesView(args.data(), args.size()));
+  EXPECT_TRUE(r.raw(6).ok());
+  EXPECT_TRUE(r.varint().ok());
+  const std::size_t body = args.size() - r.remaining();
+  BytesWriter w;
+  w.raw(BytesView(args.data(), 6));
+  w.varint(count);
+  w.raw(BytesView(args.data() + body, args.size() - body));
+  return w.take();
+}
+
+/// A marketplace with executors {1,1} and {2,1} registered to `owner`, and
+/// the flat reference of every calendar.
+struct SlotMarket {
+  SlotMarket() {
+    auto contract = std::make_unique<marketplace::MarketplaceContract>();
+    market = contract.get();
+    EXPECT_TRUE(chain.register_contract(std::move(contract)).ok());
+    for (const crypto::KeyPair* key : {&owner, &buyer})
+      chain.mint(chain::Address::of(key->public_key()),
+                 1'000'000'000'000'000ULL);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const chain::Receipt r =
+          submit(owner, "RegisterExecutor",
+                 marketplace::RegisterExecutorArgs{keys[i]}.serialize());
+      EXPECT_TRUE(r.success) << r.error;
+    }
+  }
+
+  // Declared access sets would turn a damaged key into an access
+  // violation; exclusive mode lets the contract see every argument.
+  chain::Receipt submit(const crypto::KeyPair& key, const std::string& function,
+                        Bytes args, chain::Mist tokens = 0) {
+    auto receipt = chain.submit(chain.make_transaction(
+        key, marketplace::kContractName, function, std::move(args), tokens));
+    EXPECT_TRUE(receipt.ok()) << receipt.error_message();
+    return receipt ? *receipt : chain::Receipt{};
+  }
+
+  static bool registered(topology::InterfaceKey key) {
+    return key == topology::InterfaceKey{1, 1} ||
+           key == topology::InterfaceKey{2, 1};
+  }
+
+  /// Every touched calendar equals the reference, sorted and disjoint.
+  void expect_calendars(int it) {
+    for (const auto& [key, reference] : flat) {
+      const std::vector<TimeSlot> slots = market->available_slots(key);
+      EXPECT_EQ(slots, reference.slots) << it << " " << key.to_string();
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        EXPECT_LT(slots[i].start, slots[i].end) << it;
+        if (i + 1 < slots.size()) {
+          EXPECT_LE(slots[i].end, slots[i + 1].start) << it;
+        }
+      }
+    }
+  }
+
+  chain::Blockchain chain;
+  marketplace::MarketplaceContract* market = nullptr;
+  crypto::KeyPair owner = crypto::KeyPair::from_seed(0xCA1E01);
+  crypto::KeyPair buyer = crypto::KeyPair::from_seed(0xCA1E02);
+  // The third executor is never registered.
+  const std::vector<topology::InterfaceKey> keys = {{1, 1}, {2, 1}, {3, 1}};
+  std::map<topology::InterfaceKey, FlatCalendar> flat;
+};
+
+TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
+  Rng rng(0xCA1E0F);
+  const int iterations = fuzz_iterations(150);
+  SlotMarket m;
+  int accepted = 0;
+  int rejected = 0;
+  auto expect_receipt = [&](const chain::Receipt& r, const std::string& want,
+                            int it) {
+    EXPECT_EQ(r.success, want.empty()) << it << ": " << r.error;
+    EXPECT_EQ(r.error, want) << it;
+    (want.empty() ? accepted : rejected) += 1;
+  };
+  auto pick_key = [&] {
+    return m.keys[rng.chance(0.1) ? 2 : rng.index(2)];
+  };
+  for (int it = 0; it < iterations; ++it) {
+    const topology::InterfaceKey ck = pick_key();
+    const topology::InterfaceKey sk = rng.chance(0.2) ? ck : pick_key();
+    switch (rng.index(3)) {
+      case 0: {  // RegisterTimeSlot
+        marketplace::RegisterTimeSlotArgs args{ck, fuzz_slots(rng)};
+        if (rng.chance(0.3))
+          mutate_slot(rng, args.slots[rng.index(args.slots.size())]);
+        Bytes bytes = args.serialize();
+        if (rng.chance(0.2))
+          bytes = link_damage(rng, bytes);
+        else if (rng.chance(0.1))
+          bytes = with_slot_count(bytes, 65'534 + rng.index(4));
+        const bool as_owner = rng.chance(0.9);
+        std::string want;
+        auto parsed = marketplace::RegisterTimeSlotArgs::parse(
+            BytesView(bytes.data(), bytes.size()));
+        if (!parsed) {
+          want = parsed.error().message;
+        } else if (!SlotMarket::registered(parsed->key)) {
+          want = "executor " + parsed->key.to_string() + " not registered";
+        } else if (!as_owner) {
+          want = "caller does not own executor " + parsed->key.to_string();
+        } else {
+          FlatCalendar next = m.flat[parsed->key];
+          if (auto s = next.add(parsed->slots, parsed->key); s)
+            m.flat[parsed->key] = std::move(next);
+          else
+            want = s.error().message;
+        }
+        expect_receipt(m.submit(as_owner ? m.owner : m.buyer,
+                                "RegisterTimeSlot", std::move(bytes)),
+                       want, it);
+        break;
+      }
+      case 1: {  // LookupSlot, as a view
+        marketplace::LookupSlotArgs query;
+        query.client_key = ck;
+        query.server_key = sk;
+        query.cores = 1 + static_cast<std::uint32_t>(rng.index(2));
+        static constexpr SimTime kStarts[] = {kTimeMin, -1, 0, 1500, 2999,
+                                              kTimeMax};
+        query.earliest_start =
+            rng.chance(0.5) ? kStarts[rng.index(6)] : small_time(rng, 3100);
+        Bytes bytes = query.serialize();
+        if (rng.chance(0.3)) bytes = link_damage(rng, bytes);
+        auto parsed = marketplace::LookupSlotArgs::parse(
+            BytesView(bytes.data(), bytes.size()));
+        auto got = m.chain.view(marketplace::kContractName, "LookupSlot",
+                                BytesView(bytes.data(), bytes.size()));
+        if (!parsed) {
+          EXPECT_FALSE(got.ok()) << it;
+          EXPECT_EQ(got.error_message(), parsed.error().message) << it;
+          ++rejected;
+        } else {
+          const Bytes want = marketplace::oracle::nested_loop_quote(
+                                 m.flat[parsed->client_key],
+                                 m.flat[parsed->server_key], *parsed, 0, 0)
+                                 .serialize();
+          ASSERT_TRUE(got.ok()) << it << ": " << got.error_message();
+          EXPECT_EQ(*got, want) << it;
+          ++accepted;
+        }
+        break;
+      }
+      default: {  // PurchaseSlot
+        marketplace::PurchaseSlotArgs args;
+        args.client_key = ck;
+        args.server_key = sk;
+        if (rng.chance(0.6)) {
+          marketplace::LookupSlotArgs query;
+          query.earliest_start = small_time(rng, 3000);
+          const auto q = marketplace::oracle::nested_loop_quote(
+              m.flat[ck], m.flat[sk], query, 0, 0);
+          args.client_slot = q.client_slot;
+          args.server_slot = q.server_slot;
+        } else {
+          for (auto [key, slot] : {std::pair{ck, &args.client_slot},
+                                   std::pair{sk, &args.server_slot}}) {
+            const auto& slots = m.flat[key].slots;
+            if (!slots.empty()) *slot = slots[rng.index(slots.size())];
+          }
+        }
+        if (rng.chance(0.2))
+          mutate_slot(rng, rng.chance(0.5) ? args.client_slot
+                                           : args.server_slot);
+        args.client_app.bytecode = {1, 2, 3};
+        args.server_app.bytecode = {4, 5, 6};
+        args.server_app.listen_port = 4500;
+        Bytes bytes = args.serialize();
+        if (rng.chance(0.2)) bytes = link_damage(rng, bytes);
+        auto parsed = marketplace::PurchaseSlotArgs::parse(
+            BytesView(bytes.data(), bytes.size()));
+        const chain::Mist price =
+            parsed ? parsed->client_slot.price + parsed->server_slot.price : 0;
+        // Short by one token now and then; always short for a price past
+        // 10^6, which only a damaged registration can set.
+        chain::Mist tokens = price % 1'000'000;
+        if (price > 0 && price < 1'000'000 && rng.chance(0.1))
+          tokens = price - 1;
+        std::string want;
+        if (!parsed) {
+          want = parsed.error().message;
+        } else if (!SlotMarket::registered(parsed->client_key)) {
+          want = "executor " + parsed->client_key.to_string() +
+                 " not registered";
+        } else if (!SlotMarket::registered(parsed->server_key)) {
+          want = "executor " + parsed->server_key.to_string() +
+                 " not registered";
+        } else {
+          FlatCalendar client = m.flat[parsed->client_key];
+          FlatCalendar server = m.flat[parsed->server_key];
+          const TimeSlot& cs = parsed->client_slot;
+          const TimeSlot& ss = parsed->server_slot;
+          if (!client.remove(cs)) {
+            want = "client slot not available at " +
+                   parsed->client_key.to_string();
+          } else if (!server.remove(ss)) {
+            want = "server slot not available at " +
+                   parsed->server_key.to_string();
+          } else if (tokens < price) {
+            want = "attached tokens " + std::to_string(tokens) +
+                   " below slot price " + std::to_string(price);
+          } else if (std::max(cs.start, ss.start) >=
+                     std::min(cs.end, ss.end)) {
+            want = "slots share no common time window";
+          } else {
+            m.flat[parsed->client_key] = std::move(client);
+            m.flat[parsed->server_key] = std::move(server);
+          }
+        }
+        expect_receipt(
+            m.submit(m.buyer, "PurchaseSlot", std::move(bytes), tokens), want,
+            it);
+        break;
+      }
+    }
+    m.expect_calendars(it);
+  }
+  EXPECT_GT(accepted, iterations / 5);
+  EXPECT_GT(rejected, iterations / 5);
+}
+
+TEST(FuzzContractArguments, SlotCountCapHolds) {
+  SlotMarket m;
+  marketplace::RegisterTimeSlotArgs args;
+  args.key = m.keys[0];
+  const SimTime length = duration::seconds(20);
+  for (SimTime i = 0; i < 65'536; ++i) {
+    TimeSlot slot;
+    slot.start = i * length;
+    slot.end = slot.start + length;
+    args.slots.push_back(slot);
+  }
+  const chain::Receipt full =
+      m.submit(m.owner, "RegisterTimeSlot", args.serialize());
+  ASSERT_TRUE(full.success) << full.error;
+  EXPECT_EQ(m.market->available_slots(m.keys[0]), args.slots);
+  TimeSlot extra;
+  extra.start = 65'536 * length;
+  extra.end = extra.start + length;
+  args.slots.push_back(extra);
+  const chain::Receipt over =
+      m.submit(m.owner, "RegisterTimeSlot", args.serialize());
+  EXPECT_FALSE(over.success);
+  EXPECT_EQ(over.error, "RegisterTimeSlot: too many slots");
 }
 
 }  // namespace

@@ -130,5 +130,30 @@ TEST(Result, ValueAndErrorAccess) {
   EXPECT_THROW(good.error(), std::logic_error);
 }
 
+TEST(Result, MisuseMessagesNameTheHeldError) {
+  auto message_of = [](auto&& access) -> std::string {
+    try {
+      access();
+    } catch (const std::logic_error& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  Result<std::string> bad = fail("nope");
+  const Result<std::string>& const_bad = bad;
+  const std::string expected = "Result::value() on error: nope";
+  EXPECT_EQ(message_of([&] { (void)bad.value(); }), expected);
+  EXPECT_EQ(message_of([&] { (void)const_bad.value(); }), expected);
+  EXPECT_EQ(message_of([&] { (void)*bad; }), expected);
+  EXPECT_EQ(message_of([&] { (void)bad->size(); }), expected);
+  EXPECT_EQ(message_of([&] { (void)const_bad->size(); }), expected);
+  EXPECT_EQ(message_of([&] { (void)std::move(bad).value(); }), expected);
+
+  Result<std::string> good(std::string("yes"));
+  EXPECT_EQ(message_of([&] { (void)good.error(); }),
+            "Result::error() on success");
+  EXPECT_EQ(message_of([&] { (void)good.value(); }), "no throw");
+}
+
 }  // namespace
 }  // namespace debuglet
