@@ -31,13 +31,7 @@ int main() {
     std::printf("purchase failed: %s\n", handle.error_message().c_str());
     return 2;
   }
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> central = fail("pending");
-  for (int i = 0; i < 5 && !central; ++i) {
-    system.queue().run_until(deadline);
-    central = initiator.collect(*handle);
-    deadline += duration::seconds(5);
-  }
+  auto central = initiator.await_result(*handle);
   if (!central) {
     std::printf("collect failed: %s\n", central.error_message().c_str());
     return 2;

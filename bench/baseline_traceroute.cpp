@@ -124,8 +124,7 @@ int main() {
   auto icmp_handle = ping_initiator.purchase_rtt_measurement(
       {1, 2}, {kAses, 1}, Protocol::kIcmp, 8, 100);
   if (!icmp_handle) return 2;
-  system.queue().run_until(icmp_handle->window_end + duration::seconds(10));
-  auto icmp_outcome = ping_initiator.collect(*icmp_handle);
+  auto icmp_outcome = ping_initiator.await_result(*icmp_handle);
   if (!icmp_outcome) {
     std::printf("icmp measurement failed: %s\n",
                 icmp_outcome.error_message().c_str());

@@ -93,13 +93,7 @@ int main() {
     std::printf("purchase failed: %s\n", handle.error_message().c_str());
     return 2;
   }
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> outcome = fail("pending");
-  for (int i = 0; i < 5 && !outcome; ++i) {
-    system.queue().run_until(deadline);
-    outcome = initiator.collect(*handle);
-    deadline += duration::seconds(5);
-  }
+  auto outcome = initiator.await_result(*handle);
   if (!outcome) {
     std::printf("collect failed: %s\n", outcome.error_message().c_str());
     return 2;

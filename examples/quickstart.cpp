@@ -43,20 +43,14 @@ int main() {
               chain::mist_to_sui(handle->price_paid));
 
   // 3. Run the world until the results publish.
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> outcome = fail("pending");
-  for (int attempt = 0; attempt < 5 && !outcome; ++attempt) {
-    system.queue().run_until(deadline);
-    outcome = initiator.collect(*handle);
-    deadline += duration::seconds(5);
-  }
+  auto outcome = initiator.await_result(*handle);
   if (!outcome) {
     std::printf("collect failed: %s\n", outcome.error_message().c_str());
     return 1;
   }
 
-  // 4. collect() has already verified both AS signatures and the on-chain
-  //    copies; show it explicitly anyway.
+  // 4. await_result() has already verified both AS signatures and the
+  //    on-chain copies; show it explicitly anyway.
   const auto as1_key = system.as_public_key(1);
   std::printf("\nClient result certified by AS1: %s\n",
               executor::verify_certified(outcome->client, &*as1_key)

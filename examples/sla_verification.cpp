@@ -35,13 +35,7 @@ int main() {
     std::printf("purchase failed: %s\n", handle.error_message().c_str());
     return 1;
   }
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> outcome = fail("pending");
-  for (int attempt = 0; attempt < 5 && !outcome; ++attempt) {
-    system.queue().run_until(deadline);
-    outcome = subscriber.collect(*handle);
-    deadline += duration::seconds(5);
-  }
+  auto outcome = subscriber.await_result(*handle);
   if (!outcome) {
     std::printf("collect failed: %s\n", outcome.error_message().c_str());
     return 1;

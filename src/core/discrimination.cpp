@@ -64,13 +64,13 @@ struct RoundOutcome {
 
 // Receiving twin endpoint: tallies per-class one-way delay and, when the
 // payload still carries an intact INT stack, per-AS residence and drop
-// snapshots. With a round table attached it also records which twin of
-// each round arrived (the probe sequence rides in IP identification).
+// snapshots. It also records which twin of each round arrived (the probe
+// sequence rides in IP identification).
 class TwinCollector final : public simnet::Host {
  public:
   TwinCollector(std::uint16_t probe_port, std::uint16_t data_port,
                 TwinClassSummary& probe_like, TwinClassSummary& data_like,
-                std::vector<RoundOutcome>* rounds = nullptr)
+                std::vector<RoundOutcome>& rounds)
       : probe_port_(probe_port),
         data_port_(data_port),
         probe_like_(probe_like),
@@ -88,17 +88,15 @@ class TwinCollector final : public simnet::Host {
         duration::to_ms(delivery.received_at - delivery.sent_at);
     summary.one_way_ms.add(one_way_ms);
     record_residence(delivery, summary);
-    if (rounds_ != nullptr) {
-      const std::uint16_t seq = delivery.packet.ip.identification;
-      if (seq < rounds_->size()) {
-        RoundOutcome& o = (*rounds_)[seq];
-        if (is_probe) {
-          o.probe = true;
-          o.probe_ms = one_way_ms;
-        } else {
-          o.data = true;
-          o.data_ms = one_way_ms;
-        }
+    const std::uint16_t seq = delivery.packet.ip.identification;
+    if (seq < rounds_.size()) {
+      RoundOutcome& o = rounds_[seq];
+      if (is_probe) {
+        o.probe = true;
+        o.probe_ms = one_way_ms;
+      } else {
+        o.data = true;
+        o.data_ms = one_way_ms;
       }
     }
   }
@@ -123,7 +121,7 @@ class TwinCollector final : public simnet::Host {
   std::uint16_t data_port_;
   TwinClassSummary& probe_like_;
   TwinClassSummary& data_like_;
-  std::vector<RoundOutcome>* rounds_;
+  std::vector<RoundOutcome>& rounds_;
 };
 
 /// Loss evidence that compounds with (or substitutes for) the residence
@@ -193,25 +191,6 @@ void count_decision(const DiscriminationReport& report) {
 }
 
 }  // namespace
-
-double two_proportion_loss_z(const TwinClassSummary& probe_like,
-                             const TwinClassSummary& data_like,
-                             std::uint64_t min_loss_events) {
-  // Small-sample gate: the normal approximation behind the z statistic is
-  // unstable on a handful of losses, so it only counts once the arms saw
-  // at least `min_loss_events` loss events combined.
-  const std::uint64_t events = (probe_like.sent - probe_like.received) +
-                               (data_like.sent - data_like.received);
-  if (events < min_loss_events) return 0.0;
-  const double np = static_cast<double>(probe_like.sent);
-  const double nd = static_cast<double>(data_like.sent);
-  if (np <= 0.0 || nd <= 0.0) return 0.0;
-  const double pp = probe_like.loss_rate();
-  const double pd = data_like.loss_rate();
-  const double pool = (np * pp + nd * pd) / (np + nd);
-  const double se = std::sqrt(pool * (1.0 - pool) * (1.0 / np + 1.0 / nd));
-  return se > 0.0 ? (pd - pp) / se : 0.0;
-}
 
 std::string DiscriminationReport::trace() const {
   char line[256];
@@ -284,151 +263,11 @@ Result<DiscriminationReport> DiscriminationDetector::run() {
     return fail("discrimination: interval must be positive");
   if (options_.probe_port == options_.data_port)
     return fail("discrimination: twin ports must differ");
-  if (options_.sequential) {
-    if (options_.max_rounds == 0 || options_.max_rounds > 1024)
-      return fail("discrimination: max_rounds must be in [1, 1024]");
-    if (options_.min_rounds > options_.max_rounds)
-      return fail("discrimination: min_rounds exceeds max_rounds");
-    return run_sequential();
-  }
-  if (options_.rounds == 0) return fail("discrimination: rounds must be > 0");
-  return run_fixed();
-}
+  if (options_.max_rounds == 0 || options_.max_rounds > 1024)
+    return fail("discrimination: max_rounds must be in [1, 1024]");
+  if (options_.min_rounds > options_.max_rounds)
+    return fail("discrimination: min_rounds exceeds max_rounds");
 
-// --- Legacy fixed-round path: schedule every round up front, analyze the
-// --- pooled samples once. Kept for ablations and as the z-test baseline.
-Result<DiscriminationReport> DiscriminationDetector::run_fixed() {
-  DiscriminationReport report;
-  const net::Ipv4Address client = network_.allocate_host_address(client_as_);
-  const net::Ipv4Address collector =
-      network_.allocate_host_address(server_as_);
-  TwinCollector sink(options_.probe_port, options_.data_port,
-                     report.probe_like, report.data_like);
-  if (auto attached = network_.attach_host(collector, &sink); !attached)
-    return fail("discrimination: " + attached.error_message());
-
-  // Twin payloads: both carry the identical INT reservation (when the
-  // network forwards with telemetry) plus an identical high-entropy tail,
-  // so size and payload statistics give the classifier nothing — the
-  // destination port is the only differing bit.
-  Rng payload_rng = Rng(seed_).fork(kTwinPayloadSalt);
-  Rng pacing_rng = Rng(seed_).fork(kTwinPacingSalt);
-  Rng port_rng = Rng(seed_).fork(kTwinPortSalt);
-  const std::uint16_t source_port = ephemeral_source_port(port_rng);
-  const std::uint32_t domain = network_.domain_of(client);
-  const SimTime start = network_.now();
-  const std::uint64_t max_jitter =
-      static_cast<std::uint64_t>(options_.interval / 5) + 1;
-
-  for (std::uint64_t r = 0; r < options_.rounds; ++r) {
-    Bytes payload;
-    if (network_.int_enabled())
-      payload =
-          telemetry::IntHeader::reserve(options_.int_max_hops).serialize();
-    const std::size_t base = payload.size();
-    payload.resize(base + options_.payload_tail_bytes);
-    for (std::size_t i = base; i < payload.size(); ++i)
-      payload[i] = static_cast<std::uint8_t>(payload_rng.next_u64() & 0xFF);
-
-    net::ProbeSpec spec;
-    spec.protocol = net::Protocol::kUdp;
-    spec.source = client;
-    spec.destination = collector;
-    spec.source_port = source_port;
-    spec.sequence = static_cast<std::uint16_t>(r);
-    spec.payload = payload;
-    spec.destination_port = options_.probe_port;
-    auto probe_wire = net::build_probe(spec);
-    spec.destination_port = options_.data_port;
-    auto data_wire = net::build_probe(spec);
-    if (!probe_wire || !data_wire) {
-      network_.detach_host(collector);
-      return fail("discrimination: " + (probe_wire ? data_wire : probe_wire)
-                                           .error_message());
-    }
-
-    // Deterministic pacing jitter keeps rounds from phase-locking with
-    // periodic network processes; twin order alternates so neither class
-    // systematically rides first in the back-to-back pair.
-    const SimTime at =
-        start + options_.interval * static_cast<SimDuration>(r + 1) +
-        static_cast<SimDuration>(pacing_rng.next_below(max_jitter));
-    const bool probe_first = (r % 2) == 0;
-    Bytes first = probe_first ? std::move(*probe_wire) : std::move(*data_wire);
-    Bytes second =
-        probe_first ? std::move(*data_wire) : std::move(*probe_wire);
-    std::uint64_t* first_sent =
-        probe_first ? &report.probe_like.sent : &report.data_like.sent;
-    std::uint64_t* second_sent =
-        probe_first ? &report.data_like.sent : &report.probe_like.sent;
-    network_.queue().schedule_on(
-        domain, at, [this, client, wire = std::move(first), first_sent,
-                     next = std::move(second), second_sent]() mutable {
-          if (network_.send(client, std::move(wire))) *first_sent += 1;
-          if (network_.send(client, std::move(next))) *second_sent += 1;
-        });
-  }
-
-  network_.queue().run();
-  network_.detach_host(collector);
-
-  // --- Analysis: a pure function of the delivered samples. ---
-  report.rounds_used = options_.rounds;
-  report.decision = "fixed-rounds";
-  report.delay_delta_ms = mean_or_zero(report.data_like.one_way_ms) -
-                          mean_or_zero(report.probe_like.one_way_ms);
-  report.loss_delta =
-      report.data_like.loss_rate() - report.probe_like.loss_rate();
-
-  const double loss_z = two_proportion_loss_z(
-      report.probe_like, report.data_like, options_.min_loss_events);
-  LossSignal loss;
-  loss.significant = loss_z >= 3.0 && report.loss_delta > 0.0;
-  loss.loss_as = max_drop_as(report.data_like);
-  if (loss.significant) {
-    loss.confidence = score_to_confidence(loss_z);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "; loss gap z=%.2f", loss_z);
-    loss.detail = buf;
-  }
-
-  build_residence_suspects(report, loss);
-
-  if (report.suspects.empty() &&
-      (!report.probe_like.one_way_ms.empty() ||
-       !report.data_like.one_way_ms.empty())) {
-    // No INT evidence survived — fall back to the end-to-end comparison,
-    // which still proves discrimination exists, just not where.
-    DiscriminationEvidence ev;
-    ev.asn = 0;
-    ev.residence_delta_ms = report.delay_delta_ms;
-    ev.score = separation_score(report.probe_like.one_way_ms,
-                                report.data_like.one_way_ms);
-    ev.confidence = score_to_confidence(ev.score);
-    ev.detail = "one-way delay, no INT evidence";
-    if (loss.significant) {
-      ev.confidence = 1.0 - (1.0 - ev.confidence) * (1.0 - loss.confidence);
-      ev.detail += loss.detail;
-    }
-    report.suspects.push_back(std::move(ev));
-  }
-
-  sort_suspects(report);
-
-  if (!report.suspects.empty()) {
-    const DiscriminationEvidence& top = report.suspects.front();
-    const bool loss_case =
-        loss.significant && (top.asn == loss.loss_as || top.asn == 0);
-    report.detected =
-        top.confidence >= options_.confidence_threshold &&
-        (top.residence_delta_ms >= options_.min_effect_ms || loss_case);
-  }
-  count_decision(report);
-  return report;
-}
-
-// --- Sequential path: one round at a time, stop at the SPRT bounds. ---
-Result<DiscriminationReport> DiscriminationDetector::run_sequential() {
   using Decision = Sprt::Decision;
   DiscriminationReport report;
   const net::Ipv4Address client = network_.allocate_host_address(client_as_);
@@ -465,7 +304,7 @@ Result<DiscriminationReport> DiscriminationDetector::run_sequential() {
     t->rounds.resize(options_.max_rounds);
     t->sink = std::make_unique<TwinCollector>(
         options_.probe_port, options_.data_port, *t->probe_like,
-        *t->data_like, &t->rounds);
+        *t->data_like, t->rounds);
     if (auto attached = network_.attach_host(t->addr, t->sink.get());
         !attached)
       return fail("discrimination: " + attached.error_message());

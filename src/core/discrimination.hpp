@@ -16,10 +16,10 @@
 // signatures, simnet/middlebox.hpp) the detector randomizes: per-round
 // source ports, fresh entropy-matched payloads and mimicry-profile pacing
 // jitter keep every round's signature novel, so the learner never gets the
-// recurrence it needs to promote. And instead of a fixed 40-round z-test
-// the detector runs Wald SPRTs (util/sprt.hpp) per arm — a sign test on
-// per-round delay deltas and one on discordant loss pairs — stopping as
-// soon as the evidence crosses the configured alpha/beta error bounds.
+// recurrence it needs to promote. The detector runs Wald SPRTs
+// (util/sprt.hpp) per arm — a sign test on per-round delay deltas and one
+// on discordant loss pairs — stopping as soon as the evidence crosses the
+// configured alpha/beta error bounds.
 // When INT is off, twin pairs aimed at every intermediate path AS act as a
 // prefix scan: the nearest prefix whose SPRT accepts discrimination names
 // the AS, so loss-only evidence localizes at realistic round counts.
@@ -80,14 +80,6 @@ struct DiscriminationEvidence {
   std::string detail;
 };
 
-/// Two-proportion loss z-score between the twin arms, gated on a minimum
-/// loss-event count per arm combined: with fewer than `min_loss_events`
-/// total losses the statistic is unstable and 0.0 is returned. Exposed as
-/// a pure function for the legacy fixed-round path and its tests.
-double two_proportion_loss_z(const TwinClassSummary& probe_like,
-                             const TwinClassSummary& data_like,
-                             std::uint64_t min_loss_events);
-
 /// Outcome of one twin-probe round set.
 struct DiscriminationReport {
   TwinClassSummary probe_like;
@@ -99,14 +91,12 @@ struct DiscriminationReport {
   bool detected = false;
   /// Confidence-descending (ties break toward the lower AS number).
   std::vector<DiscriminationEvidence> suspects;
-  /// Rounds actually emitted (== the configured count on the legacy
-  /// fixed-round path; the SPRT stops early).
+  /// Rounds actually emitted (the SPRT may stop before max_rounds).
   std::uint64_t rounds_used = 0;
-  /// How the run ended: "h1-delay", "h1-loss", "h1-both", "h0",
-  /// "exhausted" (sequential) or "fixed-rounds" (legacy).
+  /// How the run ended: "h1-delay", "h1-loss", "h1-both", "h0" or
+  /// "exhausted".
   std::string decision;
-  /// Final log-likelihood ratios of the two sequential arms (0 on the
-  /// legacy path).
+  /// Final log-likelihood ratios of the two sequential arms.
   double delay_llr = 0.0;
   double loss_llr = 0.0;
 
@@ -129,8 +119,6 @@ struct DiscriminationReport {
 class DiscriminationDetector {
  public:
   struct Options {
-    /// Legacy fixed-round count (sequential == false only).
-    std::uint64_t rounds = 40;
     SimDuration interval = duration::milliseconds(50);
     /// The one bit the twins differ in: a destination port inside the
     /// classic measurement ranges vs. an unremarkable ephemeral port.
@@ -140,15 +128,13 @@ class DiscriminationDetector {
     std::size_t payload_tail_bytes = 48;
     /// INT budget when the network forwards with telemetry enabled.
     std::uint8_t int_max_hops = 12;
-    /// Detection bar: top confidence at/above this AND an effect at least
-    /// `min_effect_ms` (or a significant loss gap).
+    /// Detection bar: an SPRT arm accepts discrimination AND the top
+    /// confidence is at/above this. A delivered twin pair is evidence of
+    /// delay discrimination when the data twin trails by at least
+    /// `min_effect_ms`.
     double confidence_threshold = 0.8;
     double min_effect_ms = 1.0;
 
-    /// Sequential (SPRT) testing: emit rounds one at a time and stop as
-    /// soon as either arm crosses its error bound. false = the legacy
-    /// fixed-round z-test.
-    bool sequential = true;
     /// Randomized twin generation (per-round source ports, fresh payload
     /// tails, mimicry pacing jitter) — the counter to a learning
     /// middlebox. false = static twins: one source port, one payload,
@@ -172,9 +158,6 @@ class DiscriminationDetector {
     /// Extra rounds granted after the first H1 so prefix evidence can
     /// firm up before the run stops.
     std::uint64_t grace_rounds = 8;
-    /// Legacy path: minimum combined loss events before the z statistic
-    /// counts (satellite fix — <5 losses per arm is unstable).
-    std::uint64_t min_loss_events = 5;
   };
 
   DiscriminationDetector(simnet::SimulatedNetwork& network,
@@ -185,12 +168,11 @@ class DiscriminationDetector {
                          topology::AsNumber server_as, std::uint64_t seed,
                          Options options);
 
+  /// Emits twin rounds one at a time and stops as soon as the final
+  /// collector's SPRT arms cross their error bounds (or at max_rounds).
   Result<DiscriminationReport> run();
 
  private:
-  Result<DiscriminationReport> run_fixed();
-  Result<DiscriminationReport> run_sequential();
-
   simnet::SimulatedNetwork& network_;
   topology::AsNumber client_as_;
   topology::AsNumber server_as_;

@@ -34,6 +34,16 @@ const char* incident_kind_name(MeasurementIncident::Kind kind) {
   return "unknown";
 }
 
+// collect()'s error shape: the outcome, or the first failing side's
+// message, client first (matches purchase order).
+Result<MeasurementOutcome> first_failure(CollectProbe probe) {
+  if (probe.ok()) return std::move(*probe.outcome);
+  const CollectSide& side =
+      probe.client.error != CollectErrorKind::kNone ? probe.client
+                                                    : probe.server;
+  return fail(side.message);
+}
+
 }  // namespace
 
 std::string MeasurementIncident::to_string() const {
@@ -257,6 +267,16 @@ Result<MeasurementHandle> Initiator::purchase(
   handle.server_key = request.server_key;
   handle.window_start = receipt->window_start;
   handle.window_end = receipt->window_end;
+  handle.run_deadline = receipt->window_start;
+  for (const marketplace::ApplicationPayload* app :
+       {&request.client_app, &request.server_app}) {
+    // An unparsable manifest never runs (the executor rejects it).
+    auto manifest = executor::Manifest::parse(
+        BytesView(app->manifest.data(), app->manifest.size()));
+    if (manifest)
+      handle.run_deadline = std::max(
+          handle.run_deadline, receipt->window_start + manifest->max_duration);
+  }
   handle.price_paid = quote->total_price;
   return handle;
 }
@@ -343,13 +363,29 @@ CollectProbe Initiator::try_collect(const MeasurementHandle& handle) {
 
 Result<MeasurementOutcome> Initiator::collect(
     const MeasurementHandle& handle) {
+  return first_failure(try_collect(handle));
+}
+
+CollectProbe Initiator::await_probe(const MeasurementHandle& handle) {
+  simnet::EventQueue& queue = system_.queue();
+  // Collect a grace past the window, then step a grace at a time: at least
+  // once, and on until the executors must have stopped a run that
+  // outlasts its window.
+  const SimTime give_up = std::max(handle.window_end + 2 * kResultGrace,
+                                   handle.run_deadline + kResultGrace);
+  queue.run_until(handle.window_end + kResultGrace);
   CollectProbe probe = try_collect(handle);
-  if (probe.ok()) return std::move(*probe.outcome);
-  // Surface the first failing side, client first (matches purchase order).
-  const CollectSide& side =
-      probe.client.error != CollectErrorKind::kNone ? probe.client
-                                                    : probe.server;
-  return fail(side.message);
+  while (!probe.ok() && probe.any(CollectErrorKind::kNotPublished) &&
+         queue.now() < give_up) {
+    queue.run_until(std::min(queue.now() + kResultGrace, give_up));
+    probe = try_collect(handle);
+  }
+  return probe;
+}
+
+Result<MeasurementOutcome> Initiator::await_result(
+    const MeasurementHandle& handle) {
+  return first_failure(await_probe(handle));
 }
 
 Result<MeasurementHandle> Initiator::purchase_rtt_measurement(
@@ -494,13 +530,7 @@ Result<ResilientMeasurement> Initiator::measure_rtt_resilient(
       continue;
     }
 
-    queue.run_until(handle->window_end + request.grace);
-    CollectProbe probe = try_collect(*handle);
-    if (!probe.ok() && probe.any(CollectErrorKind::kNotPublished)) {
-      // One grace extension covers a ResultReady still in finality flight.
-      queue.run_until(queue.now() + request.grace);
-      probe = try_collect(*handle);
-    }
+    CollectProbe probe = await_probe(*handle);
     if (probe.ok()) {
       rm.outcome = std::move(*probe.outcome);
       rm.handle = *handle;
@@ -515,7 +545,7 @@ Result<ResilientMeasurement> Initiator::measure_rtt_resilient(
         ++rm.byzantine_rejections;
         note(Kind::kVerificationRejected, attempt, side->message);
       } else {
-        // kNotPublished after window + 2x grace (or an infrastructure
+        // kNotPublished when the wait gave up (or an infrastructure
         // error): treat the executor as down.
         obs_.executor_down->add();
         note(Kind::kResultMissing, attempt, side->message);

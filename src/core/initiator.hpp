@@ -25,6 +25,11 @@ struct MeasurementHandle {
   topology::InterfaceKey server_key;
   SimTime window_start = 0;
   SimTime window_end = 0;
+  /// window_start plus the longer max_duration of the two manifests: the
+  /// executors stop each run by then, give or take their setup time
+  /// (milliseconds, well inside kResultGrace). A run may outlast its slot
+  /// window, so this can lie past window_end.
+  SimTime run_deadline = 0;
   chain::Mist price_paid = 0;
 };
 
@@ -139,7 +144,7 @@ Result<RttSummary> summarize_rtt(const executor::CertifiedResult& client,
 struct MeasurementIncident {
   enum class Kind : std::uint8_t {
     kPurchaseFailed,
-    kResultMissing,         // no ResultReady after window + grace
+    kResultMissing,         // no ResultReady when await_result gave up
     kVerificationRejected,  // published result failed verification
     kReclaimed,             // partial refund recovered from a dead attempt
     kFailover,              // switched to an alternate executor
@@ -155,6 +160,10 @@ struct MeasurementIncident {
   std::string to_string() const;
 };
 
+/// The step of Initiator::await_result: how long past the slot window it
+/// first collects, and how far it runs the queue before each re-collect.
+inline constexpr SimDuration kResultGrace = duration::seconds(2);
+
 /// A purchase-measure-collect loop that survives executor failure.
 struct ResilientRttRequest {
   topology::InterfaceKey client_key;
@@ -165,8 +174,6 @@ struct ResilientRttRequest {
   SimTime earliest_start = 0;
   bool seal_results = false;
   RetryPolicy retry;
-  /// Extra wait past the slot window before declaring ResultReady missing.
-  SimDuration grace = duration::seconds(2);
   /// Alternates tried (in order, wrapping) when a side's executor fails.
   /// Empty = derive from the other border interfaces of the same AS —
   /// endpoints never traverse their own AS interior, so an alternate
@@ -212,18 +219,25 @@ class Initiator {
   /// Retrieves and verifies both certified results of a measurement from
   /// the chain. Fails if either result is missing (run the queue further)
   /// or fails signature/AS-key verification; error messages are prefixed
-  /// with the CollectErrorKind name. Use try_collect for the typed codes.
+  /// with the CollectErrorKind name. Use try_collect for the typed codes,
+  /// and await_result unless the caller drives the queue itself.
   Result<MeasurementOutcome> collect(const MeasurementHandle& handle);
 
   /// Like collect, but classifies each side's failure instead of folding
   /// everything into one error string.
   CollectProbe try_collect(const MeasurementHandle& handle);
 
-  /// Steps 1–5 with chaos tolerance: purchase, run the queue through the
-  /// window plus grace, collect; on a missing or rejected result, reclaim
-  /// what it can, fail over to an alternate executor on the same segment
-  /// and back off per the policy — all in deterministic simulated time.
-  /// DRIVES THE EVENT QUEUE (like localization's await).
+  /// Steps 4–5 of §IV-A: runs the event queue to window_end + kResultGrace
+  /// and collects; while a result is still unpublished, runs kResultGrace
+  /// more and collects again, until the later of window_end +
+  /// 2 * kResultGrace and run_deadline + kResultGrace. Fails with
+  /// collect()'s error at that time at the latest. DRIVES THE EVENT QUEUE.
+  Result<MeasurementOutcome> await_result(const MeasurementHandle& handle);
+
+  /// Steps 1–5 with chaos tolerance: purchase, await_result, and on a
+  /// missing or rejected result reclaim what it can, fail over to an
+  /// alternate executor on the same segment and back off per the policy —
+  /// all in deterministic simulated time. DRIVES THE EVENT QUEUE.
   Result<ResilientMeasurement> measure_rtt_resilient(
       const ResilientRttRequest& request);
 
@@ -271,6 +285,8 @@ class Initiator {
   };
   FetchOutcome fetch_result(chain::ObjectId application,
                             topology::InterfaceKey key);
+  /// await_result's wait, keeping each side's typed failure.
+  CollectProbe await_probe(const MeasurementHandle& handle);
   Status reclaim_one(chain::ObjectId application, chain::Mist& rebate);
 
   DebugletSystem& system_;

@@ -33,22 +33,6 @@ FaultLocalizer::FaultLocalizer(DebugletSystem& system, Initiator& initiator,
       probes_(probes_per_measurement),
       interval_ms_(probe_interval_ms) {}
 
-Result<MeasurementOutcome> FaultLocalizer::await(
-    const MeasurementHandle& handle) {
-  // The measurement runs inside its purchased window; allow the executors
-  // time to report afterwards, extending a few times if needed.
-  simnet::EventQueue& queue = system_.queue();
-  SimTime deadline = handle.window_end + duration::seconds(2);
-  for (int attempt = 0; attempt < 5; ++attempt) {
-    queue.run_until(deadline);
-    auto outcome = initiator_.collect(handle);
-    if (outcome) return outcome;
-    deadline += duration::seconds(5);
-  }
-  queue.run_until(deadline);
-  return initiator_.collect(handle);
-}
-
 simnet::LinkIntegrityStats FaultLocalizer::segment_integrity(
     std::size_t from_hop, std::size_t to_hop) const {
   simnet::LinkIntegrityStats total;
@@ -84,36 +68,18 @@ Result<LocalizationStep> FaultLocalizer::measure_segment(std::size_t from_hop,
   const SimTime segment_begin = system_.queue().now();
   const simnet::LinkIntegrityStats integrity_before =
       segment_integrity(from_hop, to_hop);
-  Result<MeasurementOutcome> outcome = [&]() -> Result<MeasurementOutcome> {
-    if (resilience_.use_retry) {
-      ResilientRttRequest request;
-      request.client_key = client_key;
-      request.server_key = server_key;
-      request.protocol = protocol_;
-      request.probe_count = probes_;
-      request.interval_ms = interval_ms_;
-      request.earliest_start = system_.queue().now();
-      request.retry = resilience_.retry;
-      request.grace = resilience_.grace;
-      request.allow_failover = resilience_.allow_failover;
-      auto resilient = initiator_.measure_rtt_resilient(request);
-      if (!resilient) return resilient.error();
-      return std::move(resilient->outcome);
-    }
-    auto handle = initiator_.purchase_rtt_measurement(
-        client_key, server_key, protocol_, probes_, interval_ms_,
-        system_.queue().now());
-    if (!handle) return handle.error();
-    auto awaited = await(*handle);
-    if (!awaited) {
-      // Reclaim whatever the dead attempt allows before reporting.
-      initiator_.reclaim_available(*handle);
-      return awaited.error();
-    }
-    return awaited;
-  }();
-  if (!outcome) return outcome.error();
-  auto summary = summarize_rtt(outcome->client,
+  ResilientRttRequest request;
+  request.client_key = client_key;
+  request.server_key = server_key;
+  request.protocol = protocol_;
+  request.probe_count = probes_;
+  request.interval_ms = interval_ms_;
+  request.earliest_start = segment_begin;
+  request.retry = resilience_.retry;
+  request.allow_failover = resilience_.allow_failover;
+  auto measured = initiator_.measure_rtt_resilient(request);
+  if (!measured) return measured.error();
+  auto summary = summarize_rtt(measured->outcome.client,
                                static_cast<std::size_t>(probes_));
   if (!summary) return summary.error();
 
@@ -449,7 +415,7 @@ Result<LocalizationReport> FaultLocalizer::run(Strategy strategy) {
       }
       for (const Pending& p : pending) {
         auto fetch = [&]() -> Result<RttSummary> {
-          auto outcome = await(p.handle);
+          auto outcome = initiator_.await_result(p.handle);
           if (!outcome) {
             initiator_.reclaim_available(p.handle);
             return outcome.error();

@@ -128,9 +128,10 @@ class FaultLocalizer {
                  std::int64_t probes_per_measurement = 10,
                  std::int64_t probe_interval_ms = 200);
 
-  /// Purchases a measurement between the egress-side executor of
-  /// `from_hop` and the ingress-side executor of `to_hop`, runs the event
-  /// queue until the results publish, and summarizes them.
+  /// Measures between the egress-side executor of `from_hop` and the
+  /// ingress-side executor of `to_hop` with Initiator::measure_rtt_resilient
+  /// (driving the event queue until the results publish) and summarizes
+  /// them.
   Result<LocalizationStep> measure_segment(std::size_t from_hop,
                                            std::size_t to_hop);
 
@@ -154,15 +155,13 @@ class FaultLocalizer {
     evidence_collector_ = std::move(collector);
   }
 
-  /// Chaos tolerance: route every segment measurement through the
-  /// initiator's resilient path (retry + failover) instead of plain
-  /// purchase/await. Healthy runs behave identically; runs with dead or
-  /// byzantine executors degrade to bracketed / partial reports instead
-  /// of erroring out.
+  /// Chaos tolerance: every segment measurement goes through the
+  /// initiator's resilient path (retry + failover), and the parallel sweep
+  /// awaits its purchases with Initiator::await_result. Runs with dead or
+  /// byzantine executors degrade to bracketed / partial reports instead of
+  /// erroring out.
   struct Resilience {
-    bool use_retry = false;
     RetryPolicy retry;
-    SimDuration grace = duration::seconds(2);
     bool allow_failover = true;
   };
   void set_resilience(Resilience resilience) { resilience_ = resilience; }
@@ -191,7 +190,6 @@ class FaultLocalizer {
   }
 
  private:
-  Result<MeasurementOutcome> await(const MeasurementHandle& handle);
   bool is_faulty(std::size_t links_crossed, const RttSummary& s) const;
   /// Cumulative injected-fault counters over the segment's inter-domain
   /// links (both directions); sampled before/after a measurement to get

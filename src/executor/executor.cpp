@@ -430,10 +430,7 @@ void ExecutorService::begin_execution(DeploymentId id) {
       return;
     }
     dep.instance = std::make_unique<vm::Instance>(std::move(*instance));
-    auto execution = vm::Execution::start_entry(
-        *dep.instance, config_.use_reference_interpreter
-                           ? vm::Engine::kReference
-                           : vm::Engine::kFast);
+    auto execution = vm::Execution::start_entry(*dep.instance);
     if (!execution) {
       fail_deployment(dep, "start: " + execution.error_message());
       return;

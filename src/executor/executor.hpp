@@ -65,11 +65,6 @@ struct ExecutorConfig {
   /// ("only a limited number of requests can be accommodated at each
   /// executor", paper §IV-C). 0 = unlimited.
   std::uint32_t max_concurrent_deployments = 16;
-  /// Run Debuglets on the reference (decode-in-the-loop) interpreter
-  /// instead of the decode-once engine. The two are observation-equivalent
-  /// (see tests/vm_differential_test.cpp); this exists for A/B timing and
-  /// as an escape hatch while diagnosing suspected dispatch bugs.
-  bool use_reference_interpreter = false;
   vm::ValidationLimits validation;
   ExecutorPolicy policy;
 };

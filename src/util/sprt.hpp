@@ -1,9 +1,8 @@
 // Wald's sequential probability ratio test over Bernoulli observations.
 //
-// The discrimination detector replaced its fixed-round z-test with
-// sequential testing: feed one observation per twin round and stop as soon
-// as the accumulated log-likelihood ratio crosses a configured error
-// bound. Wald's thresholds A = log((1-beta)/alpha) and
+// The discrimination detector's only test: feed one observation per twin
+// round and stop as soon as the accumulated log-likelihood ratio crosses a
+// configured error bound. Wald's thresholds A = log((1-beta)/alpha) and
 // B = log(beta/(1-alpha)) bound the false-accept rate of H1 by ~alpha and
 // the false-accept rate of H0 by ~beta, at a far lower expected sample
 // count than any fixed-size test with the same error rates.

@@ -2,10 +2,9 @@
 // (signature frequency table, promotion at the learning horizon, TTL
 // forgetting, the stateful flow table with idle/capacity eviction and TCP
 // stream byte counting), the zero-RNG determinism contract of the learner,
-// the min-event gate of the legacy loss z statistic, and the end-to-end
-// arms race: a detector that repeats identical twins trains its own
-// adversary and goes blind, while randomized twins starve the learner and
-// keep naming the cheating AS.
+// and the end-to-end arms race: a detector that repeats identical twins
+// trains its own adversary and goes blind, while randomized twins starve
+// the learner and keep naming the cheating AS.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -313,26 +312,6 @@ TEST(AdaptiveDeterminism, LearnerDrawsNothingFromTheRng) {
   EXPECT_EQ(rng.next_u64(), Rng(77).next_u64());
 }
 
-// --- The legacy loss z statistic's min-event gate ----------------------------
-
-TEST(LossZGate, FewLossEventsAreInconclusive) {
-  core::TwinClassSummary probe;
-  core::TwinClassSummary data;
-  probe.sent = 40;
-  probe.received = 40;
-  data.sent = 40;
-  data.received = 38;  // 2 losses: below the 5-event gate
-
-  EXPECT_EQ(core::two_proportion_loss_z(probe, data, 5), 0.0);
-  // Ungated, the same handful of events yields a (misleadingly) large z.
-  EXPECT_GT(core::two_proportion_loss_z(probe, data, 0), 0.0);
-
-  // With enough events the statistic counts again — and points the right
-  // way (data-like loses more => positive).
-  data.received = 28;
-  EXPECT_GT(core::two_proportion_loss_z(probe, data, 5), 2.0);
-}
-
 // --- The arms race end to end ------------------------------------------------
 
 // A 5-AS chain whose middle AS hides a slow queue behind fault hiding AND
@@ -404,7 +383,7 @@ TEST(ArmsRace, RandomizedTwinsStarveTheLearnerAndNameTheAs) {
   EXPECT_TRUE(report.detected) << report.decision;
   EXPECT_EQ(report.named_as(), 3u);
   EXPECT_GE(report.top_confidence(), 0.8);
-  // Sequential testing beats the legacy fixed-40 budget.
+  // The SPRT stops well inside its 64-round budget.
   EXPECT_LE(report.rounds_used, 40u);
 }
 

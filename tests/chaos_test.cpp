@@ -1,6 +1,9 @@
 // Chaos-hardened control plane: executor kill/restart, byzantine signers,
-// resilient measurement retry/failover, and degraded-mode localization.
+// the initiator's result wait, resilient measurement retry/failover, and
+// degraded-mode localization.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/debuglet.hpp"
 
@@ -117,6 +120,84 @@ TEST(Chaos, TryCollectDistinguishesNotYetPublished) {
   EXPECT_EQ(late.client.error, CollectErrorKind::kNone);
 }
 
+TEST(AwaitResult, HealthyHandleReturnsAtWindowEndPlusGrace) {
+  DebugletSystem system(simnet::build_chain_scenario(4, 77, kHopMs));
+  Initiator initiator(system, 99, 2'000'000'000'000ULL);
+  auto handle = initiator.purchase_rtt_measurement(
+      topology::InterfaceKey{1, 2}, topology::InterfaceKey{4, 1},
+      Protocol::kUdp, 6, 100);
+  ASSERT_TRUE(handle.ok()) << handle.error_message();
+  auto outcome = initiator.await_result(*handle);
+  ASSERT_TRUE(outcome.ok()) << outcome.error_message();
+  EXPECT_EQ(system.queue().now(), handle->window_end + kResultGrace);
+}
+
+TEST(AwaitResult, RunOutlastingTheWindowIsCollectedWhenItEnds) {
+  DebugletSystem system(simnet::build_chain_scenario(4, 77, kHopMs));
+  Initiator initiator(system, 99, 2'000'000'000'000ULL);
+  // 24 probes a second apart outlast the 20 s slot window, and the echo
+  // server idles out seconds after the last probe: both results publish
+  // well after window_end.
+  auto handle = initiator.purchase_rtt_measurement(
+      topology::InterfaceKey{1, 2}, topology::InterfaceKey{4, 1},
+      Protocol::kUdp, 24, 1000);
+  ASSERT_TRUE(handle.ok()) << handle.error_message();
+  // Each manifest budgets (interval + receive timeout) x (probes + 2)
+  // plus 5 s: 3 s x 26 + 5 s.
+  EXPECT_EQ(handle->run_deadline,
+            handle->window_start + duration::seconds(83));
+  auto outcome = initiator.await_result(*handle);
+  ASSERT_TRUE(outcome.ok()) << outcome.error_message();
+  const SimTime last_end = std::max(outcome->client.record.end_time,
+                                    outcome->server.record.end_time);
+  EXPECT_GT(last_end, handle->window_end + 2 * kResultGrace)
+      << "a wait that stops one grace after the first must miss it";
+  // Collected at the first kResultGrace step at or after the last result.
+  const SimTime now = system.queue().now();
+  EXPECT_GE(now, last_end);
+  EXPECT_LT(now, last_end + kResultGrace);
+  EXPECT_EQ((now - handle->window_end) % kResultGrace, 0);
+}
+
+TEST(AwaitResult, KilledExecutorFailsLikeCollectAfterTwoGraces) {
+  DebugletSystem system(simnet::build_chain_scenario(4, 77, kHopMs));
+  Initiator initiator(system, 99, 2'000'000'000'000ULL);
+  auto victim = system.agent(topology::InterfaceKey{4, 1});
+  ASSERT_TRUE(victim.ok());
+  (*victim)->kill();
+  auto handle = initiator.purchase_rtt_measurement(
+      topology::InterfaceKey{1, 2}, topology::InterfaceKey{4, 1},
+      Protocol::kUdp, 6, 100);
+  ASSERT_TRUE(handle.ok()) << handle.error_message();
+  // A short run ends inside its window: the wait keeps its one extension.
+  ASSERT_LE(handle->run_deadline, handle->window_end + kResultGrace);
+  auto outcome = initiator.await_result(*handle);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(system.queue().now(), handle->window_end + 2 * kResultGrace);
+  EXPECT_EQ(outcome.error_message().rfind("not-published: ", 0), 0u)
+      << outcome.error_message();
+  EXPECT_EQ(outcome.error_message(),
+            initiator.collect(*handle).error_message());
+}
+
+TEST(AwaitResult, KilledExecutorOnALongRunFailsAfterItsRunDeadline) {
+  DebugletSystem system(simnet::build_chain_scenario(4, 77, kHopMs));
+  Initiator initiator(system, 99, 2'000'000'000'000ULL);
+  auto victim = system.agent(topology::InterfaceKey{4, 1});
+  ASSERT_TRUE(victim.ok());
+  (*victim)->kill();
+  auto handle = initiator.purchase_rtt_measurement(
+      topology::InterfaceKey{1, 2}, topology::InterfaceKey{4, 1},
+      Protocol::kUdp, 24, 1000);
+  ASSERT_TRUE(handle.ok()) << handle.error_message();
+  ASSERT_GT(handle->run_deadline, handle->window_end + kResultGrace);
+  auto outcome = initiator.await_result(*handle);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(system.queue().now(), handle->run_deadline + kResultGrace);
+  EXPECT_EQ(outcome.error_message(),
+            initiator.collect(*handle).error_message());
+}
+
 TEST(Chaos, KilledAgentServesAgainAfterRestart) {
   DebugletSystem system(simnet::build_chain_scenario(4, 4321, kHopMs));
   Initiator initiator(system, 99, 2'000'000'000'000ULL);
@@ -170,8 +251,7 @@ TEST(Chaos, CrashedHostLosesEveryProbe) {
       topology::InterfaceKey{1, 2}, topology::InterfaceKey{4, 1},
       Protocol::kUdp, 6, 100);
   ASSERT_TRUE(handle.ok()) << handle.error_message();
-  system.queue().run_until(handle->window_end + duration::seconds(2));
-  auto outcome = initiator.collect(*handle);
+  auto outcome = initiator.await_result(*handle);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
   auto summary = summarize_rtt(outcome->client, 6);
   ASSERT_TRUE(summary.ok());
@@ -220,7 +300,6 @@ struct DegradedLocalizationFixture : ::testing::Test {
     FaultLocalizer localizer(system, initiator, *path, criteria,
                              Protocol::kUdp, 8, 100);
     FaultLocalizer::Resilience resilience;
-    resilience.use_retry = true;
     resilience.retry.max_attempts = 2;  // dark ASes fail fast
     localizer.set_resilience(resilience);
     return localizer;

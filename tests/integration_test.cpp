@@ -16,18 +16,6 @@ struct SystemFixture : ::testing::Test {
       : system(simnet::build_chain_scenario(5, 4242, 5.0)),
         initiator(system, 9001, 500'000'000'000ULL) {}
 
-  // Runs the queue until the measurement's results publish.
-  Result<MeasurementOutcome> run_and_collect(const MeasurementHandle& h) {
-    SimTime deadline = h.window_end + duration::seconds(2);
-    for (int i = 0; i < 6; ++i) {
-      system.queue().run_until(deadline);
-      auto outcome = initiator.collect(h);
-      if (outcome) return outcome;
-      deadline += duration::seconds(5);
-    }
-    return initiator.collect(h);
-  }
-
   DebugletSystem system;
   Initiator initiator;
 };
@@ -47,7 +35,7 @@ TEST_F(SystemFixture, FullLifecycleRttMeasurement) {
   ASSERT_TRUE(handle.ok()) << handle.error_message();
   EXPECT_GT(handle->price_paid, 0u);
 
-  auto outcome = run_and_collect(*handle);
+  auto outcome = initiator.await_result(*handle);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
 
   EXPECT_FALSE(outcome->client.record.trapped)
@@ -71,7 +59,7 @@ TEST_F(SystemFixture, ResultsVerifiableByThirdParty) {
   auto handle = initiator.purchase_rtt_measurement(
       {1, 2}, {3, 1}, Protocol::kTcp, 5, 100);
   ASSERT_TRUE(handle.ok()) << handle.error_message();
-  auto outcome = run_and_collect(*handle);
+  auto outcome = initiator.await_result(*handle);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
 
   // A third party only needs the chain + the AS public keys.
@@ -92,7 +80,7 @@ TEST_F(SystemFixture, TamperedOnChainResultDetected) {
   auto handle = initiator.purchase_rtt_measurement(
       {1, 2}, {2, 1}, Protocol::kUdp, 5, 100);
   ASSERT_TRUE(handle.ok()) << handle.error_message();
-  auto outcome = run_and_collect(*handle);
+  auto outcome = initiator.await_result(*handle);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
 
   // Forge a better-looking result and check it cannot pass verification
@@ -117,7 +105,7 @@ TEST_F(SystemFixture, ExecutorsEarnTokens) {
   auto handle = initiator.purchase_rtt_measurement(
       {1, 2}, {2, 1}, Protocol::kUdp, 5, 100);
   ASSERT_TRUE(handle.ok());
-  auto outcome = run_and_collect(*handle);
+  auto outcome = initiator.await_result(*handle);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
   // AS1 and AS2 share the operator funding; AS1's agent reported one
   // result and earned the slot price (gas costs offset part of it, so
@@ -134,9 +122,9 @@ TEST_F(SystemFixture, ConcurrentMeasurementsOnDisjointExecutors) {
   auto h2 = initiator.purchase_rtt_measurement({4, 2}, {5, 1},
                                                Protocol::kIcmp, 5, 100);
   ASSERT_TRUE(h2.ok()) << h2.error_message();
-  auto o1 = run_and_collect(*h1);
+  auto o1 = initiator.await_result(*h1);
   ASSERT_TRUE(o1.ok()) << o1.error_message();
-  auto o2 = run_and_collect(*h2);
+  auto o2 = initiator.await_result(*h2);
   ASSERT_TRUE(o2.ok()) << o2.error_message();
   EXPECT_EQ(o1->client.record.exit_value, 5);
   EXPECT_EQ(o2->client.record.exit_value, 5);
@@ -207,7 +195,7 @@ TEST_F(SystemFixture, OneWayMeasurementViaMarketplace) {
 
   auto handle = initiator.purchase(request);
   ASSERT_TRUE(handle.ok()) << handle.error_message();
-  auto outcome = run_and_collect(*handle);
+  auto outcome = initiator.await_result(*handle);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
 
   EXPECT_FALSE(outcome->server.record.trapped)

@@ -502,9 +502,6 @@ TEST(LinkFaultLocalization, BracketsInjectedFaultUnderWireChaos) {
   criteria.max_loss = 0.5;  // corruption-induced loss hits every segment
   core::FaultLocalizer localizer(system, initiator, *path, criteria,
                                  net::Protocol::kUdp, 8, 100);
-  core::FaultLocalizer::Resilience resilience;
-  resilience.use_retry = true;
-  localizer.set_resilience(resilience);
   auto report = localizer.run(core::Strategy::kLinearSequential);
   ASSERT_TRUE(report.ok()) << report.error_message();
   ASSERT_TRUE(report->located) << "delay fault lost in the wire chaos";

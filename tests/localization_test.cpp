@@ -120,6 +120,45 @@ TEST_F(LocalizationFixture, HealthyPathReportsNothing) {
   EXPECT_EQ(report->measurements, 1u) << "one end-to-end check suffices";
 }
 
+// Exact cost of one run per strategy on the fixture's healthy chain. Each
+// purchased segment waits for its results, so a change to that wait (its
+// deadline, its extension, a retry) moves the time or the token figure.
+struct PinnedRun {
+  Strategy strategy;
+  std::size_t measurements;
+  chain::Mist tokens_spent;
+  std::int64_t seconds_to_locate;
+};
+
+class PinnedHealthyRun
+    : public LocalizationFixture,
+      public ::testing::WithParamInterface<PinnedRun> {};
+
+TEST_P(PinnedHealthyRun, CostsStayExact) {
+  const PinnedRun& pinned = GetParam();
+  FaultLocalizer localizer = make_localizer();
+  auto report = localizer.run(pinned.strategy);
+  ASSERT_TRUE(report.ok()) << report.error_message();
+  EXPECT_FALSE(report->located);
+  EXPECT_EQ(report->measurements, pinned.measurements);
+  EXPECT_EQ(report->tokens_spent, pinned.tokens_spent);
+  EXPECT_EQ(report->time_to_locate(),
+            duration::seconds(pinned.seconds_to_locate));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, PinnedHealthyRun,
+    ::testing::Values(
+        PinnedRun{Strategy::kLinearSequential, 7, 454'955'200, 142},
+        PinnedRun{Strategy::kBinarySearch, 1, 64'993'600, 22},
+        PinnedRun{Strategy::kParallelSweep, 7, 454'955'200, 22},
+        PinnedRun{Strategy::kInband, 1, 0, 2}),
+    [](const auto& info) {
+      std::string name = strategy_name(info.param.strategy);
+      std::erase(name, '-');
+      return name;
+    });
+
 TEST_F(LocalizationFixture, LossFaultAlsoLocated) {
   simnet::FaultSpec fault;
   fault.extra_loss_pm = 600.0;  // 60% loss

@@ -470,25 +470,6 @@ TEST(DiscriminationDetector, WithoutIntThePrefixScanStillNamesTheAs) {
   EXPECT_GE(report->top_confidence(), 0.8);
   EXPECT_LE(report->rounds_used, 40u);
   EXPECT_EQ(report->decision.rfind("h1", 0), 0u) << report->decision;
-
-  // The legacy fixed-round path has no prefix scan: it proves the
-  // discrimination end to end but cannot say where (asn = 0).
-  simnet::Scenario legacy = simnet::build_chain_scenario(5, 13, 5.0);
-  ASSERT_TRUE(legacy.network
-                  ->install_middlebox(
-                      3, hiding_plan(*legacy.network, 5, 25.0))
-                  .ok());
-  DiscriminationDetector::Options fixed;
-  fixed.sequential = false;
-  DiscriminationDetector legacy_detector(*legacy.network, 1, 5, 7, fixed);
-  auto old_style = legacy_detector.run();
-  ASSERT_TRUE(old_style.ok()) << old_style.error_message();
-  EXPECT_TRUE(old_style->detected);
-  EXPECT_EQ(old_style->named_as(), 0u);
-  ASSERT_FALSE(old_style->suspects.empty());
-  EXPECT_EQ(old_style->suspects.front().asn, 0u);
-  EXPECT_GT(old_style->suspects.front().residence_delta_ms, 20.0);
-  EXPECT_EQ(old_style->decision, "fixed-rounds");
 }
 
 // The ISSUE's acceptance scenario: a fault-hiding AS conceals its slow

@@ -141,13 +141,7 @@ TEST(PrivateMeasurement, SealedOnChainOpenableByInitiator) {
       /*seal_results=*/true);
   ASSERT_TRUE(handle.ok()) << handle.error_message();
 
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> outcome = fail("pending");
-  for (int i = 0; i < 5 && !outcome; ++i) {
-    system.queue().run_until(deadline);
-    outcome = initiator.collect(*handle);
-    deadline += duration::seconds(5);
-  }
+  auto outcome = initiator.await_result(*handle);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
 
   // The published output is ciphertext: it does not decode as samples.
@@ -182,13 +176,7 @@ TEST(PrivateMeasurement, UnsealedFlowUnaffected) {
   auto handle = initiator.purchase_rtt_measurement({1, 2}, {3, 1},
                                                    Protocol::kUdp, 5, 100);
   ASSERT_TRUE(handle.ok());
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> outcome = fail("pending");
-  for (int i = 0; i < 5 && !outcome; ++i) {
-    system.queue().run_until(deadline);
-    outcome = initiator.collect(*handle);
-    deadline += duration::seconds(5);
-  }
+  auto outcome = initiator.await_result(*handle);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
   auto samples = apps::decode_samples(BytesView(
       outcome->client.record.output.data(),

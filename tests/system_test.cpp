@@ -29,13 +29,7 @@ TEST(SystemEconomics, TokenFlowBalances) {
   ASSERT_TRUE(handle.ok()) << handle.error_message();
   EXPECT_EQ(handle->price_paid, 2 * config.slot_price);
 
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> outcome = fail("pending");
-  for (int i = 0; i < 5 && !outcome; ++i) {
-    system.queue().run_until(deadline);
-    outcome = initiator.collect(*handle);
-    deadline += duration::seconds(5);
-  }
+  auto outcome = initiator.await_result(*handle);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
 
   // Each hosting AS earned exactly its slot price; it also paid gas for
@@ -67,13 +61,7 @@ TEST(SystemEconomics, ReclaimRefundsStorageRebate) {
   // Too early: results not reported yet.
   EXPECT_FALSE(initiator.reclaim(*handle).ok());
 
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> outcome = fail("pending");
-  for (int i = 0; i < 5 && !outcome; ++i) {
-    system.queue().run_until(deadline);
-    outcome = initiator.collect(*handle);
-    deadline += duration::seconds(5);
-  }
+  auto outcome = initiator.await_result(*handle);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
 
   auto rebate = initiator.reclaim(*handle);
@@ -97,13 +85,7 @@ TEST(SystemEconomics, OnlyPurchaserMayReclaim) {
   auto handle = buyer.purchase_rtt_measurement({1, 2}, {2, 1},
                                                Protocol::kUdp, 3, 100);
   ASSERT_TRUE(handle.ok());
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> outcome = fail("pending");
-  for (int i = 0; i < 5 && !outcome; ++i) {
-    system.queue().run_until(deadline);
-    outcome = buyer.collect(*handle);
-    deadline += duration::seconds(5);
-  }
+  auto outcome = buyer.await_result(*handle);
   ASSERT_TRUE(outcome.ok());
   auto theft = stranger.reclaim(*handle);
   ASSERT_FALSE(theft.ok());
@@ -127,14 +109,8 @@ TEST(SystemSlots, SequentialMeasurementsGetLaterWindows) {
   EXPECT_GE(h2->window_start, h1->window_end);
 
   // Both still complete.
-  SimTime deadline = h2->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> o1 = fail("pending"), o2 = fail("pending");
-  for (int i = 0; i < 6 && (!o1 || !o2); ++i) {
-    system.queue().run_until(deadline);
-    if (!o1) o1 = initiator.collect(*h1);
-    if (!o2) o2 = initiator.collect(*h2);
-    deadline += duration::seconds(5);
-  }
+  auto o1 = initiator.await_result(*h1);
+  auto o2 = initiator.await_result(*h2);
   ASSERT_TRUE(o1.ok()) << o1.error_message();
   ASSERT_TRUE(o2.ok()) << o2.error_message();
 }
@@ -235,8 +211,7 @@ TEST(SystemConfig, CustomExecutorPolicyEnforcedThroughMarketplace) {
   auto handle = initiator.purchase_rtt_measurement({1, 2}, {2, 1},
                                                    Protocol::kUdp, 10, 100);
   ASSERT_TRUE(handle.ok());
-  system.queue().run_until(handle->window_end + duration::seconds(10));
-  EXPECT_FALSE(initiator.collect(*handle).ok());
+  EXPECT_FALSE(initiator.await_result(*handle).ok());
 }
 
 }  // namespace

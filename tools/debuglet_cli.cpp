@@ -223,13 +223,7 @@ int cmd_measure(const Args& args) {
               format_time(handle->window_start).c_str(),
               format_time(handle->window_end).c_str(),
               chain::mist_to_sui(handle->price_paid));
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> outcome = fail("pending");
-  for (int i = 0; i < 6 && !outcome; ++i) {
-    system.queue().run_until(deadline);
-    outcome = initiator.collect(*handle);
-    deadline += duration::seconds(10);
-  }
+  auto outcome = initiator.await_result(*handle);
   if (!outcome) {
     std::printf("collect failed: %s\n", outcome.error_message().c_str());
     return 1;
@@ -521,13 +515,7 @@ int cmd_stats(const Args& args) {
     std::printf("purchase failed: %s\n", handle.error_message().c_str());
     return 1;
   }
-  SimTime deadline = handle->window_end + duration::seconds(2);
-  Result<core::MeasurementOutcome> outcome = fail("pending");
-  for (int i = 0; i < 6 && !outcome; ++i) {
-    system.queue().run_until(deadline);
-    outcome = initiator.collect(*handle);
-    deadline += duration::seconds(10);
-  }
+  auto outcome = initiator.await_result(*handle);
   if (!outcome) {
     std::printf("collect failed: %s\n", outcome.error_message().c_str());
     return 1;
@@ -891,7 +879,6 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
   core::FaultLocalizer localizer(system, initiator, *path, criteria,
                                  net::Protocol::kUdp, 8, 100);
   core::FaultLocalizer::Resilience resilience;
-  resilience.use_retry = true;
   resilience.retry.max_attempts = p.attempts;
   localizer.set_resilience(resilience);
   std::optional<core::DiscriminationReport> twin_report;
