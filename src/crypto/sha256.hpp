@@ -2,9 +2,16 @@
 //
 // Used for chain block/transaction hashing, Merkle trees, result integrity
 // hashes, and as the hash inside HMAC and Schnorr challenges.
+//
+// The compression function has two implementations, chosen once per
+// process: portable C++ rounds, and on x86-64 CPUs that have them the SHA
+// extensions (SHA-NI). Both produce the same state for the same blocks;
+// the portable one is the fallback and the oracle the tests compare the
+// other against.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -37,7 +44,6 @@ class Sha256 {
   Digest finalize();
 
  private:
-  void process_block(const std::uint8_t* block);
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;
@@ -53,5 +59,26 @@ Digest sha256(std::string_view s);
 
 /// HMAC-SHA256 (RFC 2104).
 Digest hmac_sha256(BytesView key, BytesView message);
+
+// The block functions behind Sha256, for tests and benchmarks only.
+namespace detail {
+
+/// Compresses `count` consecutive 64-byte blocks at `data` into `state`.
+using Sha256Blocks = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t count);
+
+/// FIPS 180-4 rounds in plain C++: the fallback and the test oracle.
+void sha256_blocks_portable(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t count);
+
+/// The x86-64 SHA-extensions version, or nullptr when this build or this
+/// CPU lacks the extensions.
+Sha256Blocks sha256_blocks_sha_ni();
+
+/// The block function Sha256 uses: sha256_blocks_sha_ni() when present,
+/// else sha256_blocks_portable.
+Sha256Blocks sha256_blocks_selected();
+
+}  // namespace detail
 
 }  // namespace debuglet::crypto

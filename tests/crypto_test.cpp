@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/merkle.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
@@ -58,6 +60,96 @@ TEST(Sha256, FinalizeTwiceThrows) {
   h.update("x");
   h.finalize();
   EXPECT_THROW(h.finalize(), std::logic_error);
+}
+
+// --- SHA-256 block functions against the portable oracle ---------------
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+// One-shot SHA-256 built only on the portable block function, with its own
+// FIPS 180-4 padding: 0x80, zeros to 56 mod 64, the big-endian bit length.
+Digest oracle_sha256(BytesView data) {
+  Bytes padded(data.begin(), data.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i)
+    padded.push_back(static_cast<std::uint8_t>(bits >> (i * 8)));
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  detail::sha256_blocks_portable(state, padded.data(), padded.size() / 64);
+  Digest out;
+  for (std::size_t i = 0; i < 32; ++i)
+    out.bytes[i] =
+        static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  return out;
+}
+
+// Sha256 fed in pieces cut at random points.
+Digest split_sha256(const Bytes& data, Rng& rng) {
+  Sha256 h;
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    const std::size_t n = 1 + rng.next_below(data.size() - pos);
+    h.update(BytesView(data.data() + pos, n));
+    pos += n;
+  }
+  return h.finalize();
+}
+
+TEST(Sha256Blocks, OracleMatchesFipsVector) {
+  EXPECT_EQ(oracle_sha256(BytesView(bytes_of("abc"))).hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256Blocks, ShaNiMatchesPortable) {
+  const detail::Sha256Blocks sha_ni = detail::sha256_blocks_sha_ni();
+  if (sha_ni == nullptr) GTEST_SKIP() << "no SHA extensions on this CPU";
+  Rng rng(16);
+  for (int c = 0; c < 2000; ++c) {
+    std::uint32_t expected[8], actual[8];
+    for (int i = 0; i < 8; ++i)
+      expected[i] = actual[i] = static_cast<std::uint32_t>(rng.next_u64());
+    const std::size_t blocks = 1 + rng.next_below(64);
+    const Bytes data = random_bytes(rng, blocks * 64);
+    detail::sha256_blocks_portable(expected, data.data(), blocks);
+    sha_ni(actual, data.data(), blocks);
+    ASSERT_TRUE(std::equal(expected, expected + 8, actual))
+        << "case " << c << ", " << blocks << " blocks";
+  }
+}
+
+TEST(Sha256Blocks, SelectedIsShaNiWhenPresent) {
+  const detail::Sha256Blocks sha_ni = detail::sha256_blocks_sha_ni();
+  EXPECT_EQ(detail::sha256_blocks_selected(),
+            sha_ni != nullptr ? sha_ni : detail::sha256_blocks_portable);
+}
+
+TEST(Sha256Blocks, EveryShortLengthMatchesOracle) {
+  // Covers the 55/56/63/64-byte padding edges of finalize().
+  Rng rng(17);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const Bytes data = random_bytes(rng, len);
+    const Digest expected = oracle_sha256(BytesView(data.data(), data.size()));
+    ASSERT_EQ(sha256(BytesView(data.data(), data.size())), expected)
+        << "length " << len;
+    ASSERT_EQ(split_sha256(data, rng), expected) << "length " << len;
+  }
+}
+
+TEST(Sha256Blocks, RandomLengthsMatchOracle) {
+  Rng rng(18);
+  for (int c = 0; c < 200; ++c) {
+    const Bytes data = random_bytes(rng, rng.next_below(64 * 1024 + 1));
+    const Digest expected = oracle_sha256(BytesView(data.data(), data.size()));
+    ASSERT_EQ(sha256(BytesView(data.data(), data.size())), expected)
+        << "length " << data.size();
+    ASSERT_EQ(split_sha256(data, rng), expected) << "length " << data.size();
+  }
 }
 
 TEST(HmacSha256, Rfc4231Case1) {

@@ -99,15 +99,22 @@
 //   debuglet asm FILE / debuglet disasm FILE
 //       Assemble DVM assembly to a module file (FILE.dvm), or print the
 //       assembly of a serialized module.
+//
+// Integer flags take whole base-10 integers (AS#IF keys too): a malformed
+// value, or a --probes/--interval below 1, prints the error and exits 2.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chain/chain.hpp"
@@ -122,6 +129,25 @@
 namespace {
 
 using namespace debuglet;
+
+// A malformed flag value; main() prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// All of `text` as a base-10 number of type T, or nullopt on junk, an
+// empty string or overflow.
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [at, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || at != end) return std::nullopt;
+  return value;
+}
+
+// The lower bound of an integer flag that has none.
+constexpr std::int64_t kAnyInt = std::numeric_limits<std::int64_t>::min();
 
 // Minimal flag parser: --name value and --name (boolean) forms.
 class Args {
@@ -148,11 +174,14 @@ class Args {
                ? fallback
                : it->second[0];
   }
-  std::int64_t get_int(const std::string& name, std::int64_t fallback) const {
+  /// The flag's integer value, or `fallback` when it is absent or bare.
+  /// Throws UsageError on junk or a value below `min`.
+  std::int64_t get_int(const std::string& name, std::int64_t fallback,
+                       std::int64_t min = kAnyInt) const {
     auto it = values_.find(name);
     if (it == values_.end() || it->second.empty() || it->second[0].empty())
       return fallback;
-    return std::atoll(it->second[0].c_str());
+    return to_int(name, it->second[0], min);
   }
   bool has(const std::string& name) const { return values_.contains(name); }
   std::vector<std::string> get_all(const std::string& name) const {
@@ -164,27 +193,41 @@ class Args {
     auto it = values_.find(name);
     if (it == values_.end()) return out;
     for (const std::string& v : it->second)
-      if (!v.empty()) out.push_back(std::atoll(v.c_str()));
+      if (!v.empty()) out.push_back(to_int(name, v, kAnyInt));
     return out;
   }
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  static std::int64_t to_int(const std::string& name, const std::string& text,
+                             std::int64_t min) {
+    const auto value = parse_whole<std::int64_t>(text);
+    const std::string what = "--" + name + ": expected an integer";
+    const std::string got = ", got '" + text + "'";
+    if (!value) throw UsageError(what + got);
+    if (*value < min)
+      throw UsageError(what + " >= " + std::to_string(min) + got);
+    return *value;
+  }
+
   std::map<std::string, std::vector<std::string>> values_;
   std::vector<std::string> positional_;
 };
 
 Result<topology::InterfaceKey> parse_key(const std::string& text) {
   // "AS3#2" or "3#2".
-  std::string s = text;
-  if (s.rfind("AS", 0) == 0) s = s.substr(2);
+  std::string_view s = text;
+  if (s.starts_with("AS")) s.remove_prefix(2);
   const std::size_t hash = s.find('#');
-  if (hash == std::string::npos)
+  std::optional<topology::AsNumber> asn;
+  std::optional<topology::InterfaceId> intf;
+  if (hash != std::string_view::npos) {
+    asn = parse_whole<topology::AsNumber>(s.substr(0, hash));
+    intf = parse_whole<topology::InterfaceId>(s.substr(hash + 1));
+  }
+  if (!asn || !intf)
     return fail("expected AS#IF (e.g. 3#2), got '" + text + "'");
-  return topology::InterfaceKey{
-      static_cast<topology::AsNumber>(std::atoll(s.substr(0, hash).c_str())),
-      static_cast<topology::InterfaceId>(
-          std::atoll(s.substr(hash + 1).c_str()))};
+  return topology::InterfaceKey{*asn, *intf};
 }
 
 Result<net::Protocol> parse_protocol(const std::string& name) {
@@ -207,8 +250,8 @@ int cmd_measure(const Args& args) {
                 protocol.error_message().c_str());
     return 1;
   }
-  const std::int64_t probes = args.get_int("probes", 10);
-  const std::int64_t interval = args.get_int("interval", 200);
+  const std::int64_t probes = args.get_int("probes", 10, 1);
+  const std::int64_t interval = args.get_int("interval", 200, 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   core::DebugletSystem system(simnet::build_chain_scenario(ases, seed, 5.0));
@@ -501,8 +544,8 @@ int cmd_stats(const Args& args) {
   obs::set_enabled(true);
   const auto ases = static_cast<std::size_t>(args.get_int("ases", 4));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const std::int64_t probes = args.get_int("probes", 10);
-  const std::int64_t interval = args.get_int("interval", 200);
+  const std::int64_t probes = args.get_int("probes", 10, 1);
+  const std::int64_t interval = args.get_int("interval", 200, 1);
 
   core::DebugletSystem system(simnet::build_chain_scenario(ases, seed, 5.0));
   core::Initiator initiator(system, seed + 1, 500'000'000'000ULL);
@@ -1326,14 +1369,14 @@ int cmd_chaos(const Args& args) {
     if (text.empty()) continue;
     ChaosParams::MiddleboxSpec spec;
     const std::size_t c1 = text.find(':');
-    if (c1 == std::string::npos || c1 == 0) {
+    const auto asn = parse_whole<topology::AsNumber>(text.substr(0, c1));
+    if (c1 == std::string::npos || !asn) {
       std::printf("--middlebox: expected ASN:MODE[:SEVERITY], got '%s'\n",
                   text.c_str());
       return 1;
     }
     const std::size_t c2 = text.find(':', c1 + 1);
-    spec.asn = static_cast<topology::AsNumber>(
-        std::atoll(text.substr(0, c1).c_str()));
+    spec.asn = *asn;
     spec.mode = c2 == std::string::npos
                     ? text.substr(c1 + 1)
                     : text.substr(c1 + 1, c2 - c1 - 1);
@@ -1513,15 +1556,20 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const Args args(argc, argv);
-  if (command == "measure") return cmd_measure(args);
-  if (command == "localize") return cmd_localize(args);
-  if (command == "traceroute") return cmd_traceroute(args);
-  if (command == "motivation") return cmd_motivation(args);
-  if (command == "stats") return cmd_stats(args);
-  if (command == "trace") return cmd_trace(args);
-  if (command == "chaos") return cmd_chaos(args);
-  if (command == "asm") return cmd_asm(args);
-  if (command == "disasm") return cmd_disasm(args);
+  try {
+    if (command == "measure") return cmd_measure(args);
+    if (command == "localize") return cmd_localize(args);
+    if (command == "traceroute") return cmd_traceroute(args);
+    if (command == "motivation") return cmd_motivation(args);
+    if (command == "stats") return cmd_stats(args);
+    if (command == "trace") return cmd_trace(args);
+    if (command == "chaos") return cmd_chaos(args);
+    if (command == "asm") return cmd_asm(args);
+    if (command == "disasm") return cmd_disasm(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   usage();
   return command == "help" || command == "--help" ? 0 : 1;
 }
