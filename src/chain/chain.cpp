@@ -258,54 +258,39 @@ Status CallContext::delete_object(ObjectId id) {
   return ok_status();
 }
 
-bool CallContext::has_named(const std::string& key) const {
-  detail::TxScratch& s = *scratch_;
-  const std::string full = named_access_key(contract_, key);
-  if (auto st = check_access(s, full, /*write=*/false); !st) return false;
-  auto it = s.effects.named_writes.find(full);
-  if (it != s.effects.named_writes.end()) return it->second.has_value();
-  return s.group->named_lookup(full) != nullptr;
-}
+namespace {
 
-Result<Bytes> CallContext::read_named(const std::string& key) const {
-  detail::TxScratch& s = *scratch_;
-  const std::string full = named_access_key(contract_, key);
+/// The named entry at `full` as this call sees it (its own writes over
+/// the group's view): nullptr when absent or erased. Fails when the
+/// access set does not declare the read.
+Result<const Bytes*> named_entry(detail::TxScratch& s,
+                                 const std::string& full) {
   if (auto st = check_access(s, full, /*write=*/false); !st)
     return st.error();
   auto it = s.effects.named_writes.find(full);
-  if (it != s.effects.named_writes.end()) {
-    if (it->second) return *it->second;
-    return fail("no named entry '" + full + "'");
-  }
-  const Bytes* data = s.group->named_lookup(full);
-  if (data == nullptr) return fail("no named entry '" + full + "'");
-  return *data;
+  if (it != s.effects.named_writes.end())
+    return it->second ? &*it->second : nullptr;
+  return s.group->named_lookup(full);
 }
 
-bool CallContext::has_named_of(const std::string& contract,
-                               const std::string& key) const {
-  detail::TxScratch& s = *scratch_;
-  const std::string full = named_access_key(contract, key);
-  if (auto st = check_access(s, full, /*write=*/false); !st) return false;
-  auto it = s.effects.named_writes.find(full);
-  if (it != s.effects.named_writes.end()) return it->second.has_value();
-  return s.group->named_lookup(full) != nullptr;
+}  // namespace
+
+bool CallContext::has_named(const std::string& key) const {
+  auto entry = named_entry(*scratch_, named_access_key(contract_, key));
+  return entry.ok() && *entry != nullptr;
+}
+
+Result<Bytes> CallContext::read_named(const std::string& key) const {
+  return read_named_of(contract_, key);
 }
 
 Result<Bytes> CallContext::read_named_of(const std::string& contract,
                                          const std::string& key) const {
-  detail::TxScratch& s = *scratch_;
   const std::string full = named_access_key(contract, key);
-  if (auto st = check_access(s, full, /*write=*/false); !st)
-    return st.error();
-  auto it = s.effects.named_writes.find(full);
-  if (it != s.effects.named_writes.end()) {
-    if (it->second) return *it->second;
-    return fail("no named entry '" + full + "'");
-  }
-  const Bytes* data = s.group->named_lookup(full);
-  if (data == nullptr) return fail("no named entry '" + full + "'");
-  return *data;
+  auto entry = named_entry(*scratch_, full);
+  if (!entry) return entry.error();
+  if (*entry == nullptr) return fail("no named entry '" + full + "'");
+  return **entry;
 }
 
 Status CallContext::write_named(const std::string& key, Bytes data) {
@@ -461,21 +446,30 @@ SubscriptionId Blockchain::subscribe(std::string contract, std::string name,
 
 void Blockchain::unsubscribe(SubscriptionId id) { subscriptions_.erase(id); }
 
+crypto::Digest detail::header_hash(const Block& block) {
+  BytesWriter w;
+  w.u64(block.height);
+  w.raw(block.previous.view());
+  w.raw(block.transactions_root.view());
+  w.i64(block.timestamp);
+  return crypto::sha256(BytesView(w.bytes().data(), w.bytes().size()));
+}
+
+crypto::MerkleTree detail::digest_tree(
+    const std::vector<crypto::Digest>& digests) {
+  std::vector<Bytes> leaves;
+  leaves.reserve(digests.size());
+  for (const crypto::Digest& d : digests)
+    leaves.emplace_back(d.bytes.begin(), d.bytes.end());
+  return crypto::MerkleTree(leaves);
+}
+
 bool Blockchain::verify_integrity() const {
   for (std::size_t h = 1; h < blocks_.size(); ++h) {
-    const Block& prev = blocks_[h - 1];
-    BytesWriter w;
-    w.u64(prev.height);
-    w.raw(prev.previous.view());
-    w.raw(prev.transactions_root.view());
-    w.i64(prev.timestamp);
-    const crypto::Digest expected =
-        crypto::sha256(BytesView(w.bytes().data(), w.bytes().size()));
-    if (!(blocks_[h].previous == expected)) return false;
-    std::vector<Bytes> leaves;
-    for (const crypto::Digest& d : blocks_[h].transaction_digests)
-      leaves.emplace_back(d.bytes.begin(), d.bytes.end());
-    if (!(crypto::MerkleTree(leaves).root() == blocks_[h].transactions_root))
+    if (!(blocks_[h].previous == detail::header_hash(blocks_[h - 1])))
+      return false;
+    if (!(detail::digest_tree(blocks_[h].transaction_digests).root() ==
+          blocks_[h].transactions_root))
       return false;
   }
   return true;
@@ -487,10 +481,7 @@ Result<crypto::MerkleProof> Blockchain::prove_transaction(
   const Block& block = blocks_[height];
   if (index >= block.transaction_digests.size())
     return fail("no transaction at that index");
-  std::vector<Bytes> leaves;
-  for (const crypto::Digest& d : block.transaction_digests)
-    leaves.emplace_back(d.bytes.begin(), d.bytes.end());
-  return crypto::MerkleTree(leaves).prove(index);
+  return detail::digest_tree(block.transaction_digests).prove(index);
 }
 
 bool Blockchain::verify_transaction_inclusion(

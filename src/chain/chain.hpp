@@ -181,7 +181,6 @@ class CallContext {
   /// not the other contract is registered — a missing key simply reads as
   /// absent. Writes stay namespace-confined by design: cross-contract
   /// coupling is observation, never mutation.
-  bool has_named_of(const std::string& contract, const std::string& key) const;
   Result<Bytes> read_named_of(const std::string& contract,
                               const std::string& key) const;
 

@@ -104,6 +104,13 @@ struct TxOutcome {
   std::string contract;
 };
 
+/// The digest a block's successor stores as `previous`: the SHA-256 of the
+/// header's height, previous digest, transactions root and timestamp.
+crypto::Digest header_hash(const Block& block);
+
+/// The Merkle tree a block commits to: one leaf per transaction digest.
+crypto::MerkleTree digest_tree(const std::vector<crypto::Digest>& digests);
+
 /// One submit_batch invocation.
 struct BatchState {
   Blockchain* chain = nullptr;

@@ -63,15 +63,6 @@ void dsu_union(std::vector<std::size_t>& parent, std::size_t a,
   if (a != b) parent[std::max(a, b)] = std::min(a, b);
 }
 
-crypto::Digest previous_header_hash(const Block& prev) {
-  BytesWriter w;
-  w.u64(prev.height);
-  w.raw(prev.previous.view());
-  w.raw(prev.transactions_root.view());
-  w.i64(prev.timestamp);
-  return crypto::sha256(BytesView(w.bytes().data(), w.bytes().size()));
-}
-
 }  // namespace
 
 void BatchState::prepare(unsigned workers) {
@@ -342,12 +333,8 @@ std::vector<Result<Receipt>> BatchState::commit() {
   if (!digests.empty()) {
     Block block;
     block.height = block_height;
-    block.previous = previous_header_hash(chain->blocks_.back());
-    std::vector<Bytes> leaves;
-    leaves.reserve(digests.size());
-    for (const crypto::Digest& d : digests)
-      leaves.emplace_back(d.bytes.begin(), d.bytes.end());
-    block.transactions_root = crypto::MerkleTree(leaves).root();
+    block.previous = header_hash(chain->blocks_.back());
+    block.transactions_root = digest_tree(digests).root();
     block.timestamp = timestamp;
     block.transaction_digests = std::move(digests);
     chain->blocks_.push_back(std::move(block));

@@ -1,7 +1,6 @@
 #include "simnet/event_queue.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "util/flat_hash.hpp"
@@ -76,10 +75,7 @@ Event pop(std::vector<Event>& h) {
 }  // namespace heap
 
 EventQueue::EventQueue()
-    : depth_gauge_(&obs::registry().gauge("simnet.event_queue.depth")),
-      pop_latency_ns_(
-          &obs::registry().histogram("simnet.event_queue.pop_ns")),
-      events_processed_(
+    : events_processed_(
           &obs::registry().counter("simnet.event_queue.events")) {}
 
 SimDuration EventQueue::lookahead() const {
@@ -107,7 +103,6 @@ void EventQueue::enqueue(std::uint32_t domain, SimTime at, Event ev) {
                     (current_.children++ & kChildIndexMask)
               : (root_seq_++ << kChildIndexBits);
   heap::push(heap_, std::move(ev));
-  depth_gauge_->set(static_cast<double>(heap_.size()));
 }
 
 void EventQueue::schedule_at(SimTime at, Callback fn) {
@@ -140,23 +135,10 @@ void EventQueue::dispatch(Event ev) {
   current_.event_id = ev.id;
   current_.children = 0;
   now_ = ev.at;
-  if (pop_latency_ns_->enabled()) {
-    const auto begin = std::chrono::steady_clock::now();
-    if (ev.raw != nullptr)
-      ev.raw(ev.arg);
-    else
-      ev.fn();
-    const auto end = std::chrono::steady_clock::now();
-    pop_latency_ns_->record(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-            .count()));
-    depth_gauge_->set(static_cast<double>(heap_.size()));
-  } else {
-    if (ev.raw != nullptr)
-      ev.raw(ev.arg);
-    else
-      ev.fn();
-  }
+  if (ev.raw != nullptr)
+    ev.raw(ev.arg);
+  else
+    ev.fn();
   events_processed_->add();
 }
 

@@ -109,10 +109,8 @@ class EventQueue {
   std::uint64_t root_seq_ = 0;
   SimDuration min_link_floor_ = 0;  // 0 = none registered yet
 
-  // Cached at construction from the active obs registry; the registry owns
-  // them and record operations no-op while observability is disabled.
-  obs::Gauge* depth_gauge_;
-  obs::Histogram* pop_latency_ns_;
+  // Cached at construction from the active obs registry, which owns it;
+  // it no-ops while observability is disabled.
   obs::Counter* events_processed_;
 };
 

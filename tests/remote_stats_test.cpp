@@ -148,13 +148,12 @@ TEST(RemoteStats, ScrapeMatchesInProcessRegistry) {
   }
 }
 
-// Two metrics profile the simulator itself with REAL clocks
-// (steady_clock / wall_now_us); their recorded values legitimately differ
-// between runs. Everything else — including these rows' names, labels,
-// and counts, which are driven by simulated events — must be identical.
+// One metric profiles the chain with a REAL clock (wall_now_us); its
+// recorded values legitimately differ between runs. Everything else —
+// including that row's name, labels, and count, which are driven by
+// simulated events — must be identical.
 bool wall_clock_metric(const std::string& name) {
-  return name == "chain.block_build_ms" ||
-         name == "simnet.event_queue.pop_ns";
+  return name == "chain.block_build_ms";
 }
 
 TEST(RemoteStats, DeterministicAcrossRuns) {

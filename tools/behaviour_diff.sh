@@ -40,6 +40,19 @@ commands=(
   "chaos --seed 7 --fault-ms 0 --middlebox 3:hide:25 --detect-discrimination --trace-out trace"
   "chaos --seed 7 --fault-ms 0 --middlebox 3:adaptive --detect-discrimination --trace-out trace"
   "chaos --mass-purchase 300 --pairs 4 --seed 7 --trace-out trace"
+  "measure --ases 4 --client 1#2 --server 4#1 --seal"
+  "measure --proto tcp --probes 5 --interval 50 --seed 3"
+  "measure --proto raw --ases 6"
+  "localize --ases 10 --fault-link 8 --strategy binary --fault-ms 40"
+  "localize --ases 8 --fault-ms 0"
+  "traceroute --ases 6 --mute 3 --rate-limit 5 --seed 2"
+  "motivation --city Frankfurt --hours 2 --seed 9"
+  "chaos --byzantine AS5#1 --trace-out trace"
+  "chaos --crash AS7#1 --trace-out trace"
+  "chaos --kill AS3#1 --attempts 2 --link-truncate 20 --trace-out trace"
+  "chaos --middlebox 5:delay:20 --detect-discrimination --trace-out trace"
+  "chaos --middlebox 3:drop --middlebox 7:mangle --middlebox 4:throttle:30 --trace-out trace"
+  "chaos --mass-purchase 300 --pairs 4 --seed 7 --workers 1 --trace-out trace"
 )
 
 status=0

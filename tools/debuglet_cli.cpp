@@ -1,110 +1,16 @@
 // debuglet — command-line front end for the Debuglet system.
 //
-// Subcommands (all run on simulated worlds; everything is deterministic
-// under --seed):
-//
-//   debuglet measure   --ases N --client AS#IF --server AS#IF
-//                      [--proto udp|tcp|icmp|raw] [--probes N]
-//                      [--interval MS] [--seal] [--seed S]
-//       Purchase and run one marketplace measurement; print the certified,
-//       verified results.
-//
-//   debuglet localize  --ases N --fault-link K [--fault-ms D]
-//                      [--strategy linear|binary|parallel|inband] [--seed S]
-//       Inject a fault and localize it with Debuglet-pair measurements
-//       (inband: one INT probe round, falling back to binary search).
-//
-//   debuglet traceroute --ases N [--mute AS]... [--rate-limit AS]...
-//                      [--seed S]
-//       Run the traceroute baseline over the same kind of chain.
-//
-//   debuglet motivation [--city NAME] [--hours H] [--seed S]
-//       Re-run the paper's §II protocol-differential experiment.
-//
-//   debuglet stats     [--ases N] [--probes N] [--interval MS] [--seed S]
-//                      [--json [FILE]] [--csv [FILE]]
-//       Run one measurement with metrics enabled and print every metric
-//       the subsystems emitted; optionally export JSON lines / CSV.
-//
-//   debuglet stats --remote AS#IF [--partner AS#IF] [--ases N] [--seed S]
-//       Purchase a stats-Debuglet pair, scrape the remote executor's
-//       registry over the simulated network, and print the rows merged
-//       under their remote_host label.
-//
-//   debuglet trace     [--ases N] [--fault-link K] [--seed S] [--out FILE]
-//                      [--int]
-//       Run a binary-search localization with span tracing enabled and
-//       write a Chrome trace-event file of the run. With --int the
-//       localization runs the in-band strategy instead and the per-hop
-//       INT path records of one probe are printed.
-//
-//   debuglet chaos     [--ases N] [--fault-link K] [--fault-ms D]
-//                      [--kill AS#IF]... [--crash AS#IF]...
-//                      [--byzantine AS#IF] [--attempts N] [--seed S]
-//                      [--link-corrupt PM] [--link-truncate PM]
-//                      [--link-dup PM] [--link-reorder PM]
-//                      [--link-flap-ms D] [--int] [--check-determinism]
-//                      [--trace-out FILE]
-//                      [--middlebox ASN:MODE[:SEVERITY]]...
-//                      [--detect-discrimination]
-//       Inject a link fault AND executor failures (killed agents, crashed
-//       hosts, optionally a byzantine signer), then run a resilient
-//       end-to-end measurement plus a degraded-mode localization. The
-//       --link-* flags add wire-level chaos (per-mille rates) on every
-//       directed chain link — bit corruption, truncation, duplication,
-//       reordering, and a timed flap of the faulty link — and print a
-//       fault matrix of injections vs. defenses. Exits 0 when the
-//       measurement survives and the report brackets the injected link.
-//       --int localizes with the in-band INT strategy (every-router
-//       records; degrades to binary search when chaos destroys the
-//       probe's record stack) and adds the telemetry.* counters to the
-//       deterministic trace.
-//       --middlebox installs an adversarial DPI middlebox inside an AS.
-//       Modes: drop (per-mille discard of non-measurement classes),
-//       delay (extra ms), mangle (per-mille payload bit flips), throttle
-//       (packets/second budget), hide (fault hiding: ALL traffic suffers
-//       SEVERITY ms + drops except recognized executor addresses and
-//       probe signatures, which ride clean — the §VI-E adversary),
-//       adaptive (hide plus an online learner: recurring measurement
-//       signatures get promoted into the DPI table, so repeated identical
-//       twins stop discriminating; SEVERITY sets the learning horizon in
-//       sightings, default 8 — the arms-race adversary the randomized
-//       twin generator + SPRT detector is built to beat).
-//       --detect-discrimination runs the twin-probe counter-measurement
-//       after localization: packet twins identical but for the port the
-//       classifier keys on; per-class one-way delay, loss, and INT
-//       residence name the discriminating AS. With a middlebox installed
-//       in hide/delay/adaptive mode the verdict requires the detector to
-//       name one of the middlebox ASes; with an honest network it
-//       requires NO discrimination report. A named AS is additionally
-//       reported to the on-chain reputation contract (the strike total
-//       lands in the trace). --fault-ms 0 skips the link-fault
-//       injection (the verdict then expects a clean localization).
-//       --check-determinism replays the scenario with the same seed and
-//       verifies the retry/failover/fault-matrix trace is bit-identical.
-//       --trace-out writes the deterministic trace to FILE, so runs of two
-//       builds can be byte-diffed.
-//
-//   debuglet chaos     --mass-purchase [N] [--pairs P] [--workers W]
-//                      [--seed S] [--check-determinism] [--trace-out FILE]
-//       Chain-side chaos: N initiators (default 10000) race to purchase
-//       P executor pairs' single overlapping slot in ONE parallel batch
-//       (docs/CHAIN.md). Exactly one purchase per pair may win; the trace
-//       records every receipt, the winner map, escrow, token conservation
-//       and the sealed block root — and contains no worker count or
-//       timing, so CI byte-diffs it across --workers 1/2/4.
-//       --check-determinism replays with the same seed and verifies the
-//       trace is bit-identical.
-//
-//   debuglet asm FILE / debuglet disasm FILE
-//       Assemble DVM assembly to a module file (FILE.dvm), or print the
-//       assembly of a serialized module.
-//
-// Integer flags take whole base-10 integers (AS#IF keys too): a malformed
-// value, or a --probes/--interval below 1, prints the error and exits 2.
+// Every command runs on a simulated world and is deterministic under
+// --seed. `debuglet help` lists the commands and `debuglet <command>
+// --help` lists a command's flags with their defaults and bounds; the
+// flags exist only as the typed Args reads each command makes below.
+// docs/ROBUSTNESS.md describes the chaos flags.
+#include <algorithm>
 #include <charconv>
+#include <cinttypes>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -115,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "chain/chain.hpp"
@@ -130,13 +37,14 @@ namespace {
 
 using namespace debuglet;
 
-// A malformed flag value; main() prints it and exits 2.
+// A usage mistake; main() prints "error: " and the message on stderr and
+// exits 2, before any world is built.
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// All of `text` as a base-10 number of type T, or nullopt on junk, an
-// empty string or overflow.
+// All of `text` as a number of type T, or nullopt on junk, an empty
+// string or overflow.
 template <typename T>
 std::optional<T> parse_whole(std::string_view text) {
   T value{};
@@ -146,212 +54,431 @@ std::optional<T> parse_whole(std::string_view text) {
   return value;
 }
 
-// The lower bound of an integer flag that has none.
-constexpr std::int64_t kAnyInt = std::numeric_limits<std::int64_t>::min();
+std::string join(const std::vector<std::string>& words) {
+  std::string out;
+  for (const std::string& word : words)
+    out += (out.empty() ? "" : "|") + word;
+  return out;
+}
 
-// Minimal flag parser: --name value and --name (boolean) forms.
+// The probe train's run budget is probes x interval in int64 nanoseconds,
+// and executors stop any run after 10 minutes.
+constexpr std::int64_t kMaxProbes = 100'000;
+constexpr std::int64_t kMaxIntervalMs = 600'000;
+
+// An adversarial DPI middlebox inside one AS (--middlebox).
+struct MiddleboxSpec {
+  topology::AsNumber asn = 0;
+  std::string mode;
+  double severity = -1.0;  // mode-specific; < 0 = mode default
+};
+const std::vector<std::string> kMiddleboxModes = {
+    "drop", "delay", "mangle", "throttle", "hide", "adaptive"};
+
+// A command's flags. A flag exists only as the typed read that uses it:
+// the read records the flag's form, default and bounds, and throws
+// UsageError on a flag given twice, a value flag given bare, a value after
+// a switch, or a bad value. A command makes all its reads, then calls
+// finish(), which rejects every given flag no read declared and every
+// stray argument. A token starting with "--" is never a value.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  Args(int argc, char** argv) : command_(argv[1]) {
     for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        const std::string name = arg.substr(2);
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          values_[name].push_back(argv[++i]);
-        } else {
-          values_[name].push_back("");
-        }
-      } else {
-        positional_.push_back(arg);
+      const std::string_view token = argv[i];
+      if (!token.starts_with("--")) {
+        positional_.emplace_back(token);
+        continue;
       }
+      std::optional<std::string> value;
+      if (i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--"))
+        value = argv[++i];
+      given_[std::string(token.substr(2))].push_back(std::move(value));
     }
   }
 
-  std::string get(const std::string& name, const std::string& fallback) const {
-    auto it = values_.find(name);
-    return it == values_.end() || it->second.empty() || it->second[0].empty()
-               ? fallback
-               : it->second[0];
+  /// An integer in [min, max]; `fallback` when absent.
+  template <typename T = std::int64_t>
+  T get_int(const std::string& name, std::type_identity_t<T> fallback,
+            std::type_identity_t<T> min = std::numeric_limits<T>::min(),
+            std::type_identity_t<T> max = std::numeric_limits<T>::max()) {
+    const auto text = one(name, "N", "default " + std::to_string(fallback) +
+                                         bounds(min, max));
+    return text ? to_int(name, *text, min, max) : fallback;
   }
-  /// The flag's integer value, or `fallback` when it is absent or bare.
-  /// Throws UsageError on junk or a value below `min`.
-  std::int64_t get_int(const std::string& name, std::int64_t fallback,
-                       std::int64_t min = kAnyInt) const {
-    auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty() || it->second[0].empty())
-      return fallback;
-    return to_int(name, it->second[0], min);
+  /// An integer in [min, max] whose value may be left out: nullopt when
+  /// absent, `bare` when given without a value.
+  template <typename T>
+  std::optional<T> get_int_opt(const std::string& name, T bare, T min) {
+    const auto text =
+        one(name, "[N]", "off; bare " + std::to_string(bare) + bounds(min),
+            std::to_string(bare));
+    if (!text) return std::nullopt;
+    return to_int(name, *text, min, std::numeric_limits<T>::max());
   }
-  bool has(const std::string& name) const { return values_.contains(name); }
-  std::vector<std::string> get_all(const std::string& name) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? std::vector<std::string>{} : it->second;
-  }
-  std::vector<std::int64_t> get_ints(const std::string& name) const {
-    std::vector<std::int64_t> out;
-    auto it = values_.find(name);
-    if (it == values_.end()) return out;
-    for (const std::string& v : it->second)
-      if (!v.empty()) out.push_back(to_int(name, v, kAnyInt));
+  /// Every value of a repeatable integer flag, each in [min, max].
+  template <typename T>
+  std::vector<T> get_ints(const std::string& name, T min, T max) {
+    std::vector<T> out;
+    for (const std::string& text : many(name, "N", bounds(min, max)))
+      out.push_back(to_int(name, text, min, max));
     return out;
   }
-  const std::vector<std::string>& positional() const { return positional_; }
+
+  /// A border interface (AS#IF) of the `ases`-AS chain; `fallback` when
+  /// absent.
+  topology::InterfaceKey get_key(const std::string& name,
+                                 topology::InterfaceKey fallback,
+                                 std::size_t ases) {
+    const auto text = one(name, "AS#IF", "default " + fallback.to_string());
+    return text ? to_key(name, *text, ases) : fallback;
+  }
+  /// A border interface whose value may be left out: nullopt when absent,
+  /// `bare` when given without a value.
+  std::optional<topology::InterfaceKey> get_key_opt(
+      const std::string& name, topology::InterfaceKey bare, std::size_t ases) {
+    const auto text = one(name, "[AS#IF]", "off; bare " + bare.to_string(),
+                          bare.to_string());
+    if (!text) return std::nullopt;
+    return to_key(name, *text, ases);
+  }
+  /// Every value of a repeatable border-interface flag.
+  std::vector<topology::InterfaceKey> get_keys(const std::string& name,
+                                               std::size_t ases) {
+    std::vector<topology::InterfaceKey> out;
+    for (const std::string& text : many(name, "AS#IF", ""))
+      out.push_back(to_key(name, text, ases));
+    return out;
+  }
+
+  /// The index in `choices` of the flag's value; `fallback` when absent.
+  std::size_t get_choice(const std::string& name, const std::string& fallback,
+                         const std::vector<std::string>& choices) {
+    const auto text = one(name, join(choices), "default " + fallback);
+    return choose(name, text.value_or(fallback), choices);
+  }
+
+  /// A file path; `fallback` when absent ("" = none).
+  std::string get_path(const std::string& name, const std::string& fallback) {
+    return one(name, "FILE", fallback.empty() ? "off" : "default " + fallback)
+        .value_or(fallback);
+  }
+  /// A file path that may be left out: nullopt when absent, `bare` when
+  /// given without a value.
+  std::optional<std::string> get_path_opt(const std::string& name,
+                                          const std::string& bare) {
+    return one(name, "[FILE]", "off; bare " + bare, bare);
+  }
+
+  /// Whether a switch was given. A switch takes no value.
+  bool get_switch(const std::string& name) {
+    const auto& uses = declare(name, "", "switch");
+    if (uses.size() > 1) throw bad(name, "given twice");
+    if (!uses.empty() && uses[0])
+      throw bad(name, "takes no value, got '" + *uses[0] + "'");
+    return !uses.empty();
+  }
+
+  /// Every ASN:MODE[:SEVERITY] value of a repeatable middlebox flag: an
+  /// ASN of the `ases`-AS chain, one of kMiddleboxModes, and a number
+  /// >= 0.
+  std::vector<MiddleboxSpec> get_middleboxes(const std::string& name,
+                                             std::size_t ases) {
+    std::vector<MiddleboxSpec> out;
+    for (const std::string& text :
+         many(name, "ASN:MODE[:SEVERITY]", "; MODE " + join(kMiddleboxModes))) {
+      const std::size_t c1 = text.find(':');
+      if (c1 == std::string::npos)
+        throw bad(name, "expected ASN:MODE[:SEVERITY], got '" + text + "'");
+      const std::size_t c2 = text.find(':', c1 + 1);
+      MiddleboxSpec spec;
+      spec.asn = static_cast<topology::AsNumber>(
+          to_int<std::size_t>(name, text.substr(0, c1), 1, ases));
+      // Up to the second colon, or to the end when there is none.
+      spec.mode = kMiddleboxModes[choose(
+          name, text.substr(c1 + 1, c2 - c1 - 1), kMiddleboxModes)];
+      if (c2 != std::string::npos) {
+        const std::string severity = text.substr(c2 + 1);
+        const auto value = parse_whole<double>(severity);
+        if (!value || !std::isfinite(*value) || *value < 0.0)
+          throw bad(name, "expected a SEVERITY >= 0, got '" + severity + "'");
+        spec.severity = *value;
+      }
+      out.push_back(std::move(spec));
+    }
+    return out;
+  }
+
+  /// The next positional argument, shown as `form`; finish() fails when it
+  /// is missing.
+  std::string get_positional(const std::string& form) {
+    wanted_.push_back(form);
+    return wanted_.size() <= positional_.size()
+               ? positional_[wanted_.size() - 1]
+               : "";
+  }
+
+  /// Ends the reads. With --help, prints every flag read so far and exits
+  /// 0; otherwise rejects given flags no read declared and positional
+  /// arguments no read took.
+  void finish() {
+    if (get_switch("help")) {
+      std::string line = "usage: debuglet " + command_;
+      for (const std::string& form : wanted_) line += " " + form;
+      std::printf("%s [flags]\n", line.c_str());
+      for (const auto& [flag, note] : help_)
+        std::printf("  %-28s %s\n", flag.c_str(), note.c_str());
+      std::exit(0);
+    }
+    for (const auto& [name, uses] : given_) {
+      if (!declared_.contains(name))
+        throw UsageError("--" + name + ": no such flag for 'debuglet " +
+                         command_ + "' (see 'debuglet " + command_ +
+                         " --help')");
+    }
+    if (positional_.size() < wanted_.size())
+      throw UsageError("expected " + wanted_[positional_.size()]);
+    if (positional_.size() > wanted_.size())
+      throw UsageError("unexpected argument '" + positional_[wanted_.size()] +
+                       "'");
+  }
 
  private:
-  static std::int64_t to_int(const std::string& name, const std::string& text,
-                             std::int64_t min) {
-    const auto value = parse_whole<std::int64_t>(text);
-    const std::string what = "--" + name + ": expected an integer";
+  using Uses = std::vector<std::optional<std::string>>;
+
+  static UsageError bad(const std::string& name, const std::string& what) {
+    return UsageError("--" + name + ": " + what);
+  }
+
+  // Records the flag for finish() and --help; returns its uses in order,
+  // nullopt for one without a value.
+  const Uses& declare(const std::string& name, const std::string& form,
+                      const std::string& note) {
+    declared_.insert(name);
+    help_.emplace_back("--" + name + (form.empty() ? "" : " " + form), note);
+    static const Uses kAbsent;
+    const auto it = given_.find(name);
+    return it == given_.end() ? kAbsent : it->second;
+  }
+  // The value of a flag given at most once; nullopt when absent. Given
+  // bare it reads as `bare`, which only optional-value flags set.
+  std::optional<std::string> one(const std::string& name,
+                                 const std::string& form,
+                                 const std::string& note,
+                                 std::optional<std::string> bare = {}) {
+    const Uses& uses = declare(name, form, note);
+    if (uses.empty()) return std::nullopt;
+    if (uses.size() > 1) throw bad(name, "given twice");
+    if (!uses[0] && !bare) throw bad(name, "expected a value");
+    return uses[0] ? uses[0] : bare;
+  }
+  // Every value of a repeatable flag; `note` extends "repeatable".
+  std::vector<std::string> many(const std::string& name,
+                                const std::string& form,
+                                const std::string& note) {
+    std::vector<std::string> out;
+    for (const auto& use : declare(name, form + "...", "repeatable" + note)) {
+      if (!use) throw bad(name, "expected a value");
+      out.push_back(*use);
+    }
+    return out;
+  }
+
+  template <typename T>
+  static std::string bounds(T min, T max = std::numeric_limits<T>::max()) {
+    const bool low = min != std::numeric_limits<T>::min();
+    const bool high = max != std::numeric_limits<T>::max();
+    if (low && high)
+      return ", " + std::to_string(min) + ".." + std::to_string(max);
+    if (low) return ", >= " + std::to_string(min);
+    if (high) return ", <= " + std::to_string(max);
+    return "";
+  }
+
+  template <typename T>
+  static T to_int(const std::string& name, const std::string& text, T min,
+                  T max) {
+    const std::optional<T> value = parse_whole<T>(text);
     const std::string got = ", got '" + text + "'";
-    if (!value) throw UsageError(what + got);
-    if (*value < min)
-      throw UsageError(what + " >= " + std::to_string(min) + got);
+    // A well-formed integer that T cannot hold is out of range, not junk.
+    const std::size_t sign = text.starts_with('-') ? 1 : 0;
+    if (!value && (text.size() == sign ||
+                   text.find_first_not_of("0123456789", sign) !=
+                       std::string::npos))
+      throw bad(name, "expected an integer" + got);
+    if (value ? *value < min : text.starts_with('-'))
+      throw bad(name, "expected an integer >= " + std::to_string(min) + got);
+    if (!value || *value > max)
+      throw bad(name, "expected an integer <= " + std::to_string(max) + got);
     return *value;
   }
 
-  std::map<std::string, std::vector<std::string>> values_;
+  static std::size_t choose(const std::string& name, const std::string& text,
+                            const std::vector<std::string>& choices) {
+    const auto at = std::find(choices.begin(), choices.end(), text);
+    if (at == choices.end())
+      throw bad(name, "expected one of " + join(choices) + ", got '" + text +
+                          "'");
+    return static_cast<std::size_t>(at - choices.begin());
+  }
+
+  // "AS3#2" or "3#2", naming a border interface of the `ases`-AS chain:
+  // AS1#2, ASk#1 and ASk#2 for 1 < k < ases, and AS<ases>#1.
+  static topology::InterfaceKey to_key(const std::string& name,
+                                       const std::string& text,
+                                       std::size_t ases) {
+    std::string_view s = text;
+    if (s.starts_with("AS")) s.remove_prefix(2);
+    const std::size_t hash = s.find('#');
+    const auto asn = parse_whole<std::size_t>(s.substr(0, hash));
+    const auto intf =
+        hash == std::string_view::npos
+            ? std::nullopt
+            : parse_whole<topology::InterfaceId>(s.substr(hash + 1));
+    if (!asn || !intf)
+      throw bad(name, "expected AS#IF (e.g. 3#2), got '" + text + "'");
+    if (*asn < 1 || *asn > ases || *intf < 1 || *intf > 2 ||
+        (*asn == 1 && *intf == 1) || (*asn == ases && *intf == 2))
+      throw bad(name, "expected a border interface of the " +
+                          std::to_string(ases) + "-AS chain (AS1#2 .. AS" +
+                          std::to_string(ases) + "#1), got '" + text + "'");
+    return {static_cast<topology::AsNumber>(*asn), *intf};
+  }
+
+  std::string command_;
+  std::map<std::string, Uses> given_;
   std::vector<std::string> positional_;
+  std::set<std::string> declared_;
+  std::vector<std::pair<std::string, std::string>> help_;
+  std::vector<std::string> wanted_;  // positional forms read so far
 };
 
-Result<topology::InterfaceKey> parse_key(const std::string& text) {
-  // "AS3#2" or "3#2".
-  std::string_view s = text;
-  if (s.starts_with("AS")) s.remove_prefix(2);
-  const std::size_t hash = s.find('#');
-  std::optional<topology::AsNumber> asn;
-  std::optional<topology::InterfaceId> intf;
-  if (hash != std::string_view::npos) {
-    asn = parse_whole<topology::AsNumber>(s.substr(0, hash));
-    intf = parse_whole<topology::InterfaceId>(s.substr(hash + 1));
-  }
-  if (!asn || !intf)
-    return fail("expected AS#IF (e.g. 3#2), got '" + text + "'");
-  return topology::InterfaceKey{*asn, *intf};
+// Prints "<what>: <error>" when `result` failed, and says whether it did.
+template <typename T>
+bool failed(const Result<T>& result, const char* what) {
+  if (result) return false;
+  std::printf("%s: %s\n", what, result.error_message().c_str());
+  return true;
+}
+// Prints "cannot <verb> <path>" when `file` did not open, and says whether
+// it did not.
+bool failed(const std::ios& file, const char* verb, const std::string& path) {
+  if (file) return false;
+  std::printf("cannot %s %s\n", verb, path.c_str());
+  return true;
 }
 
-Result<net::Protocol> parse_protocol(const std::string& name) {
-  if (name == "udp") return net::Protocol::kUdp;
-  if (name == "tcp") return net::Protocol::kTcp;
-  if (name == "icmp") return net::Protocol::kIcmp;
-  if (name == "raw") return net::Protocol::kRawIp;
-  return fail("unknown protocol '" + name + "'");
-}
-
-int cmd_measure(const Args& args) {
-  const auto ases = static_cast<std::size_t>(args.get_int("ases", 4));
-  auto client = parse_key(args.get("client", "1#2"));
-  auto server = parse_key(
-      args.get("server", "AS" + std::to_string(ases) + "#1"));
-  auto protocol = parse_protocol(args.get("proto", "udp"));
-  if (!client || !server || !protocol) {
-    std::printf("error: %s%s%s\n", client.error_message().c_str(),
-                server.error_message().c_str(),
-                protocol.error_message().c_str());
-    return 1;
+// The world of localize, trace and chaos: a chain of `ases` ASes whose
+// link `fault_link` carries a symmetric `fault_ms` delay fault (none at
+// 0 ms), a funded initiator, and the 1 -> N path to localize on.
+struct FaultWorld {
+  FaultWorld(std::size_t ases, std::size_t fault_link, double fault_ms,
+             std::uint64_t seed)
+      : system(simnet::build_chain_scenario(ases, seed, 5.0)),
+        initiator(system, seed + 1, 2'000'000'000'000ULL),
+        path(*system.network().topology().shortest_path(
+            1, static_cast<topology::AsNumber>(ases))) {
+    if (fault_ms <= 0.0) return;
+    simnet::FaultSpec fault;
+    fault.extra_delay_ms = fault_ms;
+    fault.end = duration::hours(100);
+    const auto near = simnet::chain_egress(fault_link);
+    const auto far = simnet::chain_ingress(fault_link + 1);
+    (void)system.network().inject_fault(near, far, fault);
+    (void)system.network().inject_fault(far, near, fault);
   }
-  const std::int64_t probes = args.get_int("probes", 10, 1);
-  const std::int64_t interval = args.get_int("interval", 200, 1);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+
+  /// A localizer over `path`: UDP segments of 8 probes 100 ms apart, each
+  /// faulty past 10.5 ms per link plus 15 ms, or past `max_loss` loss.
+  core::FaultLocalizer localizer(
+      double max_loss = core::FaultCriteria{}.max_loss) {
+    core::FaultCriteria criteria;
+    criteria.per_link_rtt_ms = 10.5;
+    criteria.slack_ms = 15.0;
+    criteria.max_loss = max_loss;
+    return core::FaultLocalizer(system, initiator, path, criteria,
+                                net::Protocol::kUdp, 8, 100);
+  }
+
+  core::DebugletSystem system;
+  core::Initiator initiator;
+  topology::AsPath path;
+};
+
+int cmd_measure(Args& args) {
+  constexpr net::Protocol kProtocols[] = {
+      net::Protocol::kUdp, net::Protocol::kTcp, net::Protocol::kIcmp,
+      net::Protocol::kRawIp};
+  const auto ases = args.get_int<std::size_t>("ases", 4, 2);
+  const auto client = args.get_key("client", {1, 2}, ases);
+  const auto server = args.get_key(
+      "server", {static_cast<topology::AsNumber>(ases), 1}, ases);
+  const net::Protocol protocol = kProtocols[args.get_choice(
+      "proto", "udp", {"udp", "tcp", "icmp", "raw"})];
+  const std::int64_t probes = args.get_int("probes", 10, 1, kMaxProbes);
+  const std::int64_t interval =
+      args.get_int("interval", 200, 1, kMaxIntervalMs);
+  const bool seal = args.get_switch("seal");
+  const auto seed = args.get_int<std::uint64_t>("seed", 1);
+  args.finish();
 
   core::DebugletSystem system(simnet::build_chain_scenario(ases, seed, 5.0));
   core::Initiator initiator(system, seed + 1, 500'000'000'000ULL);
   auto handle = initiator.purchase_rtt_measurement(
-      *client, *server, *protocol, probes, interval, 0, args.has("seal"));
-  if (!handle) {
-    std::printf("purchase failed: %s\n", handle.error_message().c_str());
-    return 1;
-  }
+      client, server, protocol, probes, interval, 0, seal);
+  if (failed(handle, "purchase failed")) return 1;
   std::printf("purchased window [%s, %s] for %.4f SUI\n",
               format_time(handle->window_start).c_str(),
               format_time(handle->window_end).c_str(),
               chain::mist_to_sui(handle->price_paid));
   auto outcome = initiator.await_result(*handle);
-  if (!outcome) {
-    std::printf("collect failed: %s\n", outcome.error_message().c_str());
-    return 1;
-  }
+  if (failed(outcome, "collect failed")) return 1;
   Bytes output = outcome->client.record.output;
-  if (args.has("seal")) {
+  if (seal) {
     auto opened = initiator.open_result(outcome->client);
-    if (!opened) {
-      std::printf("unseal failed: %s\n", opened.error_message().c_str());
-      return 1;
-    }
+    if (failed(opened, "unseal failed")) return 1;
     std::printf("results were sealed on-chain (%zu bytes ciphertext)\n",
                 output.size());
     output = *opened;
   }
   auto samples = apps::decode_samples(BytesView(output.data(), output.size()));
-  if (!samples) {
-    std::printf("decode failed: %s\n", samples.error_message().c_str());
-    return 1;
-  }
+  if (failed(samples, "decode failed")) return 1;
   RunningStats stats;
   for (const auto& s : *samples)
     stats.add(static_cast<double>(s.delay_ns) / 1e6);
   std::printf("%s %s -> %s: %zu/%lld answered, RTT mean %.2f ms, std %.2f "
               "ms\n",
-              net::protocol_name(*protocol).c_str(),
-              client->to_string().c_str(), server->to_string().c_str(),
+              net::protocol_name(protocol).c_str(),
+              client.to_string().c_str(), server.to_string().c_str(),
               samples->size(), static_cast<long long>(probes), stats.mean(),
               stats.stddev());
   std::printf("certified by AS%u (verified), chain integrity %s\n",
-              client->asn,
+              client.asn,
               system.chain().verify_integrity() ? "OK" : "BROKEN");
   return 0;
 }
 
-int cmd_localize(const Args& args) {
-  const auto ases = static_cast<std::size_t>(args.get_int("ases", 10));
+int cmd_localize(Args& args) {
+  constexpr core::Strategy kStrategies[] = {
+      core::Strategy::kBinarySearch, core::Strategy::kLinearSequential,
+      core::Strategy::kParallelSweep, core::Strategy::kInband};
+  const auto ases = args.get_int<std::size_t>("ases", 10, 2);
   const auto fault_link =
-      static_cast<std::size_t>(args.get_int("fault-link", ases - 2));
-  const double fault_ms =
-      static_cast<double>(args.get_int("fault-ms", 60));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const std::string strategy_name = args.get("strategy", "binary");
-  core::Strategy strategy = core::Strategy::kBinarySearch;
-  if (strategy_name == "linear")
-    strategy = core::Strategy::kLinearSequential;
-  else if (strategy_name == "parallel")
-    strategy = core::Strategy::kParallelSweep;
-  else if (strategy_name == "inband")
-    strategy = core::Strategy::kInband;
-  else if (strategy_name != "binary") {
-    std::printf("unknown strategy '%s'\n", strategy_name.c_str());
-    return 1;
-  }
-  if (fault_link + 1 >= ases) {
-    std::printf("fault-link must be < %zu\n", ases - 1);
-    return 1;
-  }
+      args.get_int<std::size_t>("fault-link", ases - 2, 0, ases - 2);
+  const std::int64_t fault_ms = args.get_int("fault-ms", 60, 0);
+  const core::Strategy strategy = kStrategies[args.get_choice(
+      "strategy", "binary", {"binary", "linear", "parallel", "inband"})];
+  const auto seed = args.get_int<std::uint64_t>("seed", 1);
+  args.finish();
 
-  core::DebugletSystem system(simnet::build_chain_scenario(ases, seed, 5.0));
-  simnet::FaultSpec fault;
-  fault.extra_delay_ms = fault_ms;
-  fault.start = 0;
-  fault.end = duration::hours(100);
-  (void)system.network().inject_fault(simnet::chain_egress(fault_link),
-                                simnet::chain_ingress(fault_link + 1), fault);
-  (void)system.network().inject_fault(simnet::chain_ingress(fault_link + 1),
-                                simnet::chain_egress(fault_link), fault);
-
-  core::Initiator initiator(system, seed + 1, 2'000'000'000'000ULL);
-  auto path = system.network().topology().shortest_path(
-      1, static_cast<topology::AsNumber>(ases));
-  core::FaultCriteria criteria;
-  criteria.per_link_rtt_ms = 10.5;
-  criteria.slack_ms = 15.0;
-  core::FaultLocalizer localizer(system, initiator, *path, criteria,
-                                 net::Protocol::kUdp, 8, 100);
+  FaultWorld world(ases, fault_link, static_cast<double>(fault_ms), seed);
+  const topology::AsPath& path = world.path;
+  core::FaultLocalizer localizer = world.localizer();
   auto report = localizer.run(strategy);
-  if (!report) {
-    std::printf("localization failed: %s\n", report.error_message().c_str());
-    return 1;
-  }
+  if (failed(report, "localization failed")) return 1;
   for (const core::LocalizationStep& step : report->steps) {
     std::printf("  AS%u..AS%u: %7.2f ms, loss %4.1f%%  %s\n",
-                path->hops[step.from_hop].asn, path->hops[step.to_hop].asn,
+                path.hops[step.from_hop].asn, path.hops[step.to_hop].asn,
                 step.summary.mean_ms, 100.0 * step.summary.loss_rate(),
                 step.faulty ? "FAULTY" : "");
   }
@@ -359,8 +486,8 @@ int cmd_localize(const Args& args) {
     std::printf("  note: %s\n", note.c_str());
   if (report->located) {
     std::printf("fault on link AS%u - AS%u (injected after hop %zu)\n",
-                path->hops[report->fault_link].asn,
-                path->hops[report->fault_link + 1].asn, fault_link);
+                path.hops[report->fault_link].asn,
+                path.hops[report->fault_link + 1].asn, fault_link);
   } else {
     std::printf("no fault located\n");
   }
@@ -370,22 +497,24 @@ int cmd_localize(const Args& args) {
   return report->located && report->fault_link == fault_link ? 0 : 1;
 }
 
-int cmd_traceroute(const Args& args) {
-  const auto ases = static_cast<std::size_t>(args.get_int("ases", 6));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+int cmd_traceroute(Args& args) {
+  // The TTL limit is a uint8_t.
+  const auto ases = args.get_int<std::size_t>("ases", 6, 2, 255);
+  const auto seed = args.get_int<std::uint64_t>("seed", 1);
+  const auto muted = args.get_ints<std::size_t>("mute", 1, ases);
+  const auto limited = args.get_ints<std::size_t>("rate-limit", 1, ases);
+  args.finish();
+
   simnet::Scenario s = simnet::build_chain_scenario(ases, seed, 5.0);
-  for (std::int64_t muted : args.get_ints("mute")) {
-    simnet::IcmpReplyPolicy policy;
-    policy.time_exceeded_enabled = false;
-    s.network->configure_icmp_policy(
-        static_cast<topology::AsNumber>(muted), policy);
-  }
-  for (std::int64_t limited : args.get_ints("rate-limit")) {
-    simnet::IcmpReplyPolicy policy;
-    policy.rate_limit_per_s = 1;
-    s.network->configure_icmp_policy(
-        static_cast<topology::AsNumber>(limited), policy);
-  }
+  simnet::IcmpReplyPolicy mute;
+  mute.time_exceeded_enabled = false;
+  simnet::IcmpReplyPolicy limit;
+  limit.rate_limit_per_s = 1;
+  for (const std::size_t as : muted)
+    s.network->configure_icmp_policy(static_cast<topology::AsNumber>(as), mute);
+  for (const std::size_t as : limited)
+    s.network->configure_icmp_policy(static_cast<topology::AsNumber>(as),
+                                     limit);
 
   const auto dst = s.network->allocate_host_address(
       static_cast<topology::AsNumber>(ases));
@@ -414,20 +543,13 @@ int cmd_traceroute(const Args& args) {
   return 0;
 }
 
-int cmd_motivation(const Args& args) {
-  const std::string city = args.get("city", "NewYork");
-  const double hours = static_cast<double>(args.get_int("hours", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
-  bool known = false;
-  for (const std::string& name : simnet::city_names())
-    known = known || name == city;
-  if (!known) {
-    std::printf("unknown city '%s'; options:", city.c_str());
-    for (const std::string& name : simnet::city_names())
-      std::printf(" %s", name.c_str());
-    std::printf("\n");
-    return 1;
-  }
+int cmd_motivation(Args& args) {
+  const std::string city = simnet::city_names()[args.get_choice(
+      "city", "NewYork", simnet::city_names())];
+  const double hours = static_cast<double>(args.get_int("hours", 4, 1));
+  const auto seed = args.get_int<std::uint64_t>("seed", 2024);
+  args.finish();
+
   simnet::Scenario s = simnet::build_city_scenario(seed);
   const auto server_addr =
       s.network->allocate_host_address(simnet::london_as());
@@ -476,32 +598,22 @@ void print_metric_rows(const std::vector<obs::MetricRow>& rows) {
   }
 }
 
-int cmd_stats_remote(const Args& args) {
-  obs::set_enabled(true);
-  const auto ases = static_cast<std::size_t>(args.get_int("ases", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  auto remote = parse_key(
-      args.get("remote", "AS" + std::to_string(ases) + "#1"));
-  auto partner = parse_key(args.get("partner", "1#2"));
-  if (!remote || !partner) {
-    std::printf("error: %s%s\n", remote.error_message().c_str(),
-                partner.error_message().c_str());
-    return 1;
-  }
+int cmd_stats_remote(Args& args, std::size_t ases, std::uint64_t seed,
+                     topology::InterfaceKey remote) {
+  const auto partner = args.get_key("partner", {1, 2}, ases);
+  args.finish();
 
+  obs::set_enabled(true);
   core::DebugletSystem system(simnet::build_chain_scenario(ases, seed, 5.0));
   core::Initiator initiator(system, seed + 1, 500'000'000'000ULL);
   const auto scraper_addr = system.network().allocate_host_address(1);
 
   core::StatsPairRequest request;
-  request.first_key = *remote;
-  request.second_key = *partner;
+  request.first_key = remote;
+  request.second_key = partner;
   request.scraper_address = scraper_addr;
   auto deployment = core::purchase_stats_pair(initiator, system, request);
-  if (!deployment) {
-    std::printf("purchase failed: %s\n", deployment.error_message().c_str());
-    return 1;
-  }
+  if (failed(deployment, "purchase failed")) return 1;
   std::printf("stats pair deployed for window [%s, %s]; scraping %s:%u "
               "from %s\n",
               format_time(deployment->handle.window_start).c_str(),
@@ -518,18 +630,13 @@ int cmd_stats_remote(const Args& args) {
   config.target_port = deployment->first_port;
   auto report = core::scrape_once(system, scraper_addr, config,
                                   system.queue().now() + duration::seconds(4));
-  if (!report) {
-    std::printf("scrape failed: %s\n", report.error_message().c_str());
-    return 1;
-  }
+  if (failed(report, "scrape failed")) return 1;
 
   obs::MetricsRegistry merged;
-  if (auto s = obs::wire::merge_rows(merged, report->rows,
-                                     deployment->first_address.to_string());
-      !s) {
-    std::printf("merge failed: %s\n", s.error_message().c_str());
+  if (failed(obs::wire::merge_rows(merged, report->rows,
+                                   deployment->first_address.to_string()),
+             "merge failed"))
     return 1;
-  }
   std::printf("scraped %zu rows in %zu chunks (%zu requests, %zu retries)\n\n",
               report->rows.size(), report->chunks, report->requests_sent,
               report->retries);
@@ -537,16 +644,22 @@ int cmd_stats_remote(const Args& args) {
   return 0;
 }
 
-int cmd_stats(const Args& args) {
-  if (args.has("remote")) return cmd_stats_remote(args);
+int cmd_stats(Args& args) {
+  const auto ases = args.get_int<std::size_t>("ases", 4, 2);
+  const auto seed = args.get_int<std::uint64_t>("seed", 1);
+  if (const auto remote = args.get_key_opt(
+          "remote", {static_cast<topology::AsNumber>(ases), 1}, ases))
+    return cmd_stats_remote(args, ases, seed, *remote);
+  const std::int64_t probes = args.get_int("probes", 10, 1, kMaxProbes);
+  const std::int64_t interval =
+      args.get_int("interval", 200, 1, kMaxIntervalMs);
+  const auto json = args.get_path_opt("json", "debuglet_stats.jsonl");
+  const auto csv = args.get_path_opt("csv", "debuglet_stats.csv");
+  args.finish();
+
   // Metrics must be on BEFORE the world exists: instrumented objects cache
   // their handles (and the enabled flag) at construction.
   obs::set_enabled(true);
-  const auto ases = static_cast<std::size_t>(args.get_int("ases", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const std::int64_t probes = args.get_int("probes", 10, 1);
-  const std::int64_t interval = args.get_int("interval", 200, 1);
-
   core::DebugletSystem system(simnet::build_chain_scenario(ases, seed, 5.0));
   core::Initiator initiator(system, seed + 1, 500'000'000'000ULL);
   const topology::InterfaceKey client{1, 2};
@@ -554,31 +667,23 @@ int cmd_stats(const Args& args) {
                                       1};
   auto handle = initiator.purchase_rtt_measurement(
       client, server, net::Protocol::kUdp, probes, interval, 0, false);
-  if (!handle) {
-    std::printf("purchase failed: %s\n", handle.error_message().c_str());
-    return 1;
-  }
+  if (failed(handle, "purchase failed")) return 1;
   auto outcome = initiator.await_result(*handle);
-  if (!outcome) {
-    std::printf("collect failed: %s\n", outcome.error_message().c_str());
-    return 1;
-  }
+  if (failed(outcome, "collect failed")) return 1;
 
   const std::vector<obs::MetricRow> rows = obs::registry().snapshot();
   std::printf("metrics after one %zu-AS measurement (seed %llu):\n\n", ases,
               static_cast<unsigned long long>(seed));
   print_metric_rows(rows);
-  if (args.has("json")) {
-    const std::string path = args.get("json", "debuglet_stats.jsonl");
-    std::ofstream out(path);
+  if (json) {
+    std::ofstream out(*json);
     obs::write_metrics_jsonl(rows, out);
-    std::printf("\nwrote %zu metrics to %s\n", rows.size(), path.c_str());
+    std::printf("\nwrote %zu metrics to %s\n", rows.size(), json->c_str());
   }
-  if (args.has("csv")) {
-    const std::string path = args.get("csv", "debuglet_stats.csv");
-    std::ofstream out(path);
+  if (csv) {
+    std::ofstream out(*csv);
     obs::write_metrics_csv(rows, out);
-    std::printf("\nwrote %zu metrics to %s\n", rows.size(), path.c_str());
+    std::printf("\nwrote %zu metrics to %s\n", rows.size(), csv->c_str());
   }
   return 0;
 }
@@ -623,18 +728,10 @@ void print_int_path_records(core::DebugletSystem& system,
   const simnet::Delivery& d = collector.deliveries.front();
   auto header = telemetry::IntHeader::parse(
       BytesView(d.packet.payload.data(), d.packet.payload.size()));
-  if (!header) {
-    std::printf("in-band trace unreadable: %s\n",
-                header.error_message().c_str());
-    return;
-  }
+  if (failed(header, "in-band trace unreadable")) return;
   auto evidence = telemetry::PathEvidence::from_header(*header, path,
                                                        d.sent_at);
-  if (!evidence) {
-    std::printf("in-band trace rejected: %s\n",
-                evidence.error_message().c_str());
-    return;
-  }
+  if (failed(evidence, "in-band trace rejected")) return;
   std::printf("in-band path records (1 probe, %zu hops):\n",
               evidence->links());
   std::printf("  %-4s %-6s %-9s | %10s %10s %7s %7s %7s\n", "hop", "AS",
@@ -648,53 +745,29 @@ void print_int_path_records(core::DebugletSystem& system,
   }
 }
 
-int cmd_trace(const Args& args) {
+int cmd_trace(Args& args) {
+  const auto ases = args.get_int<std::size_t>("ases", 6, 2);
+  const auto fault_link =
+      args.get_int<std::size_t>("fault-link", ases - 2, 0, ases - 2);
+  const auto seed = args.get_int<std::uint64_t>("seed", 1);
+  const std::string out_path = args.get_path("out", "debuglet_trace.json");
+  const bool int_mode = args.get_switch("int");
+  args.finish();
+
   obs::set_enabled(true);
   obs::tracer().set_enabled(true);
-  const auto ases = static_cast<std::size_t>(args.get_int("ases", 6));
-  const auto fault_link =
-      static_cast<std::size_t>(args.get_int("fault-link", ases - 2));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const std::string out_path = args.get("out", "debuglet_trace.json");
-  if (fault_link + 1 >= ases) {
-    std::printf("fault-link must be < %zu\n", ases - 1);
-    return 1;
-  }
-
-  core::DebugletSystem system(simnet::build_chain_scenario(ases, seed, 5.0));
-  obs::tracer().set_sim_clock([&system] { return system.queue().now(); });
-  simnet::FaultSpec fault;
-  fault.extra_delay_ms = 60.0;
-  fault.start = 0;
-  fault.end = duration::hours(100);
-  (void)system.network().inject_fault(simnet::chain_egress(fault_link),
-                                simnet::chain_ingress(fault_link + 1), fault);
-  (void)system.network().inject_fault(simnet::chain_ingress(fault_link + 1),
-                                simnet::chain_egress(fault_link), fault);
-
-  core::Initiator initiator(system, seed + 1, 2'000'000'000'000ULL);
-  auto path = system.network().topology().shortest_path(
-      1, static_cast<topology::AsNumber>(ases));
-  core::FaultCriteria criteria;
-  criteria.per_link_rtt_ms = 10.5;
-  criteria.slack_ms = 15.0;
-  core::FaultLocalizer localizer(system, initiator, *path, criteria,
-                                 net::Protocol::kUdp, 8, 100);
-  auto report = localizer.run(args.has("int") ? core::Strategy::kInband
-                                              : core::Strategy::kBinarySearch);
-  if (args.has("int")) print_int_path_records(system, *path);
+  FaultWorld world(ases, fault_link, 60.0, seed);
+  obs::tracer().set_sim_clock([&world] { return world.system.queue().now(); });
+  core::FaultLocalizer localizer = world.localizer();
+  auto report = localizer.run(int_mode ? core::Strategy::kInband
+                                       : core::Strategy::kBinarySearch);
+  if (int_mode) print_int_path_records(world.system, world.path);
   obs::tracer().set_sim_clock(nullptr);
-  if (!report) {
-    std::printf("localization failed: %s\n", report.error_message().c_str());
-    return 1;
-  }
+  if (failed(report, "localization failed")) return 1;
 
   const std::vector<obs::Span> spans = obs::tracer().spans();
   std::ofstream out(out_path);
-  if (!out) {
-    std::printf("cannot write %s\n", out_path.c_str());
-    return 1;
-  }
+  if (failed(out, "write", out_path)) return 1;
   obs::write_chrome_trace(spans, out);
   std::printf("localized after %zu measurements; %zu spans (%zu dropped) "
               "-> %s\n",
@@ -706,14 +779,14 @@ int cmd_trace(const Args& args) {
 }
 
 struct ChaosParams {
-  std::size_t ases = 8;
-  std::size_t fault_link = 6;
-  double fault_ms = 60.0;
+  std::size_t ases = 0;
+  std::size_t fault_link = 0;
+  double fault_ms = 0.0;
   std::vector<topology::InterfaceKey> kills;
   std::vector<topology::InterfaceKey> crashes;
   std::vector<topology::InterfaceKey> byzantine;
-  std::uint32_t attempts = 4;
-  std::uint64_t seed = 1;
+  std::uint32_t attempts = 0;
+  std::uint64_t seed = 0;
   // Wire-level chaos: per-mille fault rates installed on EVERY directed
   // chain link (zero = off). The flap, when set, takes down the injected
   // fault link's forward direction for its first N milliseconds.
@@ -725,13 +798,8 @@ struct ChaosParams {
   /// Localize with the in-band INT strategy (falls back to binary search
   /// when chaos destroys the probe's record stack).
   bool int_mode = false;
-  /// Adversarial middleboxes (--middlebox ASN:MODE[:SEVERITY]) and the
-  /// twin-probe counter-measurement (--detect-discrimination).
-  struct MiddleboxSpec {
-    topology::AsNumber asn = 0;
-    std::string mode;        // drop | delay | mangle | throttle | hide
-    double severity = -1.0;  // mode-specific; < 0 = mode default
-  };
+  /// Adversarial middleboxes and the twin-probe counter-measurement
+  /// (--detect-discrimination).
   std::vector<MiddleboxSpec> middleboxes;
   bool detect_discrimination = false;
 
@@ -763,14 +831,11 @@ double counter_sum(const std::vector<obs::MetricRow>& rows,
                    const std::string& label_value = "") {
   double total = 0.0;
   for (const obs::MetricRow& row : rows) {
-    if (row.name != name) continue;
-    if (!label_key.empty()) {
-      bool match = false;
-      for (const auto& [k, v] : row.labels)
-        match = match || (k == label_key && v == label_value);
-      if (!match) continue;
-    }
-    total += row.value;
+    if (row.name == name &&
+        (label_key.empty() ||
+         std::find(row.labels.begin(), row.labels.end(),
+                   std::pair(label_key, label_value)) != row.labels.end()))
+      total += row.value;
   }
   return total;
 }
@@ -780,21 +845,9 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
   // registry; the snapshot rides out in the outcome.
   obs::ScopedRegistry scoped;
   ChaosOutcome out;
-  core::DebugletSystem system(
-      simnet::build_chain_scenario(p.ases, p.seed, 5.0));
-
-  if (p.fault_ms > 0.0) {
-    simnet::FaultSpec fault;
-    fault.extra_delay_ms = p.fault_ms;
-    fault.start = 0;
-    fault.end = duration::hours(100);
-    (void)system.network().inject_fault(
-        simnet::chain_egress(p.fault_link),
-        simnet::chain_ingress(p.fault_link + 1), fault);
-    (void)system.network().inject_fault(
-        simnet::chain_ingress(p.fault_link + 1),
-        simnet::chain_egress(p.fault_link), fault);
-  }
+  FaultWorld world(p.ases, p.fault_link, p.fault_ms, p.seed);
+  core::DebugletSystem& system = world.system;
+  core::Initiator& initiator = world.initiator;
 
   if (p.link_faults()) {
     simnet::LinkFaultPlan plan;
@@ -817,21 +870,18 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
     }
   }
 
-  for (const ChaosParams::MiddleboxSpec& spec : p.middleboxes) {
+  for (const MiddleboxSpec& spec : p.middleboxes) {
     simnet::MiddleboxPlan plan;
     simnet::ClassPolicy pol;
-    if (spec.mode == "drop") {
-      pol.drop_pm = spec.severity >= 0.0 ? spec.severity : 300.0;
-      plan.policy_except_measurement(pol);
-    } else if (spec.mode == "delay") {
-      pol.extra_delay_ms = spec.severity >= 0.0 ? spec.severity : 25.0;
-      plan.policy_except_measurement(pol);
-    } else if (spec.mode == "mangle") {
-      pol.mangle_pm = spec.severity >= 0.0 ? spec.severity : 120.0;
-      plan.policy_except_measurement(pol);
-    } else if (spec.mode == "throttle") {
-      pol.throttle_pps = static_cast<std::uint32_t>(
-          spec.severity >= 0.0 ? spec.severity : 40.0);
+    const auto severity = [&](double fallback) {
+      return spec.severity >= 0.0 ? spec.severity : fallback;
+    };
+    if (spec.mode == "drop") pol.drop_pm = severity(300.0);
+    if (spec.mode == "delay") pol.extra_delay_ms = severity(25.0);
+    if (spec.mode == "mangle") pol.mangle_pm = severity(120.0);
+    if (spec.mode == "throttle")
+      pol.throttle_pps = static_cast<std::uint32_t>(severity(40.0));
+    if (spec.mode != "hide" && spec.mode != "adaptive") {
       plan.policy_except_measurement(pol);
     } else {  // hide/adaptive: everyone suffers except measurement gear
       // hide's SEVERITY is the delay in ms; adaptive keeps the default
@@ -864,20 +914,16 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
     }
   }
 
-  for (const topology::InterfaceKey& key : p.kills) {
+  for (const topology::InterfaceKey& key : p.kills)
     if (auto agent = system.agent(key)) (*agent)->kill();
-  }
   for (const topology::InterfaceKey& key : p.crashes) {
     simnet::HostFaultPlan plan;
     plan.crash(0, duration::hours(100));
     (void)system.network().install_host_faults(key, plan);
   }
-  for (const topology::InterfaceKey& key : p.byzantine) {
+  for (const topology::InterfaceKey& key : p.byzantine)
     if (auto agent = system.agent(key))
       (*agent)->set_byzantine_mode(core::ByzantineMode::kBadSignature);
-  }
-
-  core::Initiator initiator(system, p.seed + 1, 2'000'000'000'000ULL);
 
   core::ResilientRttRequest request;
   request.client_key = topology::InterfaceKey{1, 2};
@@ -910,17 +956,12 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
   }
   out.trace += "\n";
 
-  auto path = system.network().topology().shortest_path(
-      1, static_cast<topology::AsNumber>(p.ases));
-  core::FaultCriteria criteria;
-  criteria.per_link_rtt_ms = 10.5;
-  criteria.slack_ms = 15.0;
   // Under wire chaos, corruption-induced drops hit EVERY segment — loss
   // stops discriminating (one lost probe out of eight is already 12.5%).
   // Let delay carry the verdict and only flag catastrophic loss.
-  if (p.link_faults()) criteria.max_loss = 0.5;
-  core::FaultLocalizer localizer(system, initiator, *path, criteria,
-                                 net::Protocol::kUdp, 8, 100);
+  core::FaultLocalizer localizer = p.link_faults() ? world.localizer(0.5)
+                                                   : world.localizer();
+  const topology::AsPath& path = world.path;
   core::FaultLocalizer::Resilience resilience;
   resilience.retry.max_attempts = p.attempts;
   localizer.set_resilience(resilience);
@@ -957,28 +998,22 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
     for (const core::LocalizationStep& step : report->steps) {
       if (step.measured) {
         std::printf("  AS%u..AS%u: %7.2f ms, loss %4.1f%%  %s\n",
-                    path->hops[step.from_hop].asn,
-                    path->hops[step.to_hop].asn, step.summary.mean_ms,
+                    path.hops[step.from_hop].asn,
+                    path.hops[step.to_hop].asn, step.summary.mean_ms,
                     100.0 * step.summary.loss_rate(),
                     step.faulty ? "FAULTY" : "");
-        if (step.wire_integrity.total() > 0)
-          std::printf("      wire faults while measuring: %llu corrupt, "
-                      "%llu truncated, %llu duplicated, %llu reordered, "
-                      "%llu flap-dropped\n",
-                      static_cast<unsigned long long>(
-                          step.wire_integrity.corrupted),
-                      static_cast<unsigned long long>(
-                          step.wire_integrity.truncated),
-                      static_cast<unsigned long long>(
-                          step.wire_integrity.duplicated),
-                      static_cast<unsigned long long>(
-                          step.wire_integrity.reordered),
-                      static_cast<unsigned long long>(
-                          step.wire_integrity.flap_dropped));
+        const simnet::LinkIntegrityStats& w = step.wire_integrity;
+        if (w.total() > 0)
+          std::printf("      wire faults while measuring: %" PRIu64
+                      " corrupt, %" PRIu64 " truncated, %" PRIu64
+                      " duplicated, %" PRIu64 " reordered, %" PRIu64
+                      " flap-dropped\n",
+                      w.corrupted, w.truncated, w.duplicated, w.reordered,
+                      w.flap_dropped);
       } else {
         std::printf("  AS%u..AS%u: unmeasured (%s)\n",
-                    path->hops[step.from_hop].asn,
-                    path->hops[step.to_hop].asn, step.failure.c_str());
+                    path.hops[step.from_hop].asn,
+                    path.hops[step.to_hop].asn, step.failure.c_str());
       }
     }
     for (const std::string& note : report->notes)
@@ -987,14 +1022,15 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
   // Per-segment delivery-integrity evidence is part of the deterministic
   // trace: equal seeds must injure the same segments identically.
   for (const core::LocalizationStep& step : report->steps) {
-    if (!step.measured || step.wire_integrity.total() == 0) continue;
+    const simnet::LinkIntegrityStats& w = step.wire_integrity;
+    if (!step.measured || w.total() == 0) continue;
     out.trace += "segment " + std::to_string(step.from_hop) + ".." +
                  std::to_string(step.to_hop) + " wire-faults " +
-                 std::to_string(step.wire_integrity.corrupted) + "c/" +
-                 std::to_string(step.wire_integrity.truncated) + "t/" +
-                 std::to_string(step.wire_integrity.duplicated) + "d/" +
-                 std::to_string(step.wire_integrity.reordered) + "r/" +
-                 std::to_string(step.wire_integrity.flap_dropped) + "f\n";
+                 std::to_string(w.corrupted) + "c/" +
+                 std::to_string(w.truncated) + "t/" +
+                 std::to_string(w.duplicated) + "d/" +
+                 std::to_string(w.reordered) + "r/" +
+                 std::to_string(w.flap_dropped) + "f\n";
   }
   // With no injected fault (--fault-ms 0) the expectation inverts: an
   // honest localization must come back clean.
@@ -1049,7 +1085,7 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
       }
     }
   }
-  for (const ChaosParams::MiddleboxSpec& spec : p.middleboxes) {
+  for (const MiddleboxSpec& spec : p.middleboxes) {
     // Ground truth of what the adversary actually did, to correlate with
     // what the detector inferred.
     const simnet::MiddleboxStats st =
@@ -1079,14 +1115,14 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
     // boxes may or may not cross the confidence bar (their report stays
     // informational), and an honest network must produce NO report.
     bool expect_named = false;
-    for (const ChaosParams::MiddleboxSpec& spec : p.middleboxes)
+    for (const MiddleboxSpec& spec : p.middleboxes)
       expect_named |= spec.mode == "hide" || spec.mode == "delay" ||
                       spec.mode == "adaptive";
     if (!twin_report) {
       out.discrimination_ok = false;
     } else if (expect_named) {
       bool named_middlebox = false;
-      for (const ChaosParams::MiddleboxSpec& spec : p.middleboxes)
+      for (const MiddleboxSpec& spec : p.middleboxes)
         named_middlebox |= twin_report->named_as() == spec.asn;
       out.discrimination_ok = twin_report->detected && named_middlebox;
     } else if (p.middleboxes.empty()) {
@@ -1095,13 +1131,13 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
   }
 
   out.counters = obs::registry().snapshot();
+  const auto n = [&](const char* name, const char* k = "", const char* v = "") {
+    return std::to_string(
+        static_cast<long long>(counter_sum(out.counters, name, k, v)));
+  };
   if (p.int_mode) {
     // The in-band round's outcome is part of the deterministic trace:
     // equal seeds must push, reject, and fall back identically.
-    const auto n = [&](const char* name) {
-      return std::to_string(
-          static_cast<long long>(counter_sum(out.counters, name)));
-    };
     out.trace += "\nint: pushes " + n("telemetry.int_pushes") +
                  ", truncations " + n("telemetry.int_truncations") +
                  ", parse-rejected " + n("telemetry.parse_rejected") +
@@ -1112,11 +1148,6 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
   if (p.link_faults()) {
     // Fault matrix: what the wire injected vs. what each defense caught.
     // Counter values are deterministic, so this is part of the trace too.
-    const auto n = [&](const char* name, const char* k = "",
-                       const char* v = "") {
-      return std::to_string(
-          static_cast<long long>(counter_sum(out.counters, name, k, v)));
-    };
     out.trace += "\nfault matrix:";
     out.trace += "\n  corrupt: injected " +
                  n("simnet.wire_faults", "kind", "corrupt") +
@@ -1279,16 +1310,45 @@ MassPurchaseOutcome run_mass_purchase(std::size_t initiators,
   return out;
 }
 
-int cmd_mass_purchase(const Args& args) {
-  const auto initiators =
-      static_cast<std::size_t>(args.get_int("mass-purchase", 10000));
-  const auto pairs = static_cast<std::size_t>(args.get_int("pairs", 16));
-  const auto workers = static_cast<unsigned>(args.get_int("workers", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  if (pairs == 0 || initiators < pairs) {
-    std::printf("--mass-purchase needs at least one initiator per pair\n");
-    return 1;
+// --check-determinism and --trace-out of both chaos modes: when `check` is
+// set, replays the run and compares its trace with `trace`; then writes
+// `trace` to `trace_out` unless that is empty. Returns whether the traces
+// matched (true without a replay), or nullopt when the file cannot be
+// written.
+template <typename Replay>
+std::optional<bool> replay_and_write(const std::string& trace, bool check,
+                                     const Replay& replay,
+                                     const std::string& trace_out) {
+  bool deterministic = true;
+  if (check) {
+    deterministic = trace == replay();
+    std::printf("\ndeterminism check: %s\n",
+                deterministic ? "traces identical" : "TRACES DIVERGED");
   }
+  if (!trace_out.empty()) {
+    // The file is the determinism artifact: runs of two builds, or of one
+    // seed at several --workers values, must produce byte-identical files.
+    std::ofstream out(trace_out, std::ios::binary);
+    if (failed(out, "write", trace_out)) return std::nullopt;
+    out << trace;
+    std::printf("trace written to %s\n", trace_out.c_str());
+  }
+  return deterministic;
+}
+
+int cmd_mass_purchase(Args& args, std::size_t initiators) {
+  const auto pairs = args.get_int<std::size_t>("pairs", 16, 1);
+  const auto workers = args.get_int<unsigned>("workers", 4, 1);
+  const auto seed = args.get_int<std::uint64_t>("seed", 1);
+  const bool check = args.get_switch("check-determinism");
+  const std::string trace_out = args.get_path("trace-out", "");
+  args.finish();
+  if (initiators < pairs)
+    throw UsageError("--mass-purchase: expected an integer >= " +
+                     std::to_string(pairs) +
+                     " (one initiator per pair), got '" +
+                     std::to_string(initiators) + "'");
+
   std::printf("mass purchase: %zu initiators racing for %zu executor pairs "
               "(%u workers, seed %llu)\n",
               initiators, pairs, workers,
@@ -1302,101 +1362,44 @@ int cmd_mass_purchase(const Args& args) {
               first.conserved ? "yes" : "NO");
   std::printf("  chain integrity:          %s\n", first.intact ? "ok" : "BAD");
 
-  bool deterministic = true;
-  if (args.has("check-determinism")) {
-    MassPurchaseOutcome second =
-        run_mass_purchase(initiators, pairs, workers, seed);
-    deterministic = first.trace == second.trace;
-    std::printf("\ndeterminism check: %s\n",
-                deterministic ? "traces identical" : "TRACES DIVERGED");
-  }
-  if (const std::string out_path = args.get("trace-out", "");
-      !out_path.empty()) {
-    // The file is the cross-worker determinism artifact: CI runs the same
-    // seed at several --workers values and byte-diffs the outputs.
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-      std::printf("cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << first.trace;
-    std::printf("trace written to %s\n", out_path.c_str());
-  }
+  const std::optional<bool> deterministic = replay_and_write(
+      first.trace, check,
+      [&] { return run_mass_purchase(initiators, pairs, workers, seed).trace; },
+      trace_out);
+  if (!deterministic) return 1;
   const bool ok = first.one_winner_per_pair && first.conserved &&
-                  first.intact && deterministic;
+                  first.intact && *deterministic;
   std::printf("\nchaos verdict: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }
 
-int cmd_chaos(const Args& args) {
-  if (args.has("mass-purchase")) return cmd_mass_purchase(args);
-  obs::set_enabled(true);
+int cmd_chaos(Args& args) {
+  if (const auto initiators =
+          args.get_int_opt<std::size_t>("mass-purchase", 10000, 1))
+    return cmd_mass_purchase(args, *initiators);
   ChaosParams p;
-  p.ases = static_cast<std::size_t>(args.get_int("ases", 8));
-  p.fault_link = static_cast<std::size_t>(
-      args.get_int("fault-link", static_cast<std::int64_t>(p.ases) - 2));
-  p.fault_ms = static_cast<double>(args.get_int("fault-ms", 60));
-  p.attempts = static_cast<std::uint32_t>(args.get_int("attempts", 4));
-  p.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  if (p.fault_link + 1 >= p.ases) {
-    std::printf("fault-link must be < %zu\n", p.ases - 1);
-    return 1;
-  }
-  auto parse_keys = [&](const char* flag,
-                        std::vector<topology::InterfaceKey>& into) -> bool {
-    for (const std::string& text : args.get_all(flag)) {
-      if (text.empty()) continue;
-      auto key = parse_key(text);
-      if (!key) {
-        std::printf("--%s: %s\n", flag, key.error_message().c_str());
-        return false;
-      }
-      into.push_back(*key);
-    }
-    return true;
-  };
-  if (!parse_keys("kill", p.kills) || !parse_keys("crash", p.crashes) ||
-      !parse_keys("byzantine", p.byzantine))
-    return 1;
-  p.link_corrupt_pm = args.get_int("link-corrupt", 0);
-  p.link_truncate_pm = args.get_int("link-truncate", 0);
-  p.link_dup_pm = args.get_int("link-dup", 0);
-  p.link_reorder_pm = args.get_int("link-reorder", 0);
-  p.link_flap_ms = args.get_int("link-flap-ms", 0);
-  p.int_mode = args.has("int");
-  p.detect_discrimination = args.has("detect-discrimination");
-  for (const std::string& text : args.get_all("middlebox")) {
-    if (text.empty()) continue;
-    ChaosParams::MiddleboxSpec spec;
-    const std::size_t c1 = text.find(':');
-    const auto asn = parse_whole<topology::AsNumber>(text.substr(0, c1));
-    if (c1 == std::string::npos || !asn) {
-      std::printf("--middlebox: expected ASN:MODE[:SEVERITY], got '%s'\n",
-                  text.c_str());
-      return 1;
-    }
-    const std::size_t c2 = text.find(':', c1 + 1);
-    spec.asn = *asn;
-    spec.mode = c2 == std::string::npos
-                    ? text.substr(c1 + 1)
-                    : text.substr(c1 + 1, c2 - c1 - 1);
-    if (c2 != std::string::npos)
-      spec.severity = std::atof(text.substr(c2 + 1).c_str());
-    if (spec.mode != "drop" && spec.mode != "delay" && spec.mode != "mangle" &&
-        spec.mode != "throttle" && spec.mode != "hide" &&
-        spec.mode != "adaptive") {
-      std::printf("--middlebox: unknown mode '%s' (drop|delay|mangle|"
-                  "throttle|hide|adaptive)\n",
-                  spec.mode.c_str());
-      return 1;
-    }
-    if (spec.asn == 0 || spec.asn > p.ases) {
-      std::printf("--middlebox: AS%u is not on the chain (1..%zu)\n", spec.asn,
-                  p.ases);
-      return 1;
-    }
-    p.middleboxes.push_back(std::move(spec));
-  }
+  p.ases = args.get_int<std::size_t>("ases", 8, 2);
+  p.fault_link =
+      args.get_int<std::size_t>("fault-link", p.ases - 2, 0, p.ases - 2);
+  p.fault_ms = static_cast<double>(args.get_int("fault-ms", 60, 0));
+  p.kills = args.get_keys("kill", p.ases);
+  p.crashes = args.get_keys("crash", p.ases);
+  p.byzantine = args.get_keys("byzantine", p.ases);
+  p.attempts = args.get_int<std::uint32_t>("attempts", 4, 1);
+  p.seed = args.get_int<std::uint64_t>("seed", 1);
+  p.link_corrupt_pm = args.get_int("link-corrupt", 0, 0, 1000);
+  p.link_truncate_pm = args.get_int("link-truncate", 0, 0, 1000);
+  p.link_dup_pm = args.get_int("link-dup", 0, 0, 1000);
+  p.link_reorder_pm = args.get_int("link-reorder", 0, 0, 1000);
+  p.link_flap_ms = args.get_int("link-flap-ms", 0, 0);
+  p.int_mode = args.get_switch("int");
+  p.middleboxes = args.get_middleboxes("middlebox", p.ases);
+  p.detect_discrimination = args.get_switch("detect-discrimination");
+  const bool check = args.get_switch("check-determinism");
+  const std::string trace_out = args.get_path("trace-out", "");
+  args.finish();
+
+  obs::set_enabled(true);
   if (p.kills.empty() && p.crashes.empty() && p.byzantine.empty() &&
       !p.link_faults() && p.middleboxes.empty() &&
       !p.detect_discrimination) {
@@ -1414,24 +1417,23 @@ int cmd_chaos(const Args& args) {
   ChaosOutcome first = run_chaos(p, /*verbose=*/true);
 
   std::printf("\nchaos counters:\n");
+  // The metric families the chaos summary prints, by name prefix.
+  constexpr std::string_view kChaosCounters[] = {
+      "core.retry",           "core.measurement",
+      "core.executor_down",   "core.results_rejected",
+      "core.byzantine",       "core.agent_",
+      "core.localization",    "core.probe_",
+      "core.scrape_chunks",   "net.parse_rejected",
+      "net.ttl_expired",      "telemetry.",
+      "simnet.host_fault",    "simnet.wire_faults",
+      "simnet.middlebox",     "executor.deployments_abandoned"};
   std::vector<obs::MetricRow> interesting;
   for (const obs::MetricRow& row : first.counters) {
-    if (row.name.rfind("core.retry", 0) == 0 ||
-        row.name.rfind("core.measurement", 0) == 0 ||
-        row.name.rfind("core.executor_down", 0) == 0 ||
-        row.name.rfind("core.results_rejected", 0) == 0 ||
-        row.name.rfind("core.byzantine", 0) == 0 ||
-        row.name.rfind("core.agent_", 0) == 0 ||
-        row.name.rfind("core.localization", 0) == 0 ||
-        row.name.rfind("core.probe_", 0) == 0 ||
-        row.name.rfind("core.scrape_chunks", 0) == 0 ||
-        row.name.rfind("net.parse_rejected", 0) == 0 ||
-        row.name.rfind("net.ttl_expired", 0) == 0 ||
-        row.name.rfind("telemetry.", 0) == 0 ||
-        row.name.rfind("simnet.host_fault", 0) == 0 ||
-        row.name.rfind("simnet.wire_faults", 0) == 0 ||
-        row.name.rfind("simnet.middlebox", 0) == 0 ||
-        row.name.rfind("executor.deployments_abandoned", 0) == 0)
+    const auto in_family = [&](std::string_view prefix) {
+      return row.name.starts_with(prefix);
+    };
+    if (std::any_of(std::begin(kChaosCounters), std::end(kChaosCounters),
+                    in_family))
       interesting.push_back(row);
   }
   print_metric_rows(interesting);
@@ -1440,56 +1442,31 @@ int cmd_chaos(const Args& args) {
     std::printf("%s\n", first.trace.substr(at).c_str());
   }
 
-  bool deterministic = true;
-  if (args.has("check-determinism")) {
-    ChaosOutcome second = run_chaos(p, /*verbose=*/false);
-    deterministic = first.trace == second.trace;
-    std::printf("\ndeterminism check: %s\n",
-                deterministic ? "traces identical" : "TRACES DIVERGED");
-  }
-  if (const std::string out_path = args.get("trace-out", "");
-      !out_path.empty()) {
-    // The file is the determinism artifact: the same seed on two builds
-    // must produce byte-identical files.
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-      std::printf("cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << first.trace << "\n";
-    std::printf("trace written to %s\n", out_path.c_str());
-  }
+  const std::optional<bool> deterministic = replay_and_write(
+      first.trace + "\n", check,
+      [&] { return run_chaos(p, /*verbose=*/false).trace + "\n"; },
+      trace_out);
+  if (!deterministic) return 1;
   if (p.detect_discrimination)
     std::printf("\ndiscrimination check: %s\n",
                 first.discrimination_ok ? "as expected" : "WRONG VERDICT");
   const bool ok = first.measurement_ok && first.bracketed &&
-                  first.discrimination_ok && deterministic;
+                  first.discrimination_ok && *deterministic;
   std::printf("\nchaos verdict: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }
 
-int cmd_asm(const Args& args) {
-  if (args.positional().empty()) {
-    std::printf("usage: debuglet asm FILE\n");
-    return 1;
-  }
-  const std::string path = args.positional()[0];
+int cmd_asm(Args& args) {
+  const std::string path = args.get_positional("FILE");
+  args.finish();
   std::ifstream in(path);
-  if (!in) {
-    std::printf("cannot open %s\n", path.c_str());
-    return 1;
-  }
+  if (failed(in, "open", path)) return 1;
   std::stringstream buffer;
   buffer << in.rdbuf();
   auto module = vm::assemble(buffer.str());
-  if (!module) {
-    std::printf("assembly error: %s\n", module.error_message().c_str());
+  if (failed(module, "assembly error") ||
+      failed(vm::validate(*module), "validation error"))
     return 1;
-  }
-  if (auto valid = vm::validate(*module); !valid) {
-    std::printf("validation error: %s\n", valid.error_message().c_str());
-    return 1;
-  }
   const Bytes wire = module->serialize();
   const std::string out_path = path + ".dvm";
   std::ofstream out(out_path, std::ios::binary);
@@ -1500,23 +1477,15 @@ int cmd_asm(const Args& args) {
   return 0;
 }
 
-int cmd_disasm(const Args& args) {
-  if (args.positional().empty()) {
-    std::printf("usage: debuglet disasm FILE\n");
-    return 1;
-  }
-  std::ifstream in(args.positional()[0], std::ios::binary);
-  if (!in) {
-    std::printf("cannot open %s\n", args.positional()[0].c_str());
-    return 1;
-  }
+int cmd_disasm(Args& args) {
+  const std::string path = args.get_positional("FILE");
+  args.finish();
+  std::ifstream in(path, std::ios::binary);
+  if (failed(in, "open", path)) return 1;
   Bytes wire((std::istreambuf_iterator<char>(in)),
              std::istreambuf_iterator<char>());
   auto module = vm::Module::parse(BytesView(wire.data(), wire.size()));
-  if (!module) {
-    std::printf("parse error: %s\n", module.error_message().c_str());
-    return 1;
-  }
+  if (failed(module, "parse error")) return 1;
   std::printf("%s", vm::disassemble(*module).c_str());
   return 0;
 }
@@ -1525,51 +1494,45 @@ void usage() {
   std::printf(
       "debuglet — programmable, verifiable inter-domain telemetry "
       "(simulated)\n\n"
-      "usage: debuglet <command> [flags]\n\n"
-      "commands:\n"
+      "usage: debuglet <command> [flags]; 'debuglet <command> --help' lists\n"
+      "a command's flags with their defaults and bounds. An invalid or\n"
+      "unknown flag exits 2.\n\n"
       "  measure     purchase and run one marketplace measurement\n"
       "  localize    inject a fault into a chain topology and localize it\n"
       "  traceroute  run the traceroute baseline\n"
       "  motivation  the paper's Section II protocol comparison\n"
       "  stats       run a measurement with metrics on; print/export them\n"
-      "              (--remote AS#IF scrapes a remote executor's registry\n"
-      "              over the simulated network instead)\n"
-      "  trace       run a localization with tracing on; dump a Chrome\n"
-      "              trace (chrome://tracing / Perfetto) of the run\n"
-      "  chaos       kill/crash executors on a faulty path, then run a\n"
-      "              resilient measurement and a degraded localization\n"
-      "              (--link-corrupt/--link-truncate/--link-dup/\n"
-      "              --link-reorder/--link-flap-ms add wire-level chaos;\n"
-      "              --int localizes via in-band INT records)\n"
+      "  trace       run a localization with tracing on; dump a Chrome trace\n"
+      "  chaos       fault executors, links and middleboxes, then measure and\n"
+      "              localize anyway (docs/ROBUSTNESS.md)\n"
       "  asm FILE    assemble DVM assembly into FILE.dvm\n"
-      "  disasm FILE print the assembly of a serialized module\n\n"
-      "run a command with no flags for sensible defaults; see tools/\n"
-      "debuglet_cli.cpp header for every flag.\n");
+      "  disasm FILE print the assembly of a serialized module\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const std::string command = argc < 2 ? "" : argv[1];
+  if (command == "help" || command == "--help") {
     usage();
-    return 1;
+    return 0;
   }
-  const std::string command = argv[1];
-  const Args args(argc, argv);
+  const std::map<std::string, int (*)(Args&)> commands = {
+      {"measure", cmd_measure},       {"localize", cmd_localize},
+      {"traceroute", cmd_traceroute}, {"motivation", cmd_motivation},
+      {"stats", cmd_stats},           {"trace", cmd_trace},
+      {"chaos", cmd_chaos},           {"asm", cmd_asm},
+      {"disasm", cmd_disasm}};
   try {
-    if (command == "measure") return cmd_measure(args);
-    if (command == "localize") return cmd_localize(args);
-    if (command == "traceroute") return cmd_traceroute(args);
-    if (command == "motivation") return cmd_motivation(args);
-    if (command == "stats") return cmd_stats(args);
-    if (command == "trace") return cmd_trace(args);
-    if (command == "chaos") return cmd_chaos(args);
-    if (command == "asm") return cmd_asm(args);
-    if (command == "disasm") return cmd_disasm(args);
+    const auto it = commands.find(command);
+    if (it == commands.end())
+      throw UsageError((command.empty() ? "no command"
+                                        : "unknown command '" + command + "'") +
+                       " (see 'debuglet help')");
+    Args args(argc, argv);
+    return it->second(args);
   } catch (const UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  usage();
-  return command == "help" || command == "--help" ? 0 : 1;
 }
