@@ -11,12 +11,18 @@
 // `--benchmark_filter=-.*` run still produces the report). Every run is
 // fingerprinted over the receipts and sealed block and checked
 // bit-identical to the workers=1 run — the determinism contract of
-// docs/CHAIN.md measured, not assumed. DEBUGLET_BENCH_HOURS scales the
-// batch size; the speedup figures are reported but not gated (CI gates
-// the workers=1 throughput against the committed baseline instead).
+// docs/CHAIN.md measured, not assumed. Each mode's fingerprint prints in
+// hex and lands in the report as the `hex` label of a `fingerprint` row;
+// CI compares both with the values committed in
+// bench/baselines/chain_throughput.json, so a change that moves any
+// signature, receipt or block root shows in its own diff.
+// DEBUGLET_BENCH_HOURS scales the batch size; the speedup figures are
+// reported but not gated (CI gates the workers=1 throughput against the
+// committed baseline instead).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -232,6 +238,11 @@ int throughput_report() {
                    std::string(mode) + " workers=" + std::to_string(workers) +
                        " receipts and block root bit-identical to workers=1");
     }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(base.fingerprint));
+    report.metric("fingerprint", 1, {{"mode", mode}, {"hex", hex}});
+    std::printf("  %-12s fingerprint %s (receipts + block root)\n", mode, hex);
   }
   // Parallel speedup is only observable with real cores; on a 1-2 core CI
   // box the pool overhead dominates, so the wall-clock comparison is

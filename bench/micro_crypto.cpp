@@ -1,6 +1,7 @@
 // Microbenchmarks of the crypto substrate: SHA-256 throughput, HMAC,
 // Schnorr signing/verification (the result-certification cost every
-// executor pays), U256 modular exponentiation, and Merkle trees.
+// executor pays), its two exponentiations (the fixed-base comb for g and
+// the sliding window for any other base), and Merkle trees.
 //
 // The custom main() first runs the crypto report and writes
 // BENCH_crypto.json via bench::Report before handing over to
@@ -72,17 +73,19 @@ void BM_SchnorrVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerify);
 
-void BM_PowMod(benchmark::State& state) {
+void BM_PowMod(benchmark::State& state, bool fixed_base) {
   Rng rng(6);
   Bytes eb(32);
   for (auto& b : eb) b = static_cast<std::uint8_t>(rng.next_u64());
   const U256 exponent = U256::from_be_bytes(BytesView(eb.data(), eb.size()));
+  const U256 base = KeyPair::from_seed(44).public_key().y;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pow_mod(group_generator(), exponent, group_prime()));
+    benchmark::DoNotOptimize(fixed_base ? generator_pow(exponent)
+                                        : group_pow(base, exponent));
   }
 }
-BENCHMARK(BM_PowMod);
+BENCHMARK_CAPTURE(BM_PowMod, comb_g, true);
+BENCHMARK_CAPTURE(BM_PowMod, window_pk, false);
 
 void BM_MerkleBuild(benchmark::State& state) {
   std::vector<Bytes> leaves;

@@ -9,6 +9,14 @@
 // KDF = SHA-256(shared || context); payload encrypted and authenticated
 // with the stream cipher's seal(). Wire format:
 //   ephemeral_public_key (32 B) || stream::seal(...) output.
+//
+// Keys are checked with valid_public_key (schnorr.hpp): y in [2, p−2],
+// which rules out the elements of order 1 and 2, whose shared secrets
+// anyone can compute. Elements of the other small orders are not ruled
+// out (p − 1 = 2·3·7·13441·q with q prime, so subgroups of order 3, 7,
+// 13441 and their products exist); a key in one of them leaks its shared
+// secret to a small search. Honest keys are g^x and never land there by
+// chance; checking membership in the order-q subgroup is out of scope.
 #pragma once
 
 #include "crypto/schnorr.hpp"

@@ -1,6 +1,7 @@
 #include "crypto/schnorr.hpp"
 
-#include <stdexcept>
+#include <algorithm>
+#include <array>
 
 namespace debuglet::crypto {
 
@@ -28,11 +29,29 @@ const U256& generator() {
   return g;
 }
 
-// Maps a digest to a nonzero exponent mod (p-1).
-U256 digest_to_exponent(const Digest& d) {
-  U256 e = mod(U256::from_be_bytes(d.view()), prime_minus_one());
-  if (e.is_zero()) e = U256(1);
-  return e;
+// Digit i (0 = least significant) of e in base 16.
+unsigned nibble(const U256& e, std::size_t i) {
+  return static_cast<unsigned>(e.limbs[i / 16] >> (4 * (i % 16))) & 0xF;
+}
+
+// g^(d·16^i) mod p at [i][d−1], for the 64 nibble positions i of an
+// exponent and its digits d = 1..15: 960 values (30 KiB), built on first
+// use. Threads that sign at once wait on the static's guard for one copy.
+using CombTable = std::array<std::array<U256, 15>, 64>;
+
+const CombTable& comb() {
+  static const CombTable table = [] {
+    CombTable t;
+    U256 base = generator();  // g^(16^i)
+    for (auto& row : t) {
+      row[0] = base;
+      for (std::size_t d = 1; d < row.size(); ++d)
+        row[d] = mul_mod(row[d - 1], base, prime());
+      base = mul_mod(row.back(), base, prime());
+    }
+    return t;
+  }();
+  return table;
 }
 
 Digest challenge(const U256& r, const PublicKey& pk, BytesView message) {
@@ -49,6 +68,61 @@ Digest challenge(const U256& r, const PublicKey& pk, BytesView message) {
 
 const U256& group_prime() { return prime(); }
 const U256& group_generator() { return generator(); }
+
+bool valid_public_key(const U256& y) {
+  return y > U256(1) && y < prime_minus_one();
+}
+
+U256 generator_pow(const U256& e) {
+  const CombTable& table = comb();
+  U256 result(1);
+  bool first = true;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const unsigned d = nibble(e, i);
+    if (d == 0) continue;
+    result = first ? table[i][d - 1]
+                   : mul_mod(result, table[i][d - 1], prime());
+    first = false;
+  }
+  return result;
+}
+
+U256 group_pow(const U256& base, const U256& e) {
+  const U256& p = prime();
+  std::array<U256, 16> odd;  // base^(2j+1) mod p
+  odd[0] = base >= p ? sub(base, p) : base;  // p > 2^255
+  const U256 square = mul_mod(odd[0], odd[0], p);
+  for (std::size_t j = 1; j < odd.size(); ++j)
+    odd[j] = mul_mod(odd[j - 1], square, p);
+  // Left to right: a zero bit squares; a one bit opens a window of up to
+  // five bits ending in a one, whose odd power multiplies in once.
+  U256 result(1);
+  bool first = true;
+  for (int i = e.bit_length() - 1; i >= 0;) {
+    int low = i;
+    if (e.bit(i))
+      for (low = std::max(i - 4, 0); !e.bit(low);) ++low;
+    unsigned window = 0;
+    for (int b = i; b >= low; --b) {
+      if (!first) result = mul_mod(result, result, p);
+      window = window << 1 | (e.bit(b) ? 1u : 0u);
+    }
+    if (window != 0) {
+      result = first ? odd[window >> 1] : mul_mod(result, odd[window >> 1], p);
+      first = false;
+    }
+    i = low - 1;
+  }
+  return result;
+}
+
+U256 digest_to_exponent(const Digest& d) {
+  // p − 1 > 2^255, so one conditional subtraction reduces any digest.
+  U256 e = U256::from_be_bytes(d.view());
+  if (e >= prime_minus_one()) e = sub(e, prime_minus_one());
+  if (e.is_zero()) e = U256(1);
+  return e;
+}
 
 Bytes Signature::to_bytes() const {
   Bytes out = r.to_be_bytes();
@@ -73,10 +147,8 @@ KeyPair KeyPair::from_seed(std::uint64_t seed) {
 }
 
 KeyPair KeyPair::from_seed_bytes(BytesView seed) {
-  const Digest d = sha256(seed);
-  U256 sk = digest_to_exponent(d);
-  const U256 y = pow_mod(generator(), sk, prime());
-  return KeyPair(sk, PublicKey{y});
+  const U256 sk = digest_to_exponent(sha256(seed));
+  return KeyPair(sk, PublicKey{generator_pow(sk)});
 }
 
 Signature KeyPair::sign(BytesView message) const {
@@ -85,7 +157,7 @@ Signature KeyPair::sign(BytesView message) const {
   const Digest nd =
       hmac_sha256(BytesView(sk_bytes.data(), sk_bytes.size()), message);
   const U256 k = digest_to_exponent(nd);
-  const U256 r = pow_mod(generator(), k, prime());
+  const U256 r = generator_pow(k);
   const U256 e = digest_to_exponent(challenge(r, pk_, message));
   const U256 s = add_mod(k, mul_mod(e, sk_, prime_minus_one()),
                          prime_minus_one());
@@ -93,7 +165,7 @@ Signature KeyPair::sign(BytesView message) const {
 }
 
 U256 KeyPair::shared_secret(const PublicKey& peer) const {
-  return pow_mod(peer.y, sk_, prime());
+  return group_pow(peer.y, sk_);
 }
 
 Signature KeyPair::sign(std::string_view message) const {
@@ -102,12 +174,12 @@ Signature KeyPair::sign(std::string_view message) const {
 }
 
 bool verify(const PublicKey& pk, BytesView message, const Signature& sig) {
-  if (pk.y.is_zero() || pk.y >= prime()) return false;
+  if (!valid_public_key(pk.y)) return false;
   if (sig.r.is_zero() || sig.r >= prime()) return false;
   const U256 e = digest_to_exponent(challenge(sig.r, pk, message));
-  const U256 lhs = pow_mod(generator(), sig.s, prime());
-  const U256 rhs = mul_mod(sig.r, pow_mod(pk.y, e, prime()), prime());
-  return lhs == rhs;
+  // g^s == r·y^e  ⇔  g^s · y^(p−1−e) == r, because y^(p−1) = 1.
+  const U256 y_inv_e = group_pow(pk.y, sub(prime_minus_one(), e));
+  return mul_mod(generator_pow(sig.s), y_inv_e, prime()) == sig.r;
 }
 
 bool verify(const PublicKey& pk, std::string_view message,

@@ -207,16 +207,4 @@ U256 mul_mod(const U256& a, const U256& b, const U256& m) {
   return mod(mul_wide(a, b), m);
 }
 
-U256 pow_mod(const U256& base, const U256& exp, const U256& m) {
-  if (m <= U256(1)) throw std::invalid_argument("pow_mod: modulus <= 1");
-  U256 result(1);
-  U256 b = mod(base, m);
-  const int bits = exp.bit_length();
-  for (int i = bits - 1; i >= 0; --i) {
-    result = mul_mod(result, result, m);
-    if (exp.bit(i)) result = mul_mod(result, b, m);
-  }
-  return result;
-}
-
 }  // namespace debuglet::crypto

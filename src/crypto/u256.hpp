@@ -1,9 +1,12 @@
 // 256-bit unsigned integer arithmetic.
 //
-// Provides the modular arithmetic needed by the Schnorr signature scheme in
-// schnorr.hpp: full 256x256→512-bit products, long-division reduction, and
-// square-and-multiply modular exponentiation. Not constant-time — this is a
-// reproduction's certification substrate, not deployed cryptography.
+// Provides the modular arithmetic under the Schnorr signature scheme in
+// schnorr.hpp: full 256x256→512-bit products, bit-serial long-division
+// reduction, and modular add/sub/multiply. The exponentiations built on
+// mul_mod (a fixed-base comb and a sliding window) live in schnorr.cpp;
+// tests compare them with the square-and-multiply pow_mod in
+// tests/u256_oracle.hpp. Not constant-time — this is a reproduction's
+// certification substrate, not deployed cryptography.
 #pragma once
 
 #include <array>
@@ -73,8 +76,5 @@ U256 sub_mod(const U256& a, const U256& b, const U256& m);
 
 /// (a * b) mod m.
 U256 mul_mod(const U256& a, const U256& b, const U256& m);
-
-/// base^exp mod m, square-and-multiply. Precondition: m > 1.
-U256 pow_mod(const U256& base, const U256& exp, const U256& m);
 
 }  // namespace debuglet::crypto

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "crypto/schnorr.hpp"
+
 namespace debuglet::marketplace {
 
 namespace {
@@ -196,8 +198,14 @@ Result<ApplicationPayload> ApplicationPayload::parse(BytesView data) {
   DBG_TRY(port, r.u16());
   out.listen_port = *port;
   DBG_TRY(seal_key, r.blob());
-  if (!seal_key->empty() && seal_key->size() != 32)
-    return fail("ApplicationPayload: seal key must be 32 bytes");
+  if (!seal_key->empty()) {
+    if (seal_key->size() != 32)
+      return fail("ApplicationPayload: seal key must be 32 bytes");
+    if (!crypto::valid_public_key(crypto::U256::from_be_bytes(
+            BytesView(seal_key->data(), seal_key->size()))))
+      return fail("ApplicationPayload: seal key is not a public key in "
+                  "[2, p-2]");
+  }
   out.seal_output_for = std::move(*seal_key);
   if (!r.exhausted()) return fail("ApplicationPayload: trailing bytes");
   return out;

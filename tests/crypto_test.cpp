@@ -1,15 +1,82 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
+#include <thread>
+#include <vector>
 
 #include "crypto/merkle.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/u256.hpp"
+#include "u256_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace debuglet::crypto {
 namespace {
+
+// --- The textbook Schnorr check, built on the oracle ---------------------
+
+U256 oracle_exponent(const Digest& d) {
+  const U256 pm1 = sub(group_prime(), U256(1));
+  const U256 e = mod(U256::from_be_bytes(d.view()), pm1);
+  return e.is_zero() ? U256(1) : e;
+}
+
+/// g^s == r·y^e (mod p) by square-and-multiply, with the range checks
+/// verify() had before it required y in [2, p−2]: y and r in [1, p−1].
+bool oracle_verify(const PublicKey& pk, BytesView message,
+                   const Signature& sig) {
+  const U256& p = group_prime();
+  if (pk.y.is_zero() || pk.y >= p || sig.r.is_zero() || sig.r >= p)
+    return false;
+  Sha256 h;
+  const Bytes rb = sig.r.to_be_bytes();
+  const Bytes yb = pk.y.to_be_bytes();
+  h.update(BytesView(rb.data(), rb.size()));
+  h.update(BytesView(yb.data(), yb.size()));
+  h.update(message);
+  const U256 e = oracle_exponent(h.finalize());
+  return oracle::pow_mod(group_generator(), sig.s, p) ==
+         mul_mod(sig.r, oracle::pow_mod(pk.y, e, p), p);
+}
+
+bool oracle_verify(const PublicKey& pk, std::string_view message,
+                   const Signature& sig) {
+  const Bytes bytes = bytes_of(message);
+  return oracle_verify(pk, BytesView(bytes.data(), bytes.size()), sig);
+}
+
+// --- Fixed-base table built under concurrent first use ------------------
+
+// Defined first so it runs first (gtest keeps definition order): nothing
+// in this process has touched the fixed-base table yet, so eight threads
+// race to build it with their first key derivation and signature. Every
+// key and signature must pass the oracle check and equal what a warm
+// thread gets; the CI TSan leg checks the race itself.
+TEST(SchnorrComb, EightThreadsSignOnAColdTable) {
+  constexpr std::size_t kThreads = 8;
+  std::vector<Signature> sigs(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  std::vector<std::optional<KeyPair>> built(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      built[t] = KeyPair::from_seed(1800 + t);
+      sigs[t] = built[t]->sign("cold table");
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const KeyPair warm = KeyPair::from_seed(1800 + t);
+    EXPECT_EQ(built[t]->public_key(), warm.public_key()) << t;
+    EXPECT_EQ(sigs[t], warm.sign("cold table")) << t;
+    EXPECT_TRUE(oracle_verify(warm.public_key(), "cold table", sigs[t])) << t;
+  }
+}
 
 // --- SHA-256 (FIPS 180-4 test vectors) ---------------------------------
 
@@ -234,10 +301,10 @@ TEST(U256, ModMatchesSmallArithmetic) {
 
 TEST(U256, PowModSmall) {
   // 3^20 mod 1000 = 3486784401 mod 1000 = 401.
-  EXPECT_EQ(pow_mod(U256(3), U256(20), U256(1000)), U256(401));
+  EXPECT_EQ(oracle::pow_mod(U256(3), U256(20), U256(1000)), U256(401));
   // Fermat: a^(p-1) = 1 mod p for prime p = 1'000'000'007.
   const U256 p(1'000'000'007ULL);
-  EXPECT_EQ(pow_mod(U256(12345), U256(1'000'000'006ULL), p), U256(1));
+  EXPECT_EQ(oracle::pow_mod(U256(12345), U256(1'000'000'006ULL), p), U256(1));
 }
 
 TEST(U256, PowModLargeFermat) {
@@ -245,7 +312,7 @@ TEST(U256, PowModLargeFermat) {
   const U256& p = group_prime();
   bool borrow = false;
   const U256 pm1 = sub(p, U256(1), &borrow);
-  EXPECT_EQ(pow_mod(group_generator(), pm1, p), U256(1));
+  EXPECT_EQ(oracle::pow_mod(group_generator(), pm1, p), U256(1));
 }
 
 TEST(U256, AlgebraicIdentitiesRandomized) {
@@ -315,6 +382,138 @@ TEST(Schnorr, SignatureBytesRoundTrip) {
 TEST(Schnorr, DistinctSeedsDistinctKeys) {
   EXPECT_NE(KeyPair::from_seed(8).public_key().y,
             KeyPair::from_seed(9).public_key().y);
+}
+
+// --- Comb, window and one-expression verify against the oracle ----------
+
+U256 random_u256(Rng& rng) {
+  U256 x;
+  for (auto& limb : x.limbs) limb = rng.next_u64();
+  return x;
+}
+
+U256 max_u256() {
+  return *U256::from_hex(
+      "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+}
+
+/// The exponents and operands every path must get right at the edges:
+/// 0, 1, one and two nibbles, 2^255, p−2, p−1, p and 2^256−1.
+std::vector<U256> edge_values() {
+  const U256& p = group_prime();
+  U256 top;
+  top.limbs[3] = 1ULL << 63;
+  return {U256(0), U256(1), U256(15), U256(16), top, sub(p, U256(2)),
+          sub(p, U256(1)), p, max_u256()};
+}
+
+TEST(SchnorrExp, CombMatchesOracle) {
+  const U256& g = group_generator();
+  const U256& p = group_prime();
+  for (const U256& e : edge_values())
+    EXPECT_EQ(generator_pow(e), oracle::pow_mod(g, e, p)) << e.hex();
+  Rng rng(1801);
+  for (int i = 0; i < 2000; ++i) {
+    // Every length from 0 to 256 bits, so short exponents (leading zero
+    // nibbles) are covered as well as full ones.
+    U256 e = random_u256(rng);
+    const int drop = static_cast<int>(rng.next_u64() % 257);
+    for (int b = 255; b >= 256 - drop; --b)
+      e.limbs[static_cast<std::size_t>(b / 64)] &= ~(1ULL << (b % 64));
+    ASSERT_EQ(generator_pow(e), oracle::pow_mod(g, e, p)) << e.hex();
+  }
+}
+
+TEST(SchnorrExp, WindowMatchesOracle) {
+  const U256& p = group_prime();
+  Rng rng(1802);
+  const U256 random_base = random_u256(rng);
+  const std::vector<U256> bases = {U256(1), U256(2), sub(p, U256(1)),
+                                   random_base};
+  for (const U256& e : edge_values())
+    for (const U256& b : bases)
+      EXPECT_EQ(group_pow(b, e), oracle::pow_mod(b, e, p))
+          << b.hex() << " ^ " << e.hex();
+  // Bases at and above p reduce first.
+  for (const U256& b : {U256(0), p, max_u256()})
+    EXPECT_EQ(group_pow(b, U256(12345)), oracle::pow_mod(b, U256(12345), p))
+        << b.hex();
+  for (int i = 0; i < 2000; ++i) {
+    const U256 e = random_u256(rng);
+    // Cycle through the four base kinds, a fresh random one each time.
+    const U256 b = i % 4 == 3 ? random_u256(rng) : bases[i % 4];
+    ASSERT_EQ(group_pow(b, e), oracle::pow_mod(b, e, p))
+        << b.hex() << " ^ " << e.hex();
+  }
+}
+
+TEST(SchnorrExp, DigestToExponentMatchesMod) {
+  const U256& p = group_prime();
+  std::vector<U256> values = {U256(0), sub(p, U256(2)), sub(p, U256(1)), p,
+                              max_u256()};
+  Rng rng(1803);
+  for (int i = 0; i < 200; ++i) values.push_back(random_u256(rng));
+  for (const U256& x : values) {
+    Digest d;
+    const Bytes be = x.to_be_bytes();
+    std::copy(be.begin(), be.end(), d.bytes.begin());
+    EXPECT_EQ(digest_to_exponent(d), oracle_exponent(d)) << x.hex();
+  }
+}
+
+TEST(SchnorrVerify, KeyRangeIsTwoToPMinusTwo) {
+  const U256& p = group_prime();
+  EXPECT_FALSE(valid_public_key(U256(0)));
+  EXPECT_FALSE(valid_public_key(U256(1)));
+  EXPECT_TRUE(valid_public_key(U256(2)));
+  EXPECT_TRUE(valid_public_key(sub(p, U256(2))));
+  EXPECT_FALSE(valid_public_key(sub(p, U256(1))));
+  EXPECT_FALSE(valid_public_key(p));
+  EXPECT_FALSE(valid_public_key(max_u256()));
+}
+
+TEST(SchnorrVerify, KeyOfOrderOneIsForgeableSoRejected) {
+  // With y = 1, r = g^s satisfies g^s == r·y^e for any s and message.
+  const PublicKey one{U256(1)};
+  const U256 s(123456789);
+  const Signature forged{generator_pow(s), s};
+  EXPECT_TRUE(oracle_verify(one, "anything", forged));
+  EXPECT_FALSE(verify(one, "anything", forged));
+}
+
+TEST(SchnorrVerify, MatchesOracleOnValidTamperedAndRandom) {
+  const U256& p = group_prime();
+  const U256 pm1 = sub(p, U256(1));
+  Rng rng(1804);
+  std::size_t valid = 0;
+  auto check = [&](const PublicKey& pk, const Bytes& msg,
+                   const Signature& sig) {
+    const BytesView m(msg.data(), msg.size());
+    const bool expected = valid_public_key(pk.y) && oracle_verify(pk, m, sig);
+    EXPECT_EQ(verify(pk, m, sig), expected)
+        << "y " << pk.y.hex() << " r " << sig.r.hex() << " s " << sig.s.hex();
+    valid += expected ? 1 : 0;
+  };
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    const KeyPair kp = KeyPair::from_seed(1900 + i);
+    const KeyPair other = KeyPair::from_seed(1950 + i);
+    const Bytes msg = random_bytes(rng, 1 + rng.next_u64() % 200);
+    const Signature sig = kp.sign(BytesView(msg.data(), msg.size()));
+    check(kp.public_key(), msg, sig);
+    Bytes tampered = msg;
+    tampered[rng.next_u64() % tampered.size()] ^= 0x01;
+    check(kp.public_key(), tampered, sig);
+    check(other.public_key(), msg, sig);
+    check(kp.public_key(), msg, Signature{add_mod(sig.r, U256(1), p), sig.s});
+    check(kp.public_key(), msg, Signature{sig.r, add_mod(sig.s, U256(1), pm1)});
+    // s in [p−1, 2^256): the exponent is used unreduced.
+    check(kp.public_key(), msg,
+          Signature{sig.r, add(pm1, U256(rng.next_u64() >> 32))});
+    check(kp.public_key(), msg,
+          Signature{mod(random_u256(rng), p), random_u256(rng)});
+    for (const U256& y : edge_values()) check(PublicKey{y}, msg, sig);
+  }
+  EXPECT_EQ(valid, 30u);  // exactly the untampered signatures
 }
 
 class SchnorrMany : public ::testing::TestWithParam<std::uint64_t> {};

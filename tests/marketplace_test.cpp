@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "crypto/box.hpp"
 #include "marketplace/contract.hpp"
 
 namespace debuglet::marketplace {
@@ -173,7 +174,9 @@ struct PurchasedFixture : MarketFixture {
     register_slots(as2, key2, {slot(1500, 2500, 70)});
   }
 
-  chain::Receipt purchase(chain::Mist tokens) {
+  /// Buys the one common window; a non-empty `seal_key` asks both
+  /// executors to seal their results for it (§IV-C private results).
+  chain::Receipt purchase(chain::Mist tokens, const Bytes& seal_key = {}) {
     PurchaseSlotArgs args;
     args.client_key = key1;
     args.server_key = key2;
@@ -181,9 +184,65 @@ struct PurchasedFixture : MarketFixture {
     args.server_slot = slot(1500, 2500, 70);
     args.client_app = payload("client");
     args.server_app = payload("server");
+    args.client_app.seal_output_for = seal_key;
+    args.server_app.seal_output_for = seal_key;
     return must_submit(initiator, "PurchaseSlot", args.serialize(), tokens);
   }
 };
+
+TEST_F(PurchasedFixture, SealKeysOutsideTheGroupAreRejected) {
+  // 0, 1, p−1, p and 2^256−1: a result sealed for any of them would be
+  // readable by anyone (shared secret 0 or ±1, or no group element).
+  const crypto::U256& p = crypto::group_prime();
+  const crypto::U256 bad_keys[] = {
+      crypto::U256(0), crypto::U256(1), crypto::sub(p, crypto::U256(1)), p,
+      crypto::sub(crypto::U256(0), crypto::U256(1))};
+  const chain::Address buyer = chain::Address::of(initiator.public_key());
+  const chain::Address seller1 = chain::Address::of(as1.public_key());
+  const chain::Address seller2 = chain::Address::of(as2.public_key());
+  for (const crypto::U256& key : bad_keys) {
+    const chain::Mist buyer_before = chain.balance(buyer);
+    const chain::Mist seller1_before = chain.balance(seller1);
+    const chain::Mist seller2_before = chain.balance(seller2);
+    const chain::Mist escrow_before = chain.escrow_balance(kContractName);
+    const auto calendar1 = market->available_slots(key1);
+    const auto calendar2 = market->available_slots(key2);
+    auto r = purchase(120, key.to_be_bytes());
+    EXPECT_FALSE(r.success) << key.hex();
+    EXPECT_EQ(r.error_kind, chain::ErrorKind::kContract) << key.hex();
+    EXPECT_EQ(r.error,
+              "ApplicationPayload: seal key is not a public key in [2, p-2]")
+        << key.hex();
+    // Only gas was spent; no token moved and no slot was sold.
+    EXPECT_EQ(chain.balance(buyer) + r.gas_charged, buyer_before);
+    EXPECT_EQ(chain.balance(seller1), seller1_before);
+    EXPECT_EQ(chain.balance(seller2), seller2_before);
+    EXPECT_EQ(chain.escrow_balance(kContractName), escrow_before);
+    EXPECT_EQ(market->available_slots(key1), calendar1);
+    EXPECT_EQ(market->available_slots(key2), calendar2);
+    EXPECT_TRUE(market->applications_for(key1, key2).empty());
+  }
+
+  // A real key still buys, and a box sealed for it opens; a box whose
+  // ephemeral key is one of the bad keys does not.
+  auto ok = purchase(120, initiator.public_key().to_bytes());
+  ASSERT_TRUE(ok.success) << ok.error;
+  const Bytes result = bytes_of("private measurement");
+  Bytes sealed = crypto::seal_for(initiator.public_key(),
+                                  BytesView(result.data(), result.size()), 7);
+  auto opened =
+      crypto::open_box(initiator, BytesView(sealed.data(), sealed.size()));
+  ASSERT_TRUE(opened.ok()) << opened.error_message();
+  EXPECT_EQ(*opened, result);
+  for (const crypto::U256& key : bad_keys) {
+    const Bytes kb = key.to_be_bytes();
+    std::copy(kb.begin(), kb.end(), sealed.begin());
+    auto forged =
+        crypto::open_box(initiator, BytesView(sealed.data(), sealed.size()));
+    EXPECT_EQ(forged.error_message(), "sealed box: bad ephemeral key")
+        << key.hex();
+  }
+}
 
 TEST_F(PurchasedFixture, PurchaseCreatesApplicationsAndEmitsEvents) {
   std::vector<std::string> deployed_keys;

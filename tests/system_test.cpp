@@ -2,7 +2,12 @@
 // behaviour over time, and asymmetric routing (pinned paths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+
 #include "core/debuglet.hpp"
+#include "util/log.hpp"
 
 namespace debuglet {
 namespace {
@@ -92,6 +97,188 @@ TEST(SystemEconomics, OnlyPurchaserMayReclaim) {
   EXPECT_NE(theft.error_message().find("only the purchasing initiator"),
             std::string::npos);
   EXPECT_TRUE(buyer.reclaim(*handle).ok());
+}
+
+// Token conservation: a seeded random sequence of RegisterTimeSlot,
+// PurchaseSlot, ResultReady and ReclaimApplication calls on one system,
+// rejected ones included. After every step, what the accounts held at
+// set-up plus everything minted since equals balances + contract escrow +
+// the gas burned since, net of the storage rebates reclaims pay back.
+TEST(SystemEconomics, TokensConservedOverRandomMarketplaceSequence) {
+  core::SystemConfig config;
+  config.slot_horizon = duration::minutes(10);  // 30 slots per executor
+  core::DebugletSystem system(simnet::build_chain_scenario(3, 43, 5.0), config);
+  chain::Blockchain& chain = system.chain();
+  const marketplace::MarketplaceContract& market = system.marketplace();
+  const std::vector<topology::InterfaceKey> keys = system.executor_keys();
+  auto operator_of = [&](topology::InterfaceKey key) -> const auto& {
+    return system.agent(key).value()->operator_key();
+  };
+  // Purchased applications run nowhere here: the event queue never runs,
+  // so every ResultReady below is this test's. Their empty manifests
+  // would make each agent log a rejection.
+  struct QuietLog {
+    LogLevel before = log_level();
+    QuietLog() { set_log_level(LogLevel::kOff); }
+    ~QuietLog() { set_log_level(before); }
+  } quiet;
+
+  std::vector<chain::Address> accounts;
+  for (topology::AsNumber asn : system.network().topology().as_numbers())
+    accounts.push_back(chain::Address::of(*system.as_public_key(asn)));
+  auto held = [&] {
+    chain::Mist total =
+        chain.escrow_balance(marketplace::kContractName) +
+        chain.escrow_balance(marketplace::kReputationContractName);
+    for (const chain::Address& a : accounts) total += chain.balance(a);
+    return total;
+  };
+  const chain::Mist at_setup = held();
+  chain::Mist minted = 0;
+  chain::Mist gas = 0;
+  chain::Mist rebates = 0;
+
+  std::vector<crypto::KeyPair> initiators;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    initiators.push_back(crypto::KeyPair::from_seed(4310 + i));
+    accounts.push_back(chain::Address::of(initiators.back().public_key()));
+    chain.mint(accounts.back(), 50'000'000'000);
+    minted += 50'000'000'000;
+  }
+
+  marketplace::ApplicationPayload client_app;
+  client_app.bytecode = apps::make_probe_client_debuglet().serialize();
+  marketplace::ApplicationPayload server_app;
+  server_app.bytecode = apps::make_echo_server_debuglet().serialize();
+  server_app.listen_port = 40000;
+  const crypto::U256& p = crypto::group_prime();
+  const crypto::U256 bad_seal_keys[] = {
+      crypto::U256(0), crypto::U256(1), crypto::sub(p, crypto::U256(1)), p,
+      crypto::sub(crypto::U256(0), crypto::U256(1))};
+
+  struct App {
+    chain::ObjectId id;
+    topology::InterfaceKey executor;
+    std::size_t buyer;
+    bool reported = false;
+    bool reclaimed = false;
+  };
+  std::vector<App> bought;
+  std::map<topology::InterfaceKey, SimTime> registered_until;
+  for (topology::InterfaceKey key : keys)
+    registered_until[key] = config.slot_horizon;
+  const char* const kinds[] = {"RegisterTimeSlot", "PurchaseSlot",
+                               "ResultReady", "ReclaimApplication"};
+  std::size_t committed[4] = {};
+  std::size_t failed[4] = {};
+
+  // Submits one call, checks the books and returns the receipt.
+  auto run = [&](std::size_t kind, const crypto::KeyPair& signer,
+                 const Bytes& args, chain::Mist tokens, bool expect_success,
+                 chain::Mist rebate_if_committed = 0) {
+    auto receipt = chain.submit(chain.make_transaction(
+        signer, marketplace::kContractName, kinds[kind], args, tokens));
+    EXPECT_TRUE(receipt.ok()) << kinds[kind] << ": " << receipt.error_message();
+    if (!receipt) return std::optional<chain::Receipt>{};
+    EXPECT_EQ(receipt->success, expect_success)
+        << kinds[kind] << ": " << receipt->error;
+    gas += receipt->gas_charged;
+    if (receipt->success) rebates += rebate_if_committed;
+    ++(receipt->success ? committed : failed)[kind];
+    EXPECT_EQ(held() + gas, at_setup + minted + rebates) << kinds[kind];
+    return std::optional<chain::Receipt>{*receipt};
+  };
+
+  Rng rng(4301);
+  for (int step = 0; step < 240 && !HasFailure(); ++step) {
+    const std::size_t kind = rng.next_below(4);
+    const topology::InterfaceKey key = keys[rng.next_below(keys.size())];
+    if (kind == 0) {
+      // A fresh slot past the calendar, an overlapping one, or a
+      // stranger's registration.
+      const std::uint64_t variant = rng.next_below(3);
+      marketplace::TimeSlot slot;
+      slot.start = registered_until[key] -
+                   (variant == 1 ? config.slot_length : SimDuration{0});
+      slot.end = slot.start + config.slot_length;
+      slot.price = config.slot_price + rng.next_below(1000);
+      auto r = run(kind, variant == 2 ? initiators[0] : operator_of(key),
+                   marketplace::RegisterTimeSlotArgs{key, {slot}}.serialize(),
+                   0, variant == 0);
+      if (r && r->success) registered_until[key] = slot.end;
+    } else if (kind == 1) {
+      // The exact price, extra tokens (refunded), one token short, or a
+      // seal key outside the group.
+      const topology::InterfaceKey server = keys[rng.next_below(keys.size())];
+      const auto client_slots = market.available_slots(key);
+      const auto server_slots = market.available_slots(server);
+      if (server.asn == key.asn || client_slots.empty()) continue;
+      const marketplace::TimeSlot client_slot =
+          client_slots[rng.next_below(client_slots.size())];
+      const auto server_slot = std::find_if(
+          server_slots.begin(), server_slots.end(),
+          [&](const marketplace::TimeSlot& s) {
+            return s.start == client_slot.start;
+          });
+      if (server_slot == server_slots.end()) continue;
+      const std::uint64_t variant = rng.next_below(4);
+      marketplace::PurchaseSlotArgs purchase;
+      purchase.client_key = key;
+      purchase.server_key = server;
+      purchase.client_slot = client_slot;
+      purchase.server_slot = *server_slot;
+      purchase.client_app = client_app;
+      purchase.server_app = server_app;
+      if (variant == 3)
+        purchase.server_app.seal_output_for =
+            bad_seal_keys[rng.next_below(5)].to_be_bytes();
+      chain::Mist tokens = client_slot.price + server_slot->price;
+      if (variant == 1) tokens += 12'345;
+      if (variant == 2) tokens -= 1;
+      const std::size_t buyer = rng.next_below(initiators.size());
+      auto r = run(kind, initiators[buyer], purchase.serialize(), tokens,
+                   variant <= 1);
+      if (!r || !r->success) continue;
+      auto receipt = marketplace::PurchaseReceipt::parse(
+          BytesView(r->return_value.data(), r->return_value.size()));
+      ASSERT_TRUE(receipt.ok());
+      bought.push_back({receipt->client_application, key, buyer});
+      bought.push_back({receipt->server_application, server, buyer});
+    } else if (!bought.empty()) {
+      // ResultReady by the assigned executor or a stranger; reclaim by the
+      // buyer or a stranger. Repeats and out-of-order calls fail.
+      App& app = bought[rng.next_below(bought.size())];
+      const bool stranger = rng.next_below(4) == 0;
+      if (kind == 2) {
+        topology::InterfaceKey other = app.executor;
+        while (other.asn == app.executor.asn)
+          other = keys[rng.next_below(keys.size())];
+        marketplace::ResultReadyArgs report;
+        report.application = app.id;
+        report.result.resize(16 + rng.next_below(240));
+        for (auto& b : report.result)
+          b = static_cast<std::uint8_t>(rng.next_u64());
+        auto r = run(kind, operator_of(stranger ? other : app.executor),
+                     report.serialize(), 0,
+                     !stranger && !app.reported && !app.reclaimed);
+        if (r && r->success) app.reported = true;
+      } else {
+        const auto object = chain.objects().find(app.id);
+        const chain::Mist rebate =
+            object == chain.objects().end() ? 0 : object->second.rebate_credit;
+        const crypto::KeyPair& signer =
+            initiators[(app.buyer + (stranger ? 1 : 0)) % initiators.size()];
+        auto r = run(kind, signer,
+                     marketplace::ReclaimApplicationArgs{app.id}.serialize(),
+                     0, !stranger && app.reported && !app.reclaimed, rebate);
+        if (r && r->success) app.reclaimed = true;
+      }
+    }
+  }
+  for (std::size_t kind = 0; kind < 4; ++kind) {
+    EXPECT_GT(committed[kind], 0u) << kinds[kind];
+    EXPECT_GT(failed[kind], 0u) << kinds[kind];
+  }
 }
 
 TEST(SystemSlots, SequentialMeasurementsGetLaterWindows) {
