@@ -294,11 +294,10 @@ Initiator::FetchOutcome Initiator::fetch_result(chain::ObjectId application,
     return out;
   };
 
-  chain::Blockchain& chain = system_.chain();
   marketplace::LookupResultArgs args;
   args.application = application;
-  auto view = chain.view(marketplace::kContractName, "LookupResult",
-                         args.serialize());
+  auto view = system_.chain().view(marketplace::kContractName, "LookupResult",
+                                   args.serialize());
   if (!view)
     return failed(CollectErrorKind::kOther, view.error_message());
   auto entry =
@@ -331,14 +330,6 @@ Initiator::FetchOutcome Initiator::fetch_result(chain::ObjectId application,
   if (!(certified->record.executor_key == key))
     return failed(CollectErrorKind::kVerificationFailed,
                   "result reports wrong executor key");
-
-  // Cross-check against the on-chain stored object (tamper evidence).
-  auto stored = chain.read_object(entry->result_object);
-  if (!stored)
-    return failed(CollectErrorKind::kOther, stored.error_message());
-  if (!(*stored == entry->result))
-    return failed(CollectErrorKind::kVerificationFailed,
-                  "on-chain result object mismatch");
   out.result = std::move(*certified);
   return out;
 }

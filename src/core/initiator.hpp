@@ -43,7 +43,7 @@ struct MeasurementOutcome {
 /// on these codes — never on error-message strings. kNotPublished means
 /// "run the queue further or the executor is down"; kVerificationFailed
 /// means a published result was rejected (bad signature, wrong executor
-/// key, on-chain tamper mismatch, undecodable) and waiting cannot help.
+/// key, undecodable) and waiting cannot help.
 enum class CollectErrorKind : std::uint8_t {
   kNone = 0,
   kNotPublished,

@@ -48,8 +48,17 @@ Status ExecutorAgent::register_slots(SimTime from, SimTime until) {
   if (!slot_receipt) return slot_receipt.error();
   if (!slot_receipt->success)
     return fail("RegisterTimeSlot: " + slot_receipt->error);
-  slots_registered_until_ = std::max(slots_registered_until_, until);
+  // The last slot may end past `until`; the next top-up starts after it.
+  slots_registered_until_ = slots.slots.back().end;
   return ok_status();
+}
+
+Status ExecutorAgent::top_up() {
+  const SimTime now = network_.queue().now();
+  if (slots_registered_until_ - now >= config_->slot_horizon / 2)
+    return ok_status();
+  return register_slots(std::max(slots_registered_until_, now),
+                        now + config_->slot_horizon);
 }
 
 Status ExecutorAgent::bootstrap(SimTime horizon_start) {
@@ -88,14 +97,8 @@ Status ExecutorAgent::restart() {
                 {"intf", std::to_string(key_.interface)}})
       .add();
   // The calendar registered before the kill is still on-chain (slots are
-  // not liveness-aware), so only the tail past the old horizon — if the
-  // outage outlasted it — needs re-registering.
-  const SimTime now = network_.queue().now();
-  if (slots_registered_until_ < now + config_->slot_horizon) {
-    const SimTime from = std::max(slots_registered_until_, now);
-    if (auto s = register_slots(from, now + config_->slot_horizon); !s)
-      return s;
-  }
+  // not liveness-aware); top_up() renews it if less than half is left.
+  if (auto s = top_up(); !s) return s;
   DEBUGLET_LOG(kInfo, "agent") << key_.to_string() << ": restarted";
   return ok_status();
 }
@@ -175,6 +178,10 @@ void ExecutorAgent::handle_application(chain::ObjectId application_id) {
   app.listen_port = object->payload.listen_port;
   app.seal_output_for = object->payload.seal_output_for;
 
+  // The agent has no timer: each deployment keeps the calendar rolling.
+  if (auto s = top_up(); !s)
+    DEBUGLET_LOG(kWarn, "agent")
+        << key_.to_string() << ": slot top-up failed: " << s.error_message();
   const SimTime start =
       std::max(object->window_start, network_.queue().now());
   auto deployment = service_->deploy_and_schedule(

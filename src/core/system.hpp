@@ -22,7 +22,8 @@ namespace debuglet::core {
 
 /// Per-system economic and scheduling defaults.
 struct SystemConfig {
-  /// Slot calendar registered by every executor at startup.
+  /// Slot calendar registered by every executor at startup, and rolled
+  /// forward by its deployments (ExecutorAgent::top_up).
   SimTime slot_horizon = duration::hours(48);
   SimDuration slot_length = duration::seconds(20);
   chain::Mist slot_price = 1'000'000;  // 0.001 SUI ≈ 0.1 cents (paper §VI-C)
@@ -66,8 +67,8 @@ class ExecutorAgent {
   void kill();
 
   /// Returns to service after kill(): re-attaches the service,
-  /// re-subscribes to deployment events, and tops up the slot calendar
-  /// when the registered horizon has passed. Idempotent while alive.
+  /// re-subscribes to deployment events, and tops up the slot calendar.
+  /// Idempotent while alive.
   Status restart();
 
   bool alive() const { return alive_; }
@@ -82,6 +83,11 @@ class ExecutorAgent {
  private:
   void subscribe();
   Status register_slots(SimTime from, SimTime until);
+  /// Rolls the calendar forward: once it ends less than half a
+  /// `slot_horizon` from now, registers slots up to now + `slot_horizon`.
+  /// Runs on restart() and on every deployment, so an executor that sells
+  /// no slot in the last half horizon of its calendar lets it lapse.
+  Status top_up();
   void on_deployment_event(const chain::Event& event);
   void handle_application(chain::ObjectId application_id);
   executor::CertifiedResult corrupt(executor::CertifiedResult result) const;
@@ -95,8 +101,8 @@ class ExecutorAgent {
   chain::SubscriptionId subscription_ = 0;
   bool alive_ = true;
   ByzantineMode byzantine_ = ByzantineMode::kHonest;
-  /// End of the slot calendar registered so far (restart only registers
-  /// the tail past this — RegisterTimeSlot rejects overlapping slots).
+  /// End of the last slot registered so far (a top-up registers only past
+  /// this — RegisterTimeSlot rejects overlapping slots).
   SimTime slots_registered_until_ = 0;
 };
 

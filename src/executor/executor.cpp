@@ -65,7 +65,14 @@ void ExecutorService::halt() {
   if (halted_) return;
   halted_ = true;
   network_.detach_host(address_);
-  abandon_all();
+  // Erasing without calling on_complete is the whole trick: every queued
+  // lambda — start, sleep wake, recv timeout, io resume — looks its
+  // deployment up by id and finds nothing, so abandonment is safe with
+  // events in flight.
+  if (deployments_.empty()) return;
+  obs_.abandoned->add(deployments_.size());
+  deployments_.clear();
+  obs_.active->set(0.0);
 }
 
 Status ExecutorService::revive() {
@@ -75,37 +82,11 @@ Status ExecutorService::revive() {
   return ok_status();
 }
 
-std::size_t ExecutorService::abandon_all() {
-  std::size_t abandoned = 0;
-  for (auto& [_, dep] : deployments_) {
-    if (dep.finished) continue;
-    // Marking finished (without calling on_complete) is the whole trick:
-    // every queued lambda — start, sleep wake, recv timeout, io resume —
-    // checks this flag and becomes a no-op, so abandonment is safe with
-    // events in flight.
-    dep.finished = true;
-    dep.waiting_recv = false;
-    ++dep.recv_token;
-    ++abandoned;
-    obs_.abandoned->add();
-  }
-  if (abandoned > 0)
-    obs_.active->set(static_cast<double>(active_deployments()));
-  return abandoned;
-}
-
-std::size_t ExecutorService::active_deployments() const {
-  std::size_t n = 0;
-  for (const auto& [_, dep] : deployments_)
-    if (!dep.finished) ++n;
-  return n;
-}
-
 Result<DeploymentId> ExecutorService::deploy(DebugletApp app) {
   auto id = admit(std::move(app));
   if (id) {
     obs_.admitted->add();
-    obs_.active->set(static_cast<double>(active_deployments()));
+    obs_.active->set(static_cast<double>(deployments_.size()));
   } else {
     obs_.rejected->add();
   }
@@ -116,7 +97,7 @@ Result<DeploymentId> ExecutorService::admit(DebugletApp app) {
   if (halted_)
     return fail("executor at " + key_.to_string() + " is halted");
   if (config_.max_concurrent_deployments != 0 &&
-      active_deployments() >= config_.max_concurrent_deployments)
+      deployments_.size() >= config_.max_concurrent_deployments)
     return fail("executor at capacity: " +
                 std::to_string(config_.max_concurrent_deployments) +
                 " active deployments");
@@ -134,16 +115,33 @@ Result<DeploymentId> ExecutorService::admit(DebugletApp app) {
 
   Deployment dep;
   dep.id = next_id_++;
-  dep.port = app.listen_port != 0 ? app.listen_port : next_port_++;
-  for (const auto& [_, other] : deployments_) {
-    if (!other.finished && other.port == dep.port)
-      return fail("port " + std::to_string(dep.port) +
-                  " already in use by an active deployment");
-  }
+  dep.port = app.listen_port != 0 ? app.listen_port : next_free_port();
+  if (dep.port == 0)
+    return fail("no free port in [" + std::to_string(kFirstAutoPort) +
+                ", 65535]");
+  if (app.listen_port != 0 && port_in_use(dep.port))
+    return fail("port " + std::to_string(dep.port) +
+                " already in use by an active deployment");
   dep.app = std::move(app);
+  dep.module = std::move(*module);
   const DeploymentId id = dep.id;
   deployments_.emplace(id, std::move(dep));
   return id;
+}
+
+bool ExecutorService::port_in_use(std::uint16_t port) const {
+  for (const auto& [_, dep] : deployments_)
+    if (dep.port == port) return true;
+  return false;
+}
+
+std::uint16_t ExecutorService::next_free_port() {
+  for (std::uint32_t n = 0; n <= 65535u - kFirstAutoPort; ++n) {
+    const std::uint16_t port = next_port_;
+    next_port_ = port == 65535 ? kFirstAutoPort : port + 1;
+    if (!port_in_use(port)) return port;
+  }
+  return 0;  // every port in the range is held
 }
 
 Status ExecutorService::schedule(DeploymentId id, SimTime start_time,
@@ -399,8 +397,7 @@ std::vector<vm::HostFunction> ExecutorService::bind_host_api(Deployment& dep) {
 }
 
 void ExecutorService::begin_execution(DeploymentId id) {
-  auto it = deployments_.find(id);
-  if (it == deployments_.end() || it->second.finished) return;
+  if (!deployments_.contains(id)) return;
 
   SimDuration setup = config_.setup_time;
   if (config_.setup_jitter_ns > 0.0)
@@ -410,20 +407,14 @@ void ExecutorService::begin_execution(DeploymentId id) {
 
   network_.queue().schedule_after(setup, [this, id] {
     auto it = deployments_.find(id);
-    if (it == deployments_.end() || it->second.finished) return;
+    if (it == deployments_.end()) return;
     Deployment& dep = it->second;
     dep.actual_start = network_.now();
     dep.deadline = dep.actual_start + dep.app.manifest.max_duration;
 
-    auto module = vm::Module::parse(
-        BytesView(dep.app.module_bytes.data(), dep.app.module_bytes.size()));
-    if (!module) {
-      fail_deployment(dep, "module parse: " + module.error_message());
-      return;
-    }
     vm::ExecutionLimits limits;
     limits.fuel = dep.app.manifest.cpu_fuel;
-    auto instance = vm::Instance::create(std::move(*module),
+    auto instance = vm::Instance::create(std::move(dep.module),
                                          bind_host_api(dep), limits);
     if (!instance) {
       fail_deployment(dep, "instantiation: " + instance.error_message());
@@ -436,18 +427,24 @@ void ExecutorService::begin_execution(DeploymentId id) {
       return;
     }
     dep.execution.emplace(std::move(*execution));
-    pump(dep);
+    pump(id);
   });
 }
 
-void ExecutorService::pump(Deployment& dep) {
-  while (!dep.finished && dep.execution->state() == vm::Execution::State::kReady) {
+void ExecutorService::pump(DeploymentId id) {
+  auto it = deployments_.find(id);
+  while (it != deployments_.end() &&
+         it->second.execution->state() == vm::Execution::State::kReady) {
+    Deployment& dep = it->second;
     const auto state = dep.execution->step();
     if (state == vm::Execution::State::kDone) {
       finish(dep, dep.execution->outcome());
       return;
     }
-    if (state == vm::Execution::State::kBlocked) handle_block(dep);
+    if (state == vm::Execution::State::kBlocked) {
+      handle_block(dep);  // may finish the deployment, erasing it
+      it = deployments_.find(id);
+    }
   }
 }
 
@@ -468,14 +465,14 @@ void ExecutorService::handle_block(Deployment& dep) {
     const DeploymentId id = dep.id;
     network_.queue().schedule_at(wake, [this, id] {
       auto it = deployments_.find(id);
-      if (it == deployments_.end() || it->second.finished) return;
+      if (it == deployments_.end()) return;
       Deployment& dep = it->second;
       if (network_.now() >= dep.deadline) {
         fail_deployment(dep, "execution deadline exceeded");
         return;
       }
       dep.execution->resume(0);
-      pump(dep);
+      pump(id);
     });
     return;
   }
@@ -518,7 +515,7 @@ void ExecutorService::handle_block(Deployment& dep) {
     const DeploymentId id = dep.id;
     network_.queue().schedule_at(deadline, [this, id, token] {
       auto it = deployments_.find(id);
-      if (it == deployments_.end() || it->second.finished) return;
+      if (it == deployments_.end()) return;
       Deployment& dep = it->second;
       if (!dep.waiting_recv || dep.recv_token != token) return;
       dep.waiting_recv = false;
@@ -527,7 +524,7 @@ void ExecutorService::handle_block(Deployment& dep) {
         return;
       }
       dep.execution->resume(-1);  // timeout
-      pump(dep);
+      pump(id);
     });
     return;
   }
@@ -580,18 +577,16 @@ void ExecutorService::deliver_to_recv(Deployment& dep,
   const DeploymentId id = dep.id;
   network_.queue().schedule_after(io_delay(), [this, id, n] {
     auto it = deployments_.find(id);
-    if (it == deployments_.end() || it->second.finished) return;
-    Deployment& dep = it->second;
-    dep.execution->resume(static_cast<std::int64_t>(n));
-    pump(dep);
+    if (it == deployments_.end()) return;
+    it->second.execution->resume(static_cast<std::int64_t>(n));
+    pump(id);
   });
 }
 
 void ExecutorService::on_packet(const simnet::Delivery& delivery) {
   for (auto& [id, dep] : deployments_) {
     // Scheduled-but-not-yet-started deployments buffer their packets in
-    // the inbox; only finished ones stop receiving.
-    if (dep.finished) continue;
+    // the inbox.
     if (!packet_matches(dep, delivery.packet)) continue;
     if (dep.waiting_recv && dep.recv_protocol == delivery.packet.protocol) {
       dep.waiting_recv = false;
@@ -610,10 +605,7 @@ void ExecutorService::on_packet(const simnet::Delivery& delivery) {
 }
 
 void ExecutorService::finish(Deployment& dep, const vm::RunOutcome& outcome) {
-  if (dep.finished) return;
-  dep.finished = true;
   (outcome.trapped ? obs_.failed : obs_.completed)->add();
-  obs_.active->set(static_cast<double>(active_deployments()));
   if (obs::tracer().enabled()) {
     obs::Span span;
     span.name = "deployment#" + std::to_string(dep.id);
@@ -638,7 +630,7 @@ void ExecutorService::finish(Deployment& dep, const vm::RunOutcome& outcome) {
   record.packets_received = dep.packets_received;
   record.fuel_used = outcome.fuel_used;
   if (dep.output_explicit) {
-    record.output = dep.output;
+    record.output = std::move(dep.output);
   } else if (dep.instance) {
     if (auto buf = dep.instance->read_buffer(vm::kOutputBuffer); buf)
       record.output = std::move(*buf);
@@ -655,13 +647,19 @@ void ExecutorService::finish(Deployment& dep, const vm::RunOutcome& outcome) {
         rng_.next_u64());
   }
 
+  // Erase before the callback, so a callback that deploys again finds the
+  // capacity and port this deployment held. `dep` and `outcome` (which may
+  // live inside it) are gone from here on.
+  const CompletionCallback on_complete = std::move(dep.on_complete);
+  const DeploymentId id = dep.id;
+  deployments_.erase(id);
+  obs_.active->set(static_cast<double>(deployments_.size()));
   const CertifiedResult certified = certify(record, as_key_);
-  if (dep.on_complete) dep.on_complete(certified);
+  if (on_complete) on_complete(certified);
 }
 
 void ExecutorService::fail_deployment(Deployment& dep,
                                       const std::string& reason) {
-  if (dep.finished) return;
   vm::RunOutcome outcome;
   outcome.trapped = true;
   outcome.trap = vm::TrapKind::kHostError;

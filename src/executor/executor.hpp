@@ -72,14 +72,19 @@ struct ExecutorConfig {
 /// Identifies one accepted deployment at an executor.
 using DeploymentId = std::uint64_t;
 
+/// Ports an executor assigns on its own cycle through [kFirstAutoPort,
+/// 65535], skipping those live deployments hold, so they never reach the
+/// rendezvous ports initiators request below this range.
+inline constexpr std::uint16_t kFirstAutoPort = 50000;
+
 /// What the initiator submits (paper: bytecode string + manifest).
 struct DebugletApp {
   std::uint64_t application_id = 0;  // marketplace object ID
   Bytes module_bytes;                // serialized DVM module
   Manifest manifest;
   std::vector<std::int64_t> parameters;  // dbg_param(i) values
-  /// Requested listen port (0 = executor assigns one). Rejected if another
-  /// active deployment already holds it.
+  /// Requested listen port (0 = executor assigns one from kFirstAutoPort
+  /// up). Rejected if another active deployment already holds it.
   std::uint16_t listen_port = 0;
   /// When non-empty: a 32-byte public key; the executor seals the result
   /// output for it before certification (paper §IV-C private results).
@@ -123,7 +128,7 @@ class ExecutorService : public simnet::Host {
   const ExecutorConfig& config() const { return config_; }
 
   /// Number of deployments not yet finished.
-  std::size_t active_deployments() const;
+  std::size_t active_deployments() const { return deployments_.size(); }
 
   /// Chaos: takes the executor out of service — detaches from the network
   /// and abandons every unfinished deployment (no result is ever certified
@@ -136,16 +141,14 @@ class ExecutorService : public simnet::Host {
   /// accepts deployments again. Abandoned deployments stay abandoned.
   Status revive();
 
-  bool halted() const { return halted_; }
-
-  /// Abandons all unfinished deployments without invoking their completion
-  /// callbacks; returns how many were abandoned.
-  std::size_t abandon_all();
-
  private:
+  /// A deployment exists from admit() until it finishes or is abandoned;
+  /// then it is erased, sandbox and all. Queued events carry its id and
+  /// stop when the lookup finds nothing.
   struct Deployment {
     DeploymentId id = 0;
     DebugletApp app;
+    vm::Module module;  // parsed and validated by admit()
     std::uint16_t port = 0;
     SimTime scheduled_start = 0;
     SimTime actual_start = 0;
@@ -170,13 +173,14 @@ class ExecutorService : public simnet::Host {
     // Frozen registry snapshot (set by dbg_metrics_prepare; empty before).
     Bytes metrics_wire;
     std::uint32_t metrics_chunk_payload = 0;
-    bool finished = false;
   };
 
   std::vector<vm::HostFunction> bind_host_api(Deployment& dep);
   Result<DeploymentId> admit(DebugletApp app);
+  bool port_in_use(std::uint16_t port) const;
+  std::uint16_t next_free_port();
   void begin_execution(DeploymentId id);
-  void pump(Deployment& dep);
+  void pump(DeploymentId id);
   void handle_block(Deployment& dep);
   void finish(Deployment& dep, const vm::RunOutcome& outcome);
   void fail_deployment(Deployment& dep, const std::string& reason);
@@ -192,7 +196,7 @@ class ExecutorService : public simnet::Host {
   Rng rng_;
   std::map<DeploymentId, Deployment> deployments_;
   DeploymentId next_id_ = 1;
-  std::uint16_t next_port_ = 50000;
+  std::uint16_t next_port_ = kFirstAutoPort;
   bool halted_ = false;
   // Observability handles cached at construction (no-ops while disabled).
   struct ObsHandles {

@@ -24,7 +24,8 @@ std::string apps_key(topology::InterfaceKey client_key,
 }
 // Published results are indexed under named state, NOT inside the
 // application object: ReclaimApplication deletes the application (for its
-// storage rebate) but results must stay collectable forever.
+// storage rebate) but results must stay collectable forever. The index
+// names the result object, the one copy of the result bytes.
 std::string result_key(chain::ObjectId application) {
   return "result/" + std::to_string(application);
 }
@@ -390,21 +391,19 @@ Result<Bytes> MarketplaceContract::result_ready(chain::CallContext& ctx,
   if (auto s = ctx.pay_from_escrow(ctx.sender(), app->embedded_tokens); !s)
     return s.error();
 
-  auto result_object = ctx.create_object(parsed->result);
+  auto result_object = ctx.create_object(std::move(parsed->result));
   if (!result_object) return result_object.error();
   app->reported = true;
   app->reported_at = ctx.timestamp();
   app->result_object = *result_object;
-  app->result = parsed->result;
   if (auto s = ctx.write_object(parsed->application, app->serialize()); !s)
     return s.error();
-  // Index the published result under named state so it outlives the
+  // Index the result object under named state so it outlives the
   // application object (freed by ReclaimApplication for its rebate).
   ResultEntry published;
   published.found = true;
   published.result_object = app->result_object;
   published.reported_at = app->reported_at;
-  published.result = app->result;
   if (auto s = ctx.write_named(result_key(parsed->application),
                                published.serialize());
       !s)
@@ -451,9 +450,14 @@ Result<Bytes> MarketplaceContract::lookup_result(chain::CallContext& ctx,
                                                  BytesView args) {
   auto parsed = LookupResultArgs::parse(args);
   if (!parsed) return parsed.error();
-  auto entry = ctx.read_named(result_key(parsed->application));
-  if (!entry) return ResultEntry{}.serialize();
-  return *entry;
+  auto index = ctx.read_named(result_key(parsed->application));
+  if (!index) return ResultEntry{}.serialize();
+  auto entry = ResultEntry::parse(BytesView(index->data(), index->size()));
+  if (!entry) return entry.error();
+  auto result = ctx.read_object(entry->result_object);
+  if (!result) return result.error();
+  entry->result = std::move(*result);
+  return entry->serialize();
 }
 
 std::size_t MarketplaceContract::registered_executors() const {

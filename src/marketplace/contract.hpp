@@ -13,10 +13,15 @@
 //                        O(log runs), splits that run and re-encodes the
 //                        calendar, O(runs).
 //   ApplicationsMap    : named entry  "apps/⟨ck⟩|⟨sk⟩"  -> application ids
+//   ResultsMap         : named entry  "result/⟨app⟩"    -> {result object
+//                        id, reported_at}; the certified result bytes live
+//                        once, in the result object ResultReady creates
+//                        and charges for. The index outlives the
+//                        application (ReclaimApplication frees only that).
 //   application state  : the ApplicationObject itself (executor address,
-//                        embedded tokens, reported flag, result) — so
-//                        ResultReady / Reclaim / LookupResult touch one
-//                        owned object and parallelize across applications.
+//                        embedded tokens, reported flag, result object
+//                        id) — so ResultReady and Reclaim touch one owned
+//                        object and parallelize across applications.
 //
 // Entry points: RegisterExecutor, RegisterTimeSlot, LookupSlot,
 // PurchaseSlot, ResultReady, ReclaimApplication, LookupResult.

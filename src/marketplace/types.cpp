@@ -282,7 +282,9 @@ Bytes ApplicationObject::serialize() const {
   w.u8(reported ? 1 : 0);
   w.i64(reported_at);
   w.u64(result_object);
-  w.blob(BytesView(result.data(), result.size()));
+  // Reserved, always empty: its byte is part of the created object's size,
+  // which sets the PurchaseSlot storage gas that Table II prices.
+  w.blob({});
   return w.take();
 }
 
@@ -314,8 +316,8 @@ Result<ApplicationObject> ApplicationObject::parse(BytesView data) {
   out.reported_at = *at;
   DBG_TRY(ro, r.u64());
   out.result_object = *ro;
-  DBG_TRY(res, r.blob());
-  out.result = std::move(*res);
+  DBG_TRY(reserved, r.blob());
+  if (!reserved->empty()) return fail("ApplicationObject: reserved blob set");
   if (!r.exhausted()) return fail("ApplicationObject: trailing bytes");
   return out;
 }

@@ -128,10 +128,11 @@ struct PurchaseReceipt {
 };
 
 /// The stored application object (what the chain charges storage for).
-/// It carries the assigned executor's account address and the result
-/// state, so ResultReady / ReclaimApplication / LookupResult touch only
-/// this one object — which is what lets transactions against different
-/// applications run in parallel (docs/CHAIN.md).
+/// It carries the assigned executor's account address and whether (and
+/// where) its result was reported, so ResultReady and ReclaimApplication
+/// touch only this one object — which is what lets transactions against
+/// different applications run in parallel (docs/CHAIN.md). The result
+/// itself lives in its own object (ResultEntry).
 struct ApplicationObject {
   topology::InterfaceKey executor_key;  // where it must run
   std::uint8_t role = 0;                // 0 = client, 1 = server
@@ -142,8 +143,7 @@ struct ApplicationObject {
   chain::Address executor_address;      // the account paid on ResultReady
   bool reported = false;                // result state, set by ResultReady
   SimTime reported_at = 0;
-  chain::ObjectId result_object = 0;
-  Bytes result;                         // serialized executor::CertifiedResult
+  chain::ObjectId result_object = 0;    // holds the certified result
   Bytes serialize() const;
   static Result<ApplicationObject> parse(BytesView data);
 };
@@ -173,11 +173,14 @@ struct LookupResultArgs {
   static Result<LookupResultArgs> parse(BytesView data);
 };
 
+/// LookupResult return: the result object, when it was reported, and the
+/// certified result read from that object. The named index "result/<app>"
+/// stores the same struct with `result` empty, so the bytes live once.
 struct ResultEntry {
   bool found = false;
   chain::ObjectId result_object = 0;
   SimTime reported_at = 0;
-  Bytes result;
+  Bytes result;  // serialized executor::CertifiedResult
   Bytes serialize() const;
   static Result<ResultEntry> parse(BytesView data);
 };

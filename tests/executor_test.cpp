@@ -427,5 +427,114 @@ TEST(Executor, ActiveDeploymentsTracked) {
   EXPECT_EQ(w.server_exec->active_deployments(), 0u);
 }
 
+// A Debuglet that returns at once: it needs no capability.
+DebugletApp make_idle_app(std::uint16_t port) {
+  static const Bytes module = [] {
+    auto m = vm::assemble(R"(
+      func run_debuglet
+        const 0
+        return
+      end
+    )");
+    EXPECT_TRUE(m.ok()) << m.error_message();
+    return m.ok() ? m->serialize() : Bytes{};
+  }();
+  DebugletApp app;
+  app.module_bytes = module;
+  app.listen_port = port;
+  return app;
+}
+
+TEST(Executor, CompletionCallbackRedeploysIntoTheFreedCapacityAndPort) {
+  World w = make_world();
+  ExecutorConfig one;
+  one.max_concurrent_deployments = 1;
+  ExecutorService exec(*w.scenario.network, simnet::chain_ingress(1),
+                       w.server_as_key, one, 30);
+  std::optional<Result<DeploymentId>> again;
+  auto redeploy = [&](const CertifiedResult&) {
+    again = exec.deploy(make_idle_app(45400));
+  };
+  ASSERT_TRUE(exec.deploy_and_schedule(make_idle_app(45400), 0, redeploy).ok());
+  w.scenario.queue->run();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(again->ok()) << again->error_message();
+  EXPECT_EQ(exec.active_deployments(), 1u);
+}
+
+TEST(Executor, HaltAbandonsDeploymentsWithEventsInFlight) {
+  World w = make_world();
+  constexpr std::uint16_t kPort = 45500;
+  std::optional<CertifiedResult> client_result;
+  bool server_completed = false;
+  ASSERT_TRUE(w.server_exec
+                  ->deploy_and_schedule(
+                      make_server_app(w, kPort), duration::seconds(1),
+                      [&](const CertifiedResult&) { server_completed = true; })
+                  .ok());
+  ASSERT_TRUE(w.client_exec
+                  ->deploy_and_schedule(
+                      make_client_app(w, 20, kPort), duration::seconds(1),
+                      [&](const CertifiedResult& r) { client_result = r; })
+                  .ok());
+  // Mid-run: the server waits in dbg_recv with a timeout queued, probes
+  // and replies are on the wire.
+  w.scenario.queue->run_until(duration::seconds(1) +
+                              duration::milliseconds(550));
+  ASSERT_EQ(w.server_exec->active_deployments(), 1u);
+  w.server_exec->halt();
+  w.server_exec->halt();  // idempotent
+  EXPECT_EQ(w.server_exec->active_deployments(), 0u);
+  w.scenario.queue->run();
+
+  EXPECT_FALSE(server_completed) << "an abandoned deployment never reports";
+  ASSERT_TRUE(client_result.has_value());
+  EXPECT_FALSE(client_result->record.trapped)
+      << client_result->record.trap_message;
+  EXPECT_GT(client_result->record.exit_value, 0);
+  EXPECT_LT(client_result->record.exit_value, 20);
+  EXPECT_EQ(w.client_exec->active_deployments(), 0u);
+}
+
+// Records every packet delivered to its address.
+struct Collector : simnet::Host {
+  void on_packet(const simnet::Delivery& delivery) override {
+    packets.push_back(delivery.packet);
+  }
+  std::vector<net::Packet> packets;
+};
+
+TEST(Executor, AutoPortsCycleAboveTheRendezvousRange) {
+  World w = make_world();
+  ExecutorConfig unlimited;
+  unlimited.max_concurrent_deployments = 0;
+  ExecutorService exec(*w.scenario.network, simnet::chain_ingress(1),
+                       w.client_as_key, unlimited, 30);
+  // Hand out each of the 15,536 ports in [50000, 65535] once, then free
+  // them all.
+  for (std::uint32_t port = 50000; port <= 65535; ++port)
+    ASSERT_TRUE(exec.deploy(make_idle_app(0)).ok()) << port;
+  exec.halt();
+  ASSERT_TRUE(exec.revive().ok());
+  // A live deployment holds the port the cycle comes back to.
+  ASSERT_TRUE(exec.deploy(make_idle_app(50000)).ok());
+
+  // The next client probes from the next free port of the range, not from
+  // a port that wrapped past 65535 toward the initiators' rendezvous
+  // ports. A collector in place of the server executor records its probe.
+  w.server_exec->halt();
+  Collector sink;
+  ASSERT_TRUE(
+      w.scenario.network->attach_host(w.server_exec->address(), &sink).ok());
+  const CompletionCallback ignore = [](const CertifiedResult&) {};
+  DebugletApp client = make_client_app(w, 1, 9);
+  ASSERT_TRUE(exec.deploy_and_schedule(std::move(client), 0, ignore).ok());
+  w.scenario.queue->run();
+  ASSERT_EQ(sink.packets.size(), 1u);
+  ASSERT_TRUE(sink.packets[0].udp.has_value());
+  EXPECT_EQ(sink.packets[0].udp->source_port, 50001);
+  w.scenario.network->detach_host(w.server_exec->address());
+}
+
 }  // namespace
 }  // namespace debuglet::executor

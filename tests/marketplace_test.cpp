@@ -188,6 +188,37 @@ struct PurchasedFixture : MarketFixture {
     args.server_app.seal_output_for = seal_key;
     return must_submit(initiator, "PurchaseSlot", args.serialize(), tokens);
   }
+
+  /// Buys the window and has as1 report `result` for its client
+  /// application; returns that application's id.
+  chain::ObjectId purchase_and_report(const Bytes& result) {
+    auto r = purchase(120);
+    EXPECT_TRUE(r.success) << r.error;
+    auto receipt = PurchaseReceipt::parse(
+        BytesView(r.return_value.data(), r.return_value.size()));
+    if (!receipt.ok()) return 0;
+    ResultReadyArgs args;
+    args.application = receipt->client_application;
+    args.result = result;
+    auto rr = must_submit(as1, "ResultReady", args.serialize());
+    EXPECT_TRUE(rr.success) << rr.error;
+    return receipt->client_application;
+  }
+
+  ResultEntry lookup_result(chain::ObjectId application) {
+    auto view = chain.view(kContractName, "LookupResult",
+                           LookupResultArgs{application}.serialize());
+    if (!view.ok()) {
+      ADD_FAILURE() << view.error_message();
+      return {};
+    }
+    auto entry = ResultEntry::parse(BytesView(view->data(), view->size()));
+    if (!entry.ok()) {
+      ADD_FAILURE() << entry.error_message();
+      return {};
+    }
+    return *entry;
+  }
 };
 
 TEST_F(PurchasedFixture, SealKeysOutsideTheGroupAreRejected) {
@@ -367,6 +398,54 @@ TEST_F(PurchasedFixture, ResultReadyRejectsDoubleReport) {
   EXPECT_NE(again.error.find("already reported"), std::string::npos);
 }
 
+// The certified result lives once, in the result object: ResultReady
+// copies it neither into the application object nor into the index.
+TEST_F(PurchasedFixture, ResultReadyLeavesTheApplicationAtItsPurchaseSize) {
+  auto r = purchase(120);
+  ASSERT_TRUE(r.success) << r.error;
+  auto receipt = PurchaseReceipt::parse(
+      BytesView(r.return_value.data(), r.return_value.size()));
+  ASSERT_TRUE(receipt.ok());
+  const chain::ObjectId app = receipt->client_application;
+  const std::size_t purchased = chain.read_object(app)->size();
+  ResultReadyArgs args;
+  args.application = app;
+  args.result = Bytes(4096, 0xAB);
+  ASSERT_TRUE(must_submit(as1, "ResultReady", args.serialize()).success);
+  auto reported = chain.read_object(app);
+  ASSERT_TRUE(reported.ok());
+  EXPECT_EQ(reported->size(), purchased);
+  const auto parsed =
+      ApplicationObject::parse(BytesView(reported->data(), reported->size()));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(parsed->reported);
+}
+
+TEST_F(PurchasedFixture, ResultIndexHoldsOnlyTheResultObjectId) {
+  const chain::ObjectId app = purchase_and_report(Bytes(4096, 0xAB));
+  const chain::NamedEntry* index = chain.named_entry(chain::named_access_key(
+      kContractName, "result/" + std::to_string(app)));
+  ASSERT_NE(index, nullptr);
+  EXPECT_LE(index->data.size(), 32u);
+  const ResultEntry entry = lookup_result(app);
+  ASSERT_TRUE(entry.found);
+  EXPECT_EQ(entry.result, Bytes(4096, 0xAB));
+}
+
+TEST_F(PurchasedFixture, LookupResultOutlivesReclaim) {
+  const chain::ObjectId app =
+      purchase_and_report(bytes_of("certified-result-bytes"));
+  auto reclaim = must_submit(initiator, "ReclaimApplication",
+                             ReclaimApplicationArgs{app}.serialize());
+  ASSERT_TRUE(reclaim.success) << reclaim.error;
+  EXPECT_FALSE(chain.object_exists(app));
+  const ResultEntry entry = lookup_result(app);
+  ASSERT_TRUE(entry.found);
+  EXPECT_EQ(string_of(BytesView(entry.result.data(), entry.result.size())),
+            "certified-result-bytes");
+  EXPECT_TRUE(chain.object_exists(entry.result_object));
+}
+
 TEST_F(PurchasedFixture, LookupResultUnknownApplication) {
   LookupResultArgs lookup;
   lookup.application = 9999;
@@ -427,6 +506,13 @@ TEST(MarketplaceTypes, AllCodecsRoundTrip) {
   ASSERT_TRUE(obj_back.ok());
   EXPECT_EQ(obj_back->executor_key, obj.executor_key);
   EXPECT_EQ(obj_back->embedded_tokens, 5u);
+
+  // The reserved trailing blob must stay empty.
+  BytesWriter filled;
+  filled.raw(BytesView(ob.data(), ob.size() - 1));
+  filled.blob(bytes_of("x"));
+  const Bytes fb = filled.take();
+  EXPECT_FALSE(ApplicationObject::parse(BytesView(fb.data(), fb.size())).ok());
 
   // Truncation fails cleanly for every codec.
   EXPECT_FALSE(ApplicationObject::parse(BytesView(ob.data(), 3)).ok());

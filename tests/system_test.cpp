@@ -331,6 +331,31 @@ TEST(SystemSlots, ExhaustedCalendarFailsCleanly) {
             std::string::npos);
 }
 
+TEST(SystemSlots, CalendarRollsForwardPastTheHorizon) {
+  core::SystemConfig config;
+  config.slot_horizon = duration::minutes(10);  // 30 slots of 20 s
+  core::DebugletSystem system(simnet::build_chain_scenario(3, 43, 5.0),
+                              config);
+  core::Initiator initiator(system, 44, 500'000'000'000ULL);
+  // 40 measurements take more than the 30 slots bootstrap registered.
+  for (int i = 0; i < 40; ++i) {
+    auto handle = initiator.purchase_rtt_measurement({1, 2}, {3, 1},
+                                                     Protocol::kUdp, 3, 100);
+    ASSERT_TRUE(handle.ok()) << i << ": " << handle.error_message();
+    auto outcome = initiator.await_result(*handle);
+    ASSERT_TRUE(outcome.ok()) << i << ": " << outcome.error_message();
+  }
+  const SimTime now = system.queue().now();
+  ASSERT_GT(now, config.slot_horizon);
+  const topology::InterfaceKey pair[] = {{1, 2}, {3, 1}};
+  for (topology::InterfaceKey key : pair) {
+    const auto slots = system.marketplace().available_slots(key);
+    ASSERT_FALSE(slots.empty()) << key.to_string();
+    EXPECT_GT(slots.back().end, now + config.slot_horizon / 2)
+        << key.to_string();
+  }
+}
+
 // --- Asymmetric routing (paper §III: "Internet paths may not be
 // symmetric") --------------------------------------------------------------
 
