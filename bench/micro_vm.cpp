@@ -2,13 +2,9 @@
 // calls, module parse+validate+instantiate (the paper's "environment
 // setup"), and the assembler.
 //
-// The custom main() first runs a dispatch comparison — reference
-// (decode-in-the-loop switch) vs the decode-once engine with and without
-// superinstruction fusion, plus the one-time translation cost — and
-// writes BENCH_vm_dispatch.json via bench::Report before handing over to
-// google-benchmark. Build with -DDEBUGLET_VM_FORCE_SWITCH_DISPATCH=ON to
-// measure the portable switch dispatch instead of threaded goto; the
-// report labels every figure with the active mode.
+// The custom main() first times the interpreter's dispatch over an
+// arithmetic loop and writes BENCH_vm_dispatch.json via bench::Report
+// before handing over to google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,7 +14,6 @@
 #include "apps/debuglets.hpp"
 #include "vm/assembler.hpp"
 #include "vm/builder.hpp"
-#include "vm/dispatch.hpp"
 #include "vm/interpreter.hpp"
 #include "vm/validator.hpp"
 
@@ -60,43 +55,6 @@ void BM_InterpreterArithmetic(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * iterations * 11);
 }
 BENCHMARK(BM_InterpreterArithmetic)->Arg(1000)->Arg(100000);
-
-// One benchmark per engine configuration over the same arithmetic loop,
-// so `--benchmark_filter=BM_Dispatch` shows the three dispatch costs
-// side by side.
-void dispatch_bench(benchmark::State& state, Engine engine, bool fuse) {
-  ExecutionLimits limits;
-  limits.fuel = 1ULL << 40;
-  limits.fuse_superinstructions = fuse;
-  auto instance = Instance::create(arithmetic_loop(100000), {}, limits);
-  for (auto _ : state) {
-    const RunOutcome out =
-        instance->run_function(kEntryPointName, {}, engine);
-    benchmark::DoNotOptimize(out.value);
-  }
-  state.SetItemsProcessed(state.iterations() * 100000 * 11);
-}
-void BM_DispatchReference(benchmark::State& state) {
-  dispatch_bench(state, Engine::kReference, true);
-}
-void BM_DispatchDecodedNoFuse(benchmark::State& state) {
-  dispatch_bench(state, Engine::kFast, false);
-}
-void BM_DispatchDecodedFused(benchmark::State& state) {
-  dispatch_bench(state, Engine::kFast, true);
-}
-BENCHMARK(BM_DispatchReference);
-BENCHMARK(BM_DispatchDecodedNoFuse);
-BENCHMARK(BM_DispatchDecodedFused);
-
-void BM_Translate(benchmark::State& state) {
-  const Module m = apps::make_probe_client_debuglet();
-  for (auto _ : state) {
-    auto tm = translate(m);
-    benchmark::DoNotOptimize(tm.ok());
-  }
-}
-BENCHMARK(BM_Translate);
 
 void BM_MemoryStoreLoad(benchmark::State& state) {
   ModuleBuilder b;
@@ -188,90 +146,40 @@ BENCHMARK(BM_Validate);
 
 // --- Dispatch report (BENCH_vm_dispatch.json) -------------------------------
 
-// Best-of-N wall time for one full run of the arithmetic loop under the
-// given engine configuration, in nanoseconds.
-double time_loop_ns(Instance& instance, Engine engine, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const RunOutcome out = instance.run_function(kEntryPointName, {}, engine);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (out.trapped) return -1.0;
-    const double ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count();
-    if (ns < best) best = ns;
-  }
-  return best;
-}
-
 int dispatch_report() {
-  bench::banner("DVM dispatch: decode-once vs reference interpreter",
+  bench::banner("DVM dispatch: the interpreter on an arithmetic loop",
                 "Debuglet sandbox overhead (Sec. 5, Fig. 8 context)");
   bench::Report report("vm_dispatch");
-  const obs::Labels mode{{"dispatch", dispatch_mode()}};
 
   constexpr std::int64_t kIterations = 200000;
   // ~12 source instructions per loop iteration (11 in-loop + back jump).
   const double ops = static_cast<double>(kIterations) * 12.0;
-  ExecutionLimits fused_limits;
-  fused_limits.fuel = 1ULL << 40;
-  ExecutionLimits nofuse_limits = fused_limits;
-  nofuse_limits.fuse_superinstructions = false;
-
-  auto fused = Instance::create(arithmetic_loop(kIterations), {}, fused_limits);
-  auto plain =
-      Instance::create(arithmetic_loop(kIterations), {}, nofuse_limits);
-  if (!fused.ok() || !plain.ok()) {
+  ExecutionLimits limits;
+  limits.fuel = 1ULL << 40;
+  auto instance = Instance::create(arithmetic_loop(kIterations), {}, limits);
+  if (!instance.ok()) {
     std::printf("instance creation failed\n");
     return 1;
   }
 
+  // Best-of-N wall time for one full run of the loop.
   const int kReps = 7;
-  const double ref_ns = time_loop_ns(*fused, Engine::kReference, kReps);
-  const double nofuse_ns = time_loop_ns(*plain, Engine::kFast, kReps);
-  const double fused_ns = time_loop_ns(*fused, Engine::kFast, kReps);
-  report.check(ref_ns > 0 && nofuse_ns > 0 && fused_ns > 0,
-               "all engines complete the arithmetic loop");
-  if (ref_ns <= 0 || nofuse_ns <= 0 || fused_ns <= 0) return report.summary();
-
-  auto labeled = [&](const char* engine) {
-    obs::Labels l = mode;
-    l.emplace_back("engine", engine);
-    return l;
-  };
-  report.metric("dispatch_ns_per_op", ref_ns / ops, labeled("reference"));
-  report.metric("dispatch_ns_per_op", nofuse_ns / ops, labeled("decoded"));
-  report.metric("dispatch_ns_per_op", fused_ns / ops, labeled("fused"));
-
-  // One-time translation cost for a realistic Debuglet.
-  const Module probe = apps::make_probe_client_debuglet();
-  double translate_best = 1e300;
-  for (int r = 0; r < kReps; ++r) {
+  double best_ns = 1e300;
+  bool completed = true;
+  for (int r = 0; r < kReps && completed; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto tm = translate(probe);
+    const RunOutcome out = instance->run();
     const auto t1 = std::chrono::steady_clock::now();
-    if (!tm.ok()) return 1;
-    translate_best = std::min(
-        translate_best,
-        std::chrono::duration<double, std::nano>(t1 - t0).count());
+    completed = !out.trapped;
+    best_ns = std::min(
+        best_ns, std::chrono::duration<double, std::nano>(t1 - t0).count());
   }
-  report.metric("translate_ns", translate_best, mode);
+  report.check(completed, "the interpreter completes the arithmetic loop");
+  if (!completed) return report.summary();
 
-  const double speedup_decoded = ref_ns / nofuse_ns;
-  const double speedup_fused = ref_ns / fused_ns;
-  report.metric("speedup_vs_reference", speedup_decoded, labeled("decoded"));
-  report.metric("speedup_vs_reference", speedup_fused, labeled("fused"));
-  std::printf(
-      "  dispatch=%s  reference %.2f ns/op | decoded %.2f ns/op (%.2fx) | "
-      "fused %.2f ns/op (%.2fx) | translate %.1f us\n",
-      dispatch_mode(), ref_ns / ops, nofuse_ns / ops, speedup_decoded,
-      fused_ns / ops, speedup_fused, translate_best / 1000.0);
-
-  report.check(speedup_fused >= 2.0,
-               "fused decode-once dispatch is >= 2x the reference "
-               "interpreter on the arithmetic loop");
-  report.check(speedup_decoded > 1.0,
-               "decode-once dispatch beats the reference even unfused");
+  report.metric("dispatch_ns_per_op", best_ns / ops);
+  std::printf("  interpreter %.2f ns/op (%.1f M ops/s)\n", best_ns / ops,
+              1e3 * ops / best_ns);
   return report.summary();
 }
 

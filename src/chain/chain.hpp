@@ -6,9 +6,11 @@
 // evaluation relies on: signed transactions with account nonces, instant
 // (sub-second) finality, an object store whose creation cost and deletion
 // rebate follow Table II's gas schedule, hash-linked blocks over Merkle
-// roots of transactions (so published results are tamper-evident), and an
-// event log with subscriptions (executors subscribe to deployment events,
-// initiators to result events — paper §IV-C).
+// roots of transactions (so published results are tamper-evident), and
+// events dispatched to subscribers at commit (executors subscribe to
+// deployment events, initiators to result events — paper §IV-C). The
+// chain stores no events: only subscribers registered when an event
+// commits see it.
 //
 // Contracts are native C++ objects registered by name; their entry points
 // receive a CallContext granting access to objects, named contract state,
@@ -184,8 +186,8 @@ class CallContext {
   Result<Bytes> read_named_of(const std::string& contract,
                               const std::string& key) const;
 
-  /// Emits an event visible to subscribers and the permanent log
-  /// (dispatched at commit time, in canonical order).
+  /// Emits an event to subscribers (dispatched at commit time, in
+  /// canonical order, with its sequence number and timestamp).
   void emit_event(std::string name, std::string key, Bytes payload);
 
   /// Pays tokens out of the contract's escrow balance. Escrow moves are
@@ -320,7 +322,6 @@ class Blockchain {
   static bool verify_transaction_inclusion(const Block& block,
                                            const crypto::Digest& tx_digest,
                                            const crypto::MerkleProof& proof);
-  const std::vector<Event>& events() const { return event_log_; }
   Result<Bytes> read_object(ObjectId id) const;
   bool object_exists(ObjectId id) const { return objects_.contains(id); }
   const std::map<ObjectId, StoredObject>& objects() const { return objects_; }
@@ -352,7 +353,6 @@ class Blockchain {
   std::map<ObjectId, StoredObject> objects_;
   std::map<std::string, NamedEntry> named_;
   std::vector<Block> blocks_;
-  std::vector<Event> event_log_;
   std::uint64_t next_event_seq_ = 0;
   struct Subscription {
     std::string contract;

@@ -312,7 +312,6 @@ std::vector<Result<Receipt>> BatchState::commit() {
       for (Event& ev : out.effects.events) {
         ev.sequence = chain->next_event_seq_++;
         ev.timestamp = timestamp;
-        chain->event_log_.push_back(ev);
         std::uint64_t fanout = 0;
         for (const auto& [_, sub] : chain->subscriptions_) {
           if (sub.contract != ev.contract || sub.name != ev.name) continue;

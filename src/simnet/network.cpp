@@ -185,8 +185,8 @@ SimulatedNetwork::DomainState& SimulatedNetwork::current_domain_state() {
 Status SimulatedNetwork::install_hop_program(vm::Module module,
                                              telemetry::HopProgramLimits
                                                  limits) {
-  // Validate and translate once; domains clone their runtimes lazily from
-  // the stored module.
+  // Validate and instantiate once; domains clone their runtimes lazily
+  // from the stored module.
   auto runtime = telemetry::HopProgramRuntime::create(module, limits);
   if (!runtime) return runtime.error();
   hop_module_ = std::move(module);

@@ -205,7 +205,7 @@ class SimulatedNetwork {
   /// Installs (replaces) the every-router hop program: a validated DVM
   /// mini-module run once per traversed device for INT packets that set
   /// the hop-program flag (paper §VI-G's every-router placement,
-  /// TPP-style). Validation and translation happen here, once; each
+  /// TPP-style). Validation and instantiation happen here, once; each
   /// domain lazily clones its own runtime (the DVM instance is stateful
   /// during a run).
   Status install_hop_program(vm::Module module,

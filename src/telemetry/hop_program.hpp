@@ -16,10 +16,10 @@
 //
 // Execution is strictly fuel-capped per hop: every run is a fresh
 // Execution with HopProgramLimits::fuel_per_hop fuel, reusing the
-// validator and the decode-once fast engine the executor path already
-// trusts. A trap (out of fuel, memory fault, abort) latches the
-// fell-back flag on the packet and plain INT continues — telemetry never
-// takes the packet down with it.
+// validator and the interpreter the executor path already trusts. A
+// trap (out of fuel, memory fault, abort) latches the fell-back flag on
+// the packet and plain INT continues — telemetry never takes the packet
+// down with it.
 #pragma once
 
 #include <memory>
@@ -48,8 +48,8 @@ struct HopRunResult {
 };
 
 /// A validated, instantiated hop program shared by every device of one
-/// simulated network. Translation (decode-once dispatch) happens at
-/// install; each hop pays only a fresh fuel-capped Execution.
+/// simulated network. Validation and instantiation happen at install;
+/// each hop pays only a fresh fuel-capped Execution.
 class HopProgramRuntime {
  public:
   /// Validates and instantiates `module`. Rejects modules with host

@@ -1,22 +1,10 @@
-// Instance plumbing, Execution lifecycle, and the fast engine.
+// Instance plumbing, the Execution lifecycle, and the interpreter loop.
 //
-// Execution::step_fast runs the decode-once pipeline produced by
-// vm::translate (dispatch.hpp): dense DecodedInst array, jump targets as
-// decoded indices, superinstructions, and per-basic-block fuel batching.
-// Dispatch is computed-goto threaded code when the toolchain supports it
-// (DEBUGLET_VM_COMPUTED_GOTO, probed by CMake) and a portable switch
-// otherwise; both share the handler bodies via the VM_OP/VM_DISPATCH
-// macros below.
-//
-// Observable-equivalence contract with the reference engine
-// (reference.cpp): every trap replicates the reference's kind, message,
-// function and source pc, and fuel batching charges exactly the same
-// totals. A block's fuel is charged up-front at its kChargeFuel leader; a
-// trap at source pc P refunds the not-executed tail
-// (block_end - (P + 1)), and a leader reached with less fuel than the
-// block needs falls back to step_reference, which pays per instruction
-// and is guaranteed to trap inside the block — before any control
-// transfer could observe a mixed decoded/source pc.
+// Execution::step decodes each instruction in the loop and charges one
+// fuel unit before executing it; every trap records the function index
+// and pc of the trapping instruction. Instance::create checks the indices
+// the loop uses unchecked, so nothing here trusts a module it did not
+// check.
 #include <limits>
 
 #include "vm/interpreter.hpp"
@@ -39,13 +27,57 @@ std::string trap_name(TrapKind kind) {
   return "unknown";
 }
 
-const char* dispatch_mode() {
-#if defined(DEBUGLET_VM_COMPUTED_GOTO)
-  return "threaded";
-#else
-  return "switch";
-#endif
+namespace {
+
+// The structural facts the interpreter relies on: every local, global,
+// jump-target, function and host-import index is in range. vm::validate()
+// established them already for any module an executor runs; re-checking
+// here keeps Instance::create safe for callers that skipped validation.
+Status check_function(const Module& m, const Function& f) {
+  const auto code_len = static_cast<std::int64_t>(f.code.size());
+  const auto local_total =
+      static_cast<std::int64_t>(f.param_count) + f.local_count;
+  for (std::size_t pc = 0; pc < f.code.size(); ++pc) {
+    const Instruction& ins = f.code[pc];
+    const std::string at = "instantiate: function '" + f.name + "' pc " +
+                           std::to_string(pc) + " (" + opcode_name(ins.op) +
+                           "): ";
+    switch (ins.op) {
+      case Opcode::kLocalGet:
+      case Opcode::kLocalSet:
+        if (ins.imm < 0 || ins.imm >= local_total)
+          return fail(at + "local index out of range");
+        break;
+      case Opcode::kGlobalGet:
+      case Opcode::kGlobalSet:
+        if (ins.imm < 0 ||
+            ins.imm >= static_cast<std::int64_t>(m.globals.size()))
+          return fail(at + "global index out of range");
+        break;
+      case Opcode::kJump:
+      case Opcode::kJumpIf:
+      case Opcode::kJumpIfZ:
+        if (ins.imm < 0 || ins.imm >= code_len)
+          return fail(at + "jump target out of range");
+        break;
+      case Opcode::kCall:
+        if (ins.imm < 0 ||
+            ins.imm >= static_cast<std::int64_t>(m.functions.size()))
+          return fail(at + "function index out of range");
+        break;
+      case Opcode::kCallHost:
+        if (ins.imm < 0 ||
+            ins.imm >= static_cast<std::int64_t>(m.host_imports.size()))
+          return fail(at + "host import index out of range");
+        break;
+      default:
+        break;
+    }
+  }
+  return ok_status();
 }
+
+}  // namespace
 
 Instance::Instance(Module module, std::vector<HostFunction> bound,
                    ExecutionLimits limits)
@@ -71,13 +103,9 @@ Result<Instance> Instance::create(Module module,
       return fail("unresolved host import '" + import + "'");
     bound.push_back(*it->second);
   }
-  Instance instance(std::move(module), std::move(bound), limits);
-  TranslateOptions topts;
-  topts.fuse = limits.fuse_superinstructions;
-  auto translated = translate(instance.module_, topts);
-  if (!translated) return translated.error();
-  instance.translated_ = std::move(*translated);
-  return instance;
+  for (const Function& f : module.functions)
+    if (auto s = check_function(module, f); !s) return s.error();
+  return Instance(std::move(module), std::move(bound), limits);
 }
 
 RunOutcome Instance::run() {
@@ -85,9 +113,8 @@ RunOutcome Instance::run() {
 }
 
 RunOutcome Instance::run_function(std::string_view name,
-                                  std::span<const std::int64_t> args,
-                                  Engine engine) {
-  auto exec = Execution::start(*this, name, args, engine);
+                                  std::span<const std::int64_t> args) {
+  auto exec = Execution::start(*this, name, args);
   if (!exec) {
     RunOutcome out;
     out.trapped = true;
@@ -145,8 +172,7 @@ Execution::Execution(Instance& instance) : instance_(&instance) {
 
 Result<Execution> Execution::start(Instance& instance,
                                    std::string_view function_name,
-                                   std::span<const std::int64_t> args,
-                                   Engine engine) {
+                                   std::span<const std::int64_t> args) {
   const int index = instance.module().function_index(function_name);
   if (index < 0)
     return ::debuglet::fail("no function '" + std::string(function_name) +
@@ -157,13 +183,12 @@ Result<Execution> Execution::start(Instance& instance,
     return ::debuglet::fail("argument count mismatch calling '" +
                             std::string(function_name) + "'");
   Execution e(instance);
-  e.engine_ = engine;
   e.push_frame(static_cast<std::uint32_t>(index), args);
   return e;
 }
 
-Result<Execution> Execution::start_entry(Instance& instance, Engine engine) {
-  return start(instance, kEntryPointName, {}, engine);
+Result<Execution> Execution::start_entry(Instance& instance) {
+  return start(instance, kEntryPointName, {});
 }
 
 void Execution::push_frame(std::uint32_t function_index,
@@ -220,585 +245,337 @@ void Execution::fail(std::string message) {
 Execution::State Execution::step() {
   if (state_ == State::kDone || state_ == State::kBlocked) return state_;
   state_ = State::kRunning;
-  return engine_ == Engine::kReference ? step_reference() : step_fast();
-}
-
-namespace {
-
-// Binary operators as the fast engine evaluates them inside fused
-// superinstructions. Deliberately a separate implementation from the
-// reference engine's switch so differential tests compare two independent
-// codings of the semantics. The translator only fuses operator/operand
-// combinations that cannot trap (div_s/rem_s appear here only with
-// constant divisors outside {0, -1}).
-//
-// Forced inline so each fused handler gets its own copy of the operator
-// switch: a shared out-of-line switch funnels every fused op through one
-// indirect branch whose target alternates per call site, and the
-// resulting mispredictions cost more than the fusion saves.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline))
-#endif
-inline std::int64_t
-eval_fused_binop(Opcode op, std::int64_t a, std::int64_t b) {
-  const auto ua = static_cast<std::uint64_t>(a);
-  const auto ub = static_cast<std::uint64_t>(b);
-  switch (op) {
-    case Opcode::kAdd: return static_cast<std::int64_t>(ua + ub);
-    case Opcode::kSub: return static_cast<std::int64_t>(ua - ub);
-    case Opcode::kMul: return static_cast<std::int64_t>(ua * ub);
-    case Opcode::kDivS: return a / b;
-    case Opcode::kRemS: return a % b;
-    case Opcode::kAnd: return a & b;
-    case Opcode::kOr: return a | b;
-    case Opcode::kXor: return a ^ b;
-    case Opcode::kShl: return static_cast<std::int64_t>(ua << (ub & 63));
-    case Opcode::kShrS: return a >> (ub & 63);
-    case Opcode::kShrU: return static_cast<std::int64_t>(ua >> (ub & 63));
-    case Opcode::kEq: return a == b ? 1 : 0;
-    case Opcode::kNe: return a != b ? 1 : 0;
-    case Opcode::kLtS: return a < b ? 1 : 0;
-    case Opcode::kGtS: return a > b ? 1 : 0;
-    case Opcode::kLeS: return a <= b ? 1 : 0;
-    case Opcode::kGeS: return a >= b ? 1 : 0;
-    default: return 0;
-  }
-}
-
-}  // namespace
-
-// Handler-body plumbing shared by both dispatch modes. VM_OP introduces a
-// handler (a label under computed goto, a case under switch); VM_DISPATCH
-// transfers to the handler of *ip.
-#if defined(DEBUGLET_VM_COMPUTED_GOTO)
-#define VM_OP(name) L_##name:
-#define VM_DISPATCH() goto* kLabels[static_cast<std::size_t>(ip->op)]
-#else
-#define VM_OP(name) case FusedOp::name:
-#define VM_DISPATCH() goto dispatch_top
-#endif
-
-// Leave step_fast, writing the live stack size back into stack_.
-#define VM_EXIT()                                     \
-  do {                                                \
-    stack_.resize(static_cast<std::size_t>(sp - sb)); \
-    return state_;                                    \
-  } while (0)
-
-// Trap at source position (func, src): refund the fuel batch-charged for
-// the unexecuted tail of the current block, then finish. The formula
-// yields zero for block terminators (src + 1 == block end).
-#define VM_TRAP(kind, msg, func, src)                                \
-  do {                                                               \
-    fuel_ += block_end_src_ - (static_cast<std::uint64_t>(src) + 1); \
-    finish_trap(kind, msg, func, src);                               \
-    VM_EXIT();                                                       \
-  } while (0)
-
-#define VM_UNDERFLOW(opstr, func, src)                                       \
-  VM_TRAP(TrapKind::kStackUnderflow, std::string("stack underflow at ") +    \
-                                         (opstr),                            \
-          func, src)
-
-#define VM_OVERFLOW(opstr, func, src)                               \
-  VM_TRAP(TrapKind::kStackOverflow,                                 \
-          std::string("value stack overflow at ") + (opstr), func, src)
-
-// A two-operand arithmetic/comparison op that cannot trap beyond stack
-// underflow. Pops b then a, pushes `expr`.
-#define VM_BINOP(name, opstr, expr)                       \
-  VM_OP(name) {                                           \
-    if (sp - sb < 2)                                      \
-      VM_UNDERFLOW(opstr, frame->function, ip->src_pc);   \
-    const std::int64_t b = sp[-1];                        \
-    const std::int64_t a = sp[-2];                        \
-    (void)a;                                              \
-    (void)b;                                              \
-    --sp;                                                 \
-    sp[-1] = (expr);                                      \
-    ++ip;                                                 \
-    VM_DISPATCH();                                        \
-  }
-
-Execution::State Execution::step_fast() {
   const ExecutionLimits& limits = instance_->limits_;
   const Module& module = instance_->module_;
-  const TranslatedModule& tm = instance_->translated_;
 
-  if (frames_.empty()) {
-    finish_trap(TrapKind::kAbort, "no active frame", 0, 0);
-    return state_;
-  }
-
-  // The value stack runs through raw pointers: stack_ is resized to the
-  // hard limit up-front (zero-filling the dead tail) so sp can move
-  // without touching the vector, and every exit path shrinks it back to
-  // the live size via VM_EXIT.
-  const std::size_t live = stack_.size();
-  stack_.resize(limits.max_value_stack);
-  std::int64_t* const sb = stack_.data();
-  std::int64_t* const slimit = sb + limits.max_value_stack;
-  std::int64_t* sp = sb + live;
-
-  std::uint8_t* const mem = instance_->memory_.data();
-  const std::uint64_t mem_size = instance_->memory_.size();
-  std::int64_t* const gp = instance_->globals_.data();
-
-  Frame* frame = &frames_.back();
-  const DecodedInst* code = tm.functions[frame->function].code.data();
-  const DecodedInst* ip = code + frame->pc;
-  std::int64_t* lp = locals_.data() + frame->locals_base;
-
-#if defined(DEBUGLET_VM_COMPUTED_GOTO)
-  static const void* const kLabels[] = {
-      &&L_kNop,       &&L_kConst,     &&L_kDrop,      &&L_kDup,
-      &&L_kLocalGet,  &&L_kLocalSet,  &&L_kGlobalGet, &&L_kGlobalSet,
-      &&L_kAdd,       &&L_kSub,       &&L_kMul,       &&L_kDivS,
-      &&L_kRemS,      &&L_kAnd,       &&L_kOr,        &&L_kXor,
-      &&L_kShl,       &&L_kShrS,      &&L_kShrU,      &&L_kEq,
-      &&L_kNe,        &&L_kLtS,       &&L_kGtS,       &&L_kLeS,
-      &&L_kGeS,       &&L_kEqz,       &&L_kLoad8,     &&L_kLoad32,
-      &&L_kLoad64,    &&L_kStore8,    &&L_kStore32,   &&L_kStore64,
-      &&L_kMemSize,   &&L_kJump,      &&L_kJumpIf,    &&L_kJumpIfZ,
-      &&L_kCall,      &&L_kCallHost,  &&L_kReturn,    &&L_kAbort,
-      &&L_kChargeFuel,
-      &&L_kFallOff,
-      &&L_kFusedLocalBranchIf,
-      &&L_kFusedLocalBranchIfZ,
-      &&L_kFusedLocalConstArithSet,
-      &&L_kFusedConstArith,
-      &&L_kFusedLocalArith,
-  };
-  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                static_cast<std::size_t>(FusedOp::kCount));
-  VM_DISPATCH();
-#else
-dispatch_top:
-  switch (ip->op) {
-    case FusedOp::kCount:
-      break;
-#endif
-
-  VM_OP(kChargeFuel) {
-    const std::uint64_t charge = ip->a;
-    if (fuel_ < charge) {
-      // Not enough fuel to prepay the block: fall back to exact
-      // pay-per-instruction reference semantics, which is guaranteed to
-      // trap before this block's terminator executes (so no saved decoded
-      // pc is ever re-read).
-      frame->pc = ip->src_pc;
-      stack_.resize(static_cast<std::size_t>(sp - sb));
-      return step_reference();
-    }
-    fuel_ -= charge;
-    block_end_src_ = static_cast<std::uint64_t>(ip->src_pc) + charge;
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kFallOff) {
-    // Matches the reference engine's bounds check, which precedes its
-    // fuel check — no refund: the whole block executed.
-    finish_trap(TrapKind::kAbort, "fell off function body", frame->function,
-                ip->src_pc);
-    VM_EXIT();
-  }
-
-  VM_OP(kNop) {
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kConst) {
-    if (sp == slimit) VM_OVERFLOW("const", frame->function, ip->src_pc);
-    *sp++ = ip->imm;
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kDrop) {
-    if (sp == sb) VM_UNDERFLOW("drop", frame->function, ip->src_pc);
-    --sp;
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kDup) {
-    if (sp == sb) VM_UNDERFLOW("dup", frame->function, ip->src_pc);
-    if (sp == slimit) VM_OVERFLOW("dup", frame->function, ip->src_pc);
-    *sp = sp[-1];
-    ++sp;
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kLocalGet) {
-    if (sp == slimit) VM_OVERFLOW("local.get", frame->function, ip->src_pc);
-    *sp++ = lp[ip->a];
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kLocalSet) {
-    if (sp == sb) VM_UNDERFLOW("local.set", frame->function, ip->src_pc);
-    lp[ip->a] = *--sp;
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kGlobalGet) {
-    if (sp == slimit) VM_OVERFLOW("global.get", frame->function, ip->src_pc);
-    *sp++ = gp[ip->a];
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kGlobalSet) {
-    if (sp == sb) VM_UNDERFLOW("global.set", frame->function, ip->src_pc);
-    gp[ip->a] = *--sp;
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_BINOP(kAdd, "add",
-           static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
-                                     static_cast<std::uint64_t>(b)))
-  VM_BINOP(kSub, "sub",
-           static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
-                                     static_cast<std::uint64_t>(b)))
-  VM_BINOP(kMul, "mul",
-           static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
-                                     static_cast<std::uint64_t>(b)))
-  VM_BINOP(kAnd, "and", a& b)
-  VM_BINOP(kOr, "or", a | b)
-  VM_BINOP(kXor, "xor", a ^ b)
-  VM_BINOP(kShl, "shl",
-           static_cast<std::int64_t>(static_cast<std::uint64_t>(a)
-                                     << (static_cast<std::uint64_t>(b) & 63)))
-  VM_BINOP(kShrS, "shr_s", a >> (static_cast<std::uint64_t>(b) & 63))
-  VM_BINOP(kShrU, "shr_u",
-           static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >>
-                                     (static_cast<std::uint64_t>(b) & 63)))
-  VM_BINOP(kEq, "eq", a == b ? 1 : 0)
-  VM_BINOP(kNe, "ne", a != b ? 1 : 0)
-  VM_BINOP(kLtS, "lt_s", a < b ? 1 : 0)
-  VM_BINOP(kGtS, "gt_s", a > b ? 1 : 0)
-  VM_BINOP(kLeS, "le_s", a <= b ? 1 : 0)
-  VM_BINOP(kGeS, "ge_s", a >= b ? 1 : 0)
-
-  VM_OP(kDivS) {
-    if (sp - sb < 2) VM_UNDERFLOW("div_s", frame->function, ip->src_pc);
-    const std::int64_t b = sp[-1];
-    const std::int64_t a = sp[-2];
-    if (b == 0)
-      VM_TRAP(TrapKind::kDivideByZero, "div_s by zero", frame->function,
-              ip->src_pc);
-    if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
-      VM_TRAP(TrapKind::kIntegerOverflow, "div_s overflow", frame->function,
-              ip->src_pc);
-    --sp;
-    sp[-1] = a / b;
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kRemS) {
-    if (sp - sb < 2) VM_UNDERFLOW("rem_s", frame->function, ip->src_pc);
-    const std::int64_t b = sp[-1];
-    const std::int64_t a = sp[-2];
-    if (b == 0)
-      VM_TRAP(TrapKind::kDivideByZero, "rem_s by zero", frame->function,
-              ip->src_pc);
-    --sp;
-    sp[-1] = (a == std::numeric_limits<std::int64_t>::min() && b == -1)
-                 ? 0
-                 : a % b;
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kEqz) {
-    if (sp == sb) VM_UNDERFLOW("eqz", frame->function, ip->src_pc);
-    sp[-1] = sp[-1] == 0 ? 1 : 0;
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kLoad8) {
-    if (sp == sb) VM_UNDERFLOW("load8", frame->function, ip->src_pc);
-    const std::int64_t addr = sp[-1];
-    const std::uint64_t base = static_cast<std::uint64_t>(addr) +
-                               static_cast<std::uint64_t>(ip->imm);
-    if (addr < 0 || base + 1 > mem_size || base + 1 < base)
-      VM_TRAP(TrapKind::kMemoryOutOfBounds, "load at " + std::to_string(base),
-              frame->function, ip->src_pc);
-    sp[-1] = mem[base];
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kLoad32) {
-    if (sp == sb) VM_UNDERFLOW("load32", frame->function, ip->src_pc);
-    const std::int64_t addr = sp[-1];
-    const std::uint64_t base = static_cast<std::uint64_t>(addr) +
-                               static_cast<std::uint64_t>(ip->imm);
-    if (addr < 0 || base + 4 > mem_size || base + 4 < base)
-      VM_TRAP(TrapKind::kMemoryOutOfBounds, "load at " + std::to_string(base),
-              frame->function, ip->src_pc);
-    const std::uint64_t v =
-        static_cast<std::uint64_t>(mem[base]) |
-        static_cast<std::uint64_t>(mem[base + 1]) << 8 |
-        static_cast<std::uint64_t>(mem[base + 2]) << 16 |
-        static_cast<std::uint64_t>(mem[base + 3]) << 24;
-    sp[-1] = static_cast<std::int64_t>(v);
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kLoad64) {
-    if (sp == sb) VM_UNDERFLOW("load64", frame->function, ip->src_pc);
-    const std::int64_t addr = sp[-1];
-    const std::uint64_t base = static_cast<std::uint64_t>(addr) +
-                               static_cast<std::uint64_t>(ip->imm);
-    if (addr < 0 || base + 8 > mem_size || base + 8 < base)
-      VM_TRAP(TrapKind::kMemoryOutOfBounds, "load at " + std::to_string(base),
-              frame->function, ip->src_pc);
-    std::uint64_t v = 0;
-    for (std::uint64_t i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(mem[base + i]) << (i * 8);
-    sp[-1] = static_cast<std::int64_t>(v);
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kStore8) {
-    if (sp - sb < 2) VM_UNDERFLOW("store8", frame->function, ip->src_pc);
-    const std::int64_t value = sp[-1];
-    const std::int64_t addr = sp[-2];
-    const std::uint64_t base = static_cast<std::uint64_t>(addr) +
-                               static_cast<std::uint64_t>(ip->imm);
-    if (addr < 0 || base + 1 > mem_size || base + 1 < base)
-      VM_TRAP(TrapKind::kMemoryOutOfBounds, "store at " + std::to_string(base),
-              frame->function, ip->src_pc);
-    sp -= 2;
-    mem[base] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(value));
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kStore32) {
-    if (sp - sb < 2) VM_UNDERFLOW("store32", frame->function, ip->src_pc);
-    const std::int64_t value = sp[-1];
-    const std::int64_t addr = sp[-2];
-    const std::uint64_t base = static_cast<std::uint64_t>(addr) +
-                               static_cast<std::uint64_t>(ip->imm);
-    if (addr < 0 || base + 4 > mem_size || base + 4 < base)
-      VM_TRAP(TrapKind::kMemoryOutOfBounds, "store at " + std::to_string(base),
-              frame->function, ip->src_pc);
-    sp -= 2;
-    const auto uv = static_cast<std::uint64_t>(value);
-    mem[base] = static_cast<std::uint8_t>(uv);
-    mem[base + 1] = static_cast<std::uint8_t>(uv >> 8);
-    mem[base + 2] = static_cast<std::uint8_t>(uv >> 16);
-    mem[base + 3] = static_cast<std::uint8_t>(uv >> 24);
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kStore64) {
-    if (sp - sb < 2) VM_UNDERFLOW("store64", frame->function, ip->src_pc);
-    const std::int64_t value = sp[-1];
-    const std::int64_t addr = sp[-2];
-    const std::uint64_t base = static_cast<std::uint64_t>(addr) +
-                               static_cast<std::uint64_t>(ip->imm);
-    if (addr < 0 || base + 8 > mem_size || base + 8 < base)
-      VM_TRAP(TrapKind::kMemoryOutOfBounds, "store at " + std::to_string(base),
-              frame->function, ip->src_pc);
-    sp -= 2;
-    const auto uv = static_cast<std::uint64_t>(value);
-    for (std::uint64_t i = 0; i < 8; ++i)
-      mem[base + i] = static_cast<std::uint8_t>(uv >> (i * 8));
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kMemSize) {
-    if (sp == slimit) VM_OVERFLOW("mem.size", frame->function, ip->src_pc);
-    *sp++ = static_cast<std::int64_t>(mem_size);
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kJump) {
-    ip = code + ip->target;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kJumpIf) {
-    if (sp == sb) VM_UNDERFLOW("jump_if", frame->function, ip->src_pc);
-    const std::int64_t cond = *--sp;
-    ip = cond != 0 ? code + ip->target : ip + 1;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kJumpIfZ) {
-    if (sp == sb) VM_UNDERFLOW("jump_ifz", frame->function, ip->src_pc);
-    const std::int64_t cond = *--sp;
-    ip = cond == 0 ? code + ip->target : ip + 1;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kCall) {
-    if (frames_.size() >= limits.max_call_depth)
-      VM_TRAP(TrapKind::kCallDepthExceeded, "call depth limit",
-              frame->function, ip->src_pc);
-    const std::uint32_t callee = ip->a;
-    const Function& target = module.functions[callee];
-    if (static_cast<std::size_t>(sp - sb) < target.param_count)
-      VM_UNDERFLOW("call", frame->function, ip->src_pc);
-    frame->pc = static_cast<std::uint32_t>((ip + 1) - code);
-    sp -= target.param_count;
-    push_frame(callee,
-               std::span<const std::int64_t>(sp, target.param_count));
-    frame = &frames_.back();
-    code = tm.functions[frame->function].code.data();
-    ip = code;
-    lp = locals_.data() + frame->locals_base;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kCallHost) {
-    const std::uint32_t import_index = ip->a;
-    const HostFunction& hf = instance_->imports_[import_index];
-    if (static_cast<std::size_t>(sp - sb) < hf.arity)
-      VM_UNDERFLOW("call_host", frame->function, ip->src_pc);
-    sp -= hf.arity;
-    if (fuel_ < limits.host_call_fuel_cost)
-      VM_TRAP(TrapKind::kOutOfFuel, "fuel exhausted on host call",
-              frame->function, ip->src_pc);
-    fuel_ -= limits.host_call_fuel_cost;
-    ++host_calls_;
-    if (hf.async) {
-      block_ = BlockInfo{import_index, hf.name,
-                         std::vector<std::int64_t>(sp, sp + hf.arity)};
-      block_src_function_ = frame->function;
-      block_src_pc_ = ip->src_pc;
-      frame->pc = static_cast<std::uint32_t>((ip + 1) - code);
-      state_ = State::kBlocked;
-      VM_EXIT();
-    }
-    // Scoped so both are destroyed before VM_DISPATCH: computed goto does
-    // not run destructors when it jumps out of a scope.
-    std::int64_t host_value;
-    {
-      const std::vector<std::int64_t> call_args(sp, sp + hf.arity);
-      auto result = hf.fn(*instance_, call_args);
-      if (!result)
-        VM_TRAP(TrapKind::kHostError,
-                hf.name + ": " + result.error_message(), frame->function,
-                ip->src_pc);
-      host_value = *result;
-    }
-    if (sp == slimit) VM_OVERFLOW("call_host", frame->function, ip->src_pc);
-    *sp++ = host_value;
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kReturn) {
-    if (sp == sb) VM_UNDERFLOW("return", frame->function, ip->src_pc);
-    const std::int64_t value = *--sp;
-    const std::uint32_t ret_func = frame->function;
-    const std::uint32_t ret_src = ip->src_pc;
-    locals_.resize(frame->locals_base);
-    frames_.pop_back();
+  while (state_ == State::kRunning) {
     if (frames_.empty()) {
-      finish_value(value);
-      VM_EXIT();
+      finish_trap(TrapKind::kAbort, "no active frame", 0, 0);
+      break;
     }
-    frame = &frames_.back();
-    code = tm.functions[frame->function].code.data();
-    ip = code + frame->pc;
-    lp = locals_.data() + frame->locals_base;
-    if (sp == slimit)
-      VM_TRAP(TrapKind::kStackOverflow, "value stack overflow at return",
-              ret_func, ret_src);
-    *sp++ = value;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kAbort) {
-    VM_TRAP(TrapKind::kAbort,
-            "abort(" + std::to_string(ip->imm) + ") in '" +
-                module.functions[frame->function].name + "'",
-            frame->function, ip->src_pc);
-  }
-
-  VM_OP(kFusedLocalBranchIf) {
-    if (slimit - sp >= 2) {
-      const std::int64_t cond =
-          eval_fused_binop(ip->sub, lp[ip->a], ip->imm);
-      ip = cond != 0 ? code + ip->target : ip + 1;
-      VM_DISPATCH();
+    Frame& frame = frames_.back();
+    const Function& f = module.functions[frame.function];
+    const std::uint32_t at_func = frame.function;
+    const std::uint32_t at_pc = frame.pc;
+    if (frame.pc >= f.code.size()) {
+      finish_trap(TrapKind::kAbort, "fell off function body", at_func, at_pc);
+      break;
     }
-    // Replicate the unfused sequence's per-instruction overflow traps.
-    if (sp == slimit) VM_OVERFLOW("local.get", frame->function, ip->src_pc);
-    VM_OVERFLOW("const", frame->function, ip->src_pc + 1);
-  }
+    const Instruction ins = f.code[frame.pc];
 
-  VM_OP(kFusedLocalBranchIfZ) {
-    if (slimit - sp >= 2) {
-      const std::int64_t cond =
-          eval_fused_binop(ip->sub, lp[ip->a], ip->imm);
-      ip = cond == 0 ? code + ip->target : ip + 1;
-      VM_DISPATCH();
+    if (fuel_ == 0) {
+      finish_trap(TrapKind::kOutOfFuel, "fuel exhausted in '" + f.name + "'",
+                  at_func, at_pc);
+      break;
     }
-    if (sp == slimit) VM_OVERFLOW("local.get", frame->function, ip->src_pc);
-    VM_OVERFLOW("const", frame->function, ip->src_pc + 1);
-  }
+    --fuel_;
 
-  VM_OP(kFusedLocalConstArithSet) {
-    if (slimit - sp >= 2) {
-      lp[ip->b] = eval_fused_binop(ip->sub, lp[ip->a], ip->imm);
-      ++ip;
-      VM_DISPATCH();
+    auto pop = [&](std::int64_t& out) {
+      if (stack_.empty()) return false;
+      out = stack_.back();
+      stack_.pop_back();
+      return true;
+    };
+    auto push = [&](std::int64_t v) {
+      if (stack_.size() >= limits.max_value_stack) return false;
+      stack_.push_back(v);
+      return true;
+    };
+    const auto underflow = [&] {
+      finish_trap(TrapKind::kStackUnderflow,
+                  "stack underflow at " + opcode_name(ins.op), at_func, at_pc);
+    };
+    const auto overflow = [&] {
+      finish_trap(TrapKind::kStackOverflow,
+                  "value stack overflow at " + opcode_name(ins.op), at_func,
+                  at_pc);
+    };
+
+    ++frame.pc;
+    switch (ins.op) {
+      case Opcode::kNop:
+        break;
+      case Opcode::kConst:
+        if (!push(ins.imm)) overflow();
+        break;
+      case Opcode::kDrop: {
+        std::int64_t v;
+        if (!pop(v)) underflow();
+        break;
+      }
+      case Opcode::kDup: {
+        if (stack_.empty()) {
+          underflow();
+          break;
+        }
+        if (!push(stack_.back())) overflow();
+        break;
+      }
+      case Opcode::kLocalGet:
+        if (!push(locals_[frame.locals_base +
+                          static_cast<std::uint32_t>(ins.imm)]))
+          overflow();
+        break;
+      case Opcode::kLocalSet: {
+        std::int64_t v;
+        if (!pop(v)) {
+          underflow();
+          break;
+        }
+        locals_[frame.locals_base + static_cast<std::uint32_t>(ins.imm)] = v;
+        break;
+      }
+      case Opcode::kGlobalGet:
+        if (!push(instance_->globals_[static_cast<std::size_t>(ins.imm)]))
+          overflow();
+        break;
+      case Opcode::kGlobalSet: {
+        std::int64_t v;
+        if (!pop(v)) {
+          underflow();
+          break;
+        }
+        instance_->globals_[static_cast<std::size_t>(ins.imm)] = v;
+        break;
+      }
+
+      case Opcode::kAdd:
+      case Opcode::kSub:
+      case Opcode::kMul:
+      case Opcode::kDivS:
+      case Opcode::kRemS:
+      case Opcode::kAnd:
+      case Opcode::kOr:
+      case Opcode::kXor:
+      case Opcode::kShl:
+      case Opcode::kShrS:
+      case Opcode::kShrU:
+      case Opcode::kEq:
+      case Opcode::kNe:
+      case Opcode::kLtS:
+      case Opcode::kGtS:
+      case Opcode::kLeS:
+      case Opcode::kGeS: {
+        std::int64_t b, a;
+        if (!pop(b) || !pop(a)) {
+          underflow();
+          break;
+        }
+        std::int64_t r = 0;
+        const auto ua = static_cast<std::uint64_t>(a);
+        const auto ub = static_cast<std::uint64_t>(b);
+        bool trapped = false;
+        switch (ins.op) {
+          case Opcode::kAdd: r = static_cast<std::int64_t>(ua + ub); break;
+          case Opcode::kSub: r = static_cast<std::int64_t>(ua - ub); break;
+          case Opcode::kMul: r = static_cast<std::int64_t>(ua * ub); break;
+          case Opcode::kDivS:
+            if (b == 0) {
+              finish_trap(TrapKind::kDivideByZero, "div_s by zero", at_func,
+                          at_pc);
+              trapped = true;
+            } else if (a == std::numeric_limits<std::int64_t>::min() &&
+                       b == -1) {
+              finish_trap(TrapKind::kIntegerOverflow, "div_s overflow",
+                          at_func, at_pc);
+              trapped = true;
+            } else {
+              r = a / b;
+            }
+            break;
+          case Opcode::kRemS:
+            if (b == 0) {
+              finish_trap(TrapKind::kDivideByZero, "rem_s by zero", at_func,
+                          at_pc);
+              trapped = true;
+            } else if (a == std::numeric_limits<std::int64_t>::min() &&
+                       b == -1) {
+              r = 0;
+            } else {
+              r = a % b;
+            }
+            break;
+          case Opcode::kAnd: r = a & b; break;
+          case Opcode::kOr: r = a | b; break;
+          case Opcode::kXor: r = a ^ b; break;
+          case Opcode::kShl:
+            r = static_cast<std::int64_t>(ua << (ub & 63));
+            break;
+          case Opcode::kShrS: r = a >> (ub & 63); break;
+          case Opcode::kShrU:
+            r = static_cast<std::int64_t>(ua >> (ub & 63));
+            break;
+          case Opcode::kEq: r = a == b; break;
+          case Opcode::kNe: r = a != b; break;
+          case Opcode::kLtS: r = a < b; break;
+          case Opcode::kGtS: r = a > b; break;
+          case Opcode::kLeS: r = a <= b; break;
+          case Opcode::kGeS: r = a >= b; break;
+          default: break;
+        }
+        if (!trapped && !push(r)) overflow();
+        break;
+      }
+      case Opcode::kEqz: {
+        std::int64_t a;
+        if (!pop(a)) {
+          underflow();
+          break;
+        }
+        if (!push(a == 0 ? 1 : 0)) overflow();
+        break;
+      }
+
+      case Opcode::kLoad8:
+      case Opcode::kLoad32:
+      case Opcode::kLoad64: {
+        std::int64_t addr;
+        if (!pop(addr)) {
+          underflow();
+          break;
+        }
+        const std::uint64_t width =
+            ins.op == Opcode::kLoad8 ? 1 : ins.op == Opcode::kLoad32 ? 4 : 8;
+        const std::uint64_t base = static_cast<std::uint64_t>(addr) +
+                                   static_cast<std::uint64_t>(ins.imm);
+        if (addr < 0 || base + width > instance_->memory_.size() ||
+            base + width < base) {
+          finish_trap(TrapKind::kMemoryOutOfBounds,
+                      "load at " + std::to_string(base), at_func, at_pc);
+          break;
+        }
+        std::uint64_t v = 0;
+        for (std::uint64_t i = 0; i < width; ++i)
+          v |= static_cast<std::uint64_t>(instance_->memory_[base + i])
+               << (i * 8);
+        if (!push(static_cast<std::int64_t>(v))) overflow();
+        break;
+      }
+      case Opcode::kStore8:
+      case Opcode::kStore32:
+      case Opcode::kStore64: {
+        std::int64_t value, addr;
+        if (!pop(value) || !pop(addr)) {
+          underflow();
+          break;
+        }
+        const std::uint64_t width =
+            ins.op == Opcode::kStore8 ? 1 : ins.op == Opcode::kStore32 ? 4 : 8;
+        const std::uint64_t base = static_cast<std::uint64_t>(addr) +
+                                   static_cast<std::uint64_t>(ins.imm);
+        if (addr < 0 || base + width > instance_->memory_.size() ||
+            base + width < base) {
+          finish_trap(TrapKind::kMemoryOutOfBounds,
+                      "store at " + std::to_string(base), at_func, at_pc);
+          break;
+        }
+        for (std::uint64_t i = 0; i < width; ++i)
+          instance_->memory_[base + i] = static_cast<std::uint8_t>(
+              static_cast<std::uint64_t>(value) >> (i * 8));
+        break;
+      }
+      case Opcode::kMemSize:
+        if (!push(static_cast<std::int64_t>(instance_->memory_.size())))
+          overflow();
+        break;
+
+      case Opcode::kJump:
+        frame.pc = static_cast<std::uint32_t>(ins.imm);
+        break;
+      case Opcode::kJumpIf: {
+        std::int64_t cond;
+        if (!pop(cond)) {
+          underflow();
+          break;
+        }
+        if (cond != 0) frame.pc = static_cast<std::uint32_t>(ins.imm);
+        break;
+      }
+      case Opcode::kJumpIfZ: {
+        std::int64_t cond;
+        if (!pop(cond)) {
+          underflow();
+          break;
+        }
+        if (cond == 0) frame.pc = static_cast<std::uint32_t>(ins.imm);
+        break;
+      }
+      case Opcode::kCall: {
+        if (frames_.size() >= limits.max_call_depth) {
+          finish_trap(TrapKind::kCallDepthExceeded, "call depth limit",
+                      at_func, at_pc);
+          break;
+        }
+        const auto callee = static_cast<std::uint32_t>(ins.imm);
+        const Function& target = module.functions[callee];
+        if (stack_.size() < target.param_count) {
+          underflow();
+          break;
+        }
+        std::vector<std::int64_t> call_args(stack_.end() - target.param_count,
+                                            stack_.end());
+        stack_.resize(stack_.size() - target.param_count);
+        push_frame(callee, call_args);
+        break;
+      }
+      case Opcode::kCallHost: {
+        const HostFunction& hf =
+            instance_->imports_[static_cast<std::size_t>(ins.imm)];
+        if (stack_.size() < hf.arity) {
+          underflow();
+          break;
+        }
+        std::vector<std::int64_t> call_args(stack_.end() - hf.arity,
+                                            stack_.end());
+        stack_.resize(stack_.size() - hf.arity);
+        if (fuel_ < limits.host_call_fuel_cost) {
+          finish_trap(TrapKind::kOutOfFuel, "fuel exhausted on host call",
+                      at_func, at_pc);
+          break;
+        }
+        fuel_ -= limits.host_call_fuel_cost;
+        ++host_calls_;
+        if (hf.async) {
+          block_ = BlockInfo{static_cast<std::uint32_t>(ins.imm), hf.name,
+                             std::move(call_args)};
+          block_src_function_ = at_func;
+          block_src_pc_ = at_pc;
+          state_ = State::kBlocked;
+          break;
+        }
+        auto result = hf.fn(*instance_, call_args);
+        if (!result) {
+          finish_trap(TrapKind::kHostError,
+                      hf.name + ": " + result.error_message(), at_func, at_pc);
+          break;
+        }
+        if (!push(*result)) overflow();
+        break;
+      }
+      case Opcode::kReturn: {
+        std::int64_t value;
+        if (!pop(value)) {
+          underflow();
+          break;
+        }
+        locals_.resize(frames_.back().locals_base);
+        frames_.pop_back();
+        if (frames_.empty()) {
+          finish_value(value);
+          break;
+        }
+        if (!push(value)) overflow();
+        break;
+      }
+      case Opcode::kAbort:
+        finish_trap(TrapKind::kAbort,
+                    "abort(" + std::to_string(ins.imm) + ") in '" + f.name +
+                        "'",
+                    at_func, at_pc);
+        break;
     }
-    if (sp == slimit) VM_OVERFLOW("local.get", frame->function, ip->src_pc);
-    VM_OVERFLOW("const", frame->function, ip->src_pc + 1);
   }
-
-  VM_OP(kFusedConstArith) {
-    if (sp == slimit) VM_OVERFLOW("const", frame->function, ip->src_pc);
-    if (sp == sb)
-      VM_UNDERFLOW(opcode_name(ip->sub), frame->function, ip->src_pc + 1);
-    sp[-1] = eval_fused_binop(ip->sub, sp[-1], ip->imm);
-    ++ip;
-    VM_DISPATCH();
-  }
-
-  VM_OP(kFusedLocalArith) {
-    if (sp == slimit) VM_OVERFLOW("local.get", frame->function, ip->src_pc);
-    if (sp == sb)
-      VM_UNDERFLOW(opcode_name(ip->sub), frame->function, ip->src_pc + 1);
-    sp[-1] = eval_fused_binop(ip->sub, sp[-1], lp[ip->a]);
-    ++ip;
-    VM_DISPATCH();
-  }
-
-#if !defined(DEBUGLET_VM_COMPUTED_GOTO)
-  }
-#endif
-  finish_trap(TrapKind::kAbort, "invalid decoded instruction",
-              frame->function, 0);
-  VM_EXIT();
+  return state_;
 }
-
-#undef VM_OP
-#undef VM_DISPATCH
-#undef VM_EXIT
-#undef VM_TRAP
-#undef VM_UNDERFLOW
-#undef VM_OVERFLOW
-#undef VM_BINOP
 
 }  // namespace debuglet::vm

@@ -12,15 +12,10 @@
 // deterministic event-driven simulator hosts code written in a blocking
 // style, mirroring how Wasmer host calls block on real sockets.
 //
-// Two engines execute the same Instance state:
-//  - Engine::kFast runs the decode-once pipeline (vm/dispatch.hpp): dense
-//    pre-decoded instructions, threaded dispatch, superinstructions, and
-//    per-basic-block fuel batching.
-//  - Engine::kReference is the original decode-in-the-loop switch
-//    interpreter (vm/reference.hpp), kept as the trusted semantics the
-//    differential harness compares the fast engine against.
-// Both must agree bit-for-bit on every observable: return value, trap
-// kind/message/pc, fuel_used, host-call sequence, memory, and globals.
+// Execution::step is a decode-in-the-loop switch interpreter: one fuel
+// unit per instruction, every stack and memory access checked. A Debuglet
+// is short and bounded, so this simplest loop is the only engine;
+// docs/DVM.md records the measurements behind that.
 #pragma once
 
 #include <functional>
@@ -30,18 +25,11 @@
 #include <vector>
 
 #include "util/result.hpp"
-#include "vm/dispatch.hpp"
 #include "vm/module.hpp"
 
 namespace debuglet::vm {
 
 class Instance;
-
-/// Which interpreter executes a run. See the file comment.
-enum class Engine {
-  kFast,
-  kReference,
-};
 
 /// A host function. If `async` is false, `fn` runs inline and its value is
 /// pushed. If `async` is true, the call suspends the Execution; the
@@ -61,7 +49,6 @@ struct ExecutionLimits {
   std::uint32_t max_value_stack = 4096;
   std::uint32_t max_call_depth = 256;
   std::uint64_t host_call_fuel_cost = 32;  // fuel charged per host call
-  bool fuse_superinstructions = true;      // fast engine: emit fused ops
 };
 
 /// Why a run ended.
@@ -97,10 +84,11 @@ struct RunOutcome {
 /// One instantiated module.
 class Instance {
  public:
-  /// Binds the module against the provided host functions and translates
-  /// the code for the fast engine. Fails on unresolved imports, duplicate
-  /// host-function names, or code the translator rejects. The module must
-  /// already have passed validate().
+  /// Binds the module against the provided host functions. Fails on
+  /// unresolved imports, duplicate host-function names, or a local,
+  /// global, jump, call or host-import index out of range: the
+  /// interpreter indexes those unchecked, so a module that skipped
+  /// validate() is rejected here instead of misbehaving.
   static Result<Instance> create(Module module,
                                  std::vector<HostFunction> host_functions,
                                  ExecutionLimits limits = ExecutionLimits{});
@@ -111,8 +99,7 @@ class Instance {
 
   /// Runs an arbitrary exported function to completion (same restriction).
   RunOutcome run_function(std::string_view name,
-                          std::span<const std::int64_t> args,
-                          Engine engine = Engine::kFast);
+                          std::span<const std::int64_t> args);
 
   // --- Host-facing API ------------------------------------------------
 
@@ -140,7 +127,6 @@ class Instance {
 
   const Module& module() const { return module_; }
   const ExecutionLimits& limits() const { return limits_; }
-  const TranslatedModule& translated() const { return translated_; }
   std::span<const std::int64_t> globals() const { return globals_; }
   std::uint32_t memory_size() const {
     return static_cast<std::uint32_t>(memory_.size());
@@ -155,7 +141,6 @@ class Instance {
            ExecutionLimits limits);
 
   Module module_;
-  TranslatedModule translated_;
   std::vector<HostFunction> imports_;  // index-aligned with module imports
   ExecutionLimits limits_;
   std::vector<std::uint8_t> memory_;
@@ -178,12 +163,10 @@ class Execution {
   /// is missing or the argument count mismatches.
   static Result<Execution> start(Instance& instance,
                                  std::string_view function_name,
-                                 std::span<const std::int64_t> args,
-                                 Engine engine = Engine::kFast);
+                                 std::span<const std::int64_t> args);
 
   /// Prepares a run of the entry point.
-  static Result<Execution> start_entry(Instance& instance,
-                                       Engine engine = Engine::kFast);
+  static Result<Execution> start_entry(Instance& instance);
 
   /// Runs until completion or suspension on an async host call.
   /// Returns the state after stepping (kDone or kBlocked).
@@ -198,7 +181,6 @@ class Execution {
   void fail(std::string message);
 
   State state() const { return state_; }
-  Engine engine() const { return engine_; }
   /// Valid when state() == kBlocked.
   const BlockInfo& block() const { return block_; }
   /// Valid when state() == kDone.
@@ -211,11 +193,7 @@ class Execution {
 
   struct Frame {
     std::uint32_t function = 0;
-    // Resume position. Source-instruction index under Engine::kReference,
-    // decoded-instruction index under Engine::kFast — never mixed: the
-    // fast engine's fall-back to reference semantics (out-of-fuel blocks)
-    // is entered only at states where no saved pc is ever re-read.
-    std::uint32_t pc = 0;
+    std::uint32_t pc = 0;  // next instruction to execute
     std::uint32_t locals_base = 0;
   };
 
@@ -226,11 +204,7 @@ class Execution {
                    std::uint32_t pc);
   std::uint64_t fuel_used() const { return instance_->limits_.fuel - fuel_; }
 
-  State step_fast();
-  State step_reference();
-
   Instance* instance_;
-  Engine engine_ = Engine::kFast;
   State state_ = State::kReady;
   RunOutcome outcome_;
   BlockInfo block_;
@@ -239,17 +213,10 @@ class Execution {
   std::vector<Frame> frames_;
   std::uint64_t fuel_ = 0;
   std::uint64_t host_calls_ = 0;
-  // Fast-engine block accounting: end (exclusive, source pc) of the basic
-  // block whose fuel was last batch-charged. A trap at source pc P inside
-  // that block refunds block_end_src_ - (P + 1) so fuel_used matches the
-  // reference engine's pay-per-instruction totals exactly.
-  std::uint64_t block_end_src_ = 0;
-  // Source position of the call_host an Execution blocked on; used so
-  // resume()/fail() traps report engine-independent trap pcs.
+  // Position of the call_host an Execution blocked on: resume() and fail()
+  // traps report it as their trap site.
   std::uint32_t block_src_pc_ = 0;
   std::uint32_t block_src_function_ = 0;
-
-  friend struct ReferenceInterpreter;
 };
 
 }  // namespace debuglet::vm

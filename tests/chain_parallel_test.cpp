@@ -159,11 +159,6 @@ Snapshot capture(const Blockchain& chain,
     for (std::size_t i = 0; i < batches[b].size(); ++i)
       add("receipt[" + std::to_string(b) + "][" + std::to_string(i) +
           "]: " + render_receipt(batches[b][i]));
-  for (const auto& e : chain.events())
-    add("event[" + std::to_string(e.sequence) + "]: " + e.contract + " " +
-        e.name + " " + e.key + " " +
-        to_hex(BytesView(e.payload.data(), e.payload.size())) +
-        " t=" + std::to_string(e.timestamp));
   for (std::size_t i = 0; i < dispatched.size(); ++i)
     add("dispatched[" + std::to_string(i) + "]: " + dispatched[i]);
   for (const auto& [id, obj] : chain.objects())
@@ -238,20 +233,28 @@ RunResult run_workload(const Workload& w, unsigned workers) {
   EXPECT_TRUE(chain.register_contract(std::make_unique<KvContract>()).ok());
   for (const auto& actor : w.actors) chain.mint(actor.address, actor.mint);
 
-  // Record the order events are dispatched to subscribers — an observable
-  // of its own (it must match the log order at any worker count).
+  // Record every event each contract here emits, in the order it is
+  // dispatched to subscribers, with its sequence number, payload and
+  // timestamp: all of it must match at any worker count.
   std::vector<std::string> dispatched;
-  chain.subscribe("kv", "Put", "", [&](const Event& e) {
-    dispatched.push_back("kv/Put/" + e.key);
-  });
-  chain.subscribe("kv", "Del", "", [&](const Event& e) {
-    dispatched.push_back("kv/Del/" + e.key);
-  });
-  chain.subscribe(marketplace::kContractName,
-                  marketplace::kEventDebugletDeployed, "",
-                  [&](const Event& e) {
-                    dispatched.push_back("market/Deployed/" + e.key);
-                  });
+  const auto record = [&](const Event& e) {
+    dispatched.push_back(
+        "seq=" + std::to_string(e.sequence) + " " + e.contract + " " +
+        e.name + " " + e.key + " " +
+        to_hex(BytesView(e.payload.data(), e.payload.size())) +
+        " t=" + std::to_string(e.timestamp));
+  };
+  const std::pair<const char*, const char*> kEvents[] = {
+      {"kv", "Put"},
+      {"kv", "Del"},
+      {marketplace::kContractName, marketplace::kEventExecutorRegistered},
+      {marketplace::kContractName, marketplace::kEventDebugletDeployed},
+      {marketplace::kContractName, marketplace::kEventResultReady},
+      {marketplace::kReputationContractName,
+       marketplace::kEventReputationStrike},
+  };
+  for (const auto& [contract, name] : kEvents)
+    chain.subscribe(contract, name, "", record);
 
   RunResult out;
   for (const auto& batch : w.batches)

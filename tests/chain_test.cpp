@@ -179,7 +179,7 @@ TEST_F(ChainFixture, EventsDispatchWithKeyFilter) {
   ASSERT_TRUE(chain.submit(
       chain.make_transaction(alice, "counter", "increment", {})).ok());
   EXPECT_EQ(seen_two.size(), 1u);
-  EXPECT_EQ(chain.events().size(), 4u);
+  EXPECT_EQ(seen_any, (std::vector<std::string>{"1", "2", "3", "4"}));
 }
 
 TEST_F(ChainFixture, BlocksHashLink) {

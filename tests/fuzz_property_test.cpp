@@ -10,6 +10,7 @@
 //    identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -320,11 +321,11 @@ TEST(FuzzExecution, FuelStrictlyBoundsWork) {
   }
 }
 
-// --- Differential fuzzing: mutate, validate, run both engines -----------------
+// --- Mutation fuzzing: mutate, validate, run twice ----------------------------
 
 // A module rich enough that single-byte mutations of its serialized form
-// frequently survive parse + validate and still exercise loops, fused
-// shapes, memory traffic, calls and host calls in the engines.
+// frequently survive parse + validate and still exercise loops, memory
+// traffic, calls and host calls in the interpreter.
 vm::Module rich_module() {
   vm::Module m;
   m.memory_size = 256;
@@ -344,7 +345,7 @@ vm::Module rich_module() {
   f.name = vm::kEntryPointName;
   f.local_count = 2;
   f.code = {
-      // Counter loop in the canonical fused shapes.
+      // Counter loop: compare-and-branch, then two counter bumps.
       /* 0*/ {vm::Opcode::kLocalGet, 0},
       /* 1*/ {vm::Opcode::kConst, 12},
       /* 2*/ {vm::Opcode::kGeS, 0},
@@ -380,7 +381,7 @@ TEST(FuzzDifferential, MutatedModulesNeverDiverge) {
   ASSERT_TRUE(vm::validate(base).ok());
   const Bytes valid = base.serialize();
 
-  // Host import: logs its calls so the sequence is comparable per engine.
+  // Host import: logs its calls so the sequence is comparable per run.
   auto make_host = [](std::vector<std::int64_t>* log) {
     return std::vector<vm::HostFunction>{
         {"h", 1,
@@ -416,40 +417,34 @@ TEST(FuzzDifferential, MutatedModulesNeverDiverge) {
     if (!parsed.ok()) continue;
     if (!vm::validate(*parsed).ok()) continue;
 
+    // Two fresh instances of one validated module must instantiate alike
+    // and agree on every observable of their runs: the interpreter reads
+    // nothing but the module, its limits and its host calls.
     vm::ExecutionLimits limits;
     limits.fuel = 50'000;
-    vm::ExecutionLimits nofuse = limits;
-    nofuse.fuse_superinstructions = false;
-    std::vector<std::int64_t> log_fast, log_ref, log_plain;
-    auto fast = vm::Instance::create(*parsed, make_host(&log_fast), limits);
-    auto ref = vm::Instance::create(*parsed, make_host(&log_ref), limits);
-    auto plain = vm::Instance::create(*parsed, make_host(&log_plain), nofuse);
-    // A validated module must instantiate under every engine or none.
-    ASSERT_EQ(fast.ok(), ref.ok()) << "mutant " << i;
-    ASSERT_EQ(fast.ok(), plain.ok()) << "mutant " << i;
-    if (!fast.ok()) continue;
+    std::vector<std::int64_t> log_a, log_b;
+    auto a = vm::Instance::create(*parsed, make_host(&log_a), limits);
+    auto b = vm::Instance::create(*parsed, make_host(&log_b), limits);
+    ASSERT_EQ(a.ok(), b.ok()) << "mutant " << i;
+    if (!a.ok()) continue;
     ++survived;
 
-    const vm::RunOutcome of =
-        fast->run_function(vm::kEntryPointName, {}, vm::Engine::kFast);
-    const vm::RunOutcome orf =
-        ref->run_function(vm::kEntryPointName, {}, vm::Engine::kReference);
-    const vm::RunOutcome op =
-        plain->run_function(vm::kEntryPointName, {}, vm::Engine::kFast);
-    for (const vm::RunOutcome* other : {&orf, &op}) {
-      if (of.trapped != other->trapped || of.trap != other->trap ||
-          of.trap_message != other->trap_message ||
-          of.trap_pc != other->trap_pc ||
-          of.trap_function != other->trap_function ||
-          of.value != other->value || of.fuel_used != other->fuel_used ||
-          of.host_calls != other->host_calls)
-        ++diverged;
-    }
-    EXPECT_EQ(log_fast, log_ref) << "mutant " << i;
-    EXPECT_EQ(log_fast, log_plain) << "mutant " << i;
-    EXPECT_EQ(diverged, 0) << "mutant " << i << " diverged: fast={"
-                           << of.trap_message << ", v=" << of.value
-                           << ", fuel=" << of.fuel_used << "}";
+    const vm::RunOutcome oa = a->run();
+    const vm::RunOutcome ob = b->run();
+    if (oa.trapped != ob.trapped || oa.trap != ob.trap ||
+        oa.trap_message != ob.trap_message || oa.trap_pc != ob.trap_pc ||
+        oa.trap_function != ob.trap_function || oa.value != ob.value ||
+        oa.fuel_used != ob.fuel_used || oa.host_calls != ob.host_calls)
+      ++diverged;
+    EXPECT_EQ(log_a, log_b) << "mutant " << i;
+    EXPECT_EQ(*a->read_memory(0, a->memory_size()),
+              *b->read_memory(0, b->memory_size()))
+        << "mutant " << i;
+    EXPECT_TRUE(std::ranges::equal(a->globals(), b->globals()))
+        << "mutant " << i;
+    EXPECT_EQ(diverged, 0) << "mutant " << i << " diverged: {"
+                           << oa.trap_message << ", v=" << oa.value
+                           << ", fuel=" << oa.fuel_used << "}";
     if (diverged) break;
   }
   // The mutation loop must actually reach execution, not just parse.
@@ -940,6 +935,9 @@ TEST(FuzzAccessEnforcement, UndeclaredTouchesAbortAndRollBack) {
     chain::Blockchain bc;
     ASSERT_TRUE(
         bc.register_contract(std::make_unique<MultiKvContract>()).ok());
+    std::size_t events = 0;
+    for (const char* name : {"Put", "Del"})
+      bc.subscribe("kv", name, "", [&](const chain::Event&) { ++events; });
     auto sender = crypto::KeyPair::from_seed(0xAC00u + it);
     const chain::Address addr = chain::Address::of(sender.public_key());
     bc.mint(addr, 1'000'000'000'000ULL);
@@ -1043,7 +1041,7 @@ TEST(FuzzAccessEnforcement, UndeclaredTouchesAbortAndRollBack) {
     }
 
     const std::string state_before = render_chain_state(bc);
-    const std::size_t events_before = bc.events().size();
+    const std::size_t events_before = events;
     const chain::Mist balance_before = bc.balance(addr);
     const chain::Mist escrow_before = bc.escrow_balance("kv");
     const std::uint64_t nonce_before = bc.nonce(addr);
@@ -1063,7 +1061,7 @@ TEST(FuzzAccessEnforcement, UndeclaredTouchesAbortAndRollBack) {
           << receipt->error;
       // Nothing committed besides gas and the nonce.
       EXPECT_EQ(render_chain_state(bc), state_before) << it;
-      EXPECT_EQ(bc.events().size(), events_before) << it;
+      EXPECT_EQ(events, events_before) << it;
       EXPECT_EQ(bc.escrow_balance("kv"), escrow_before) << it;
       EXPECT_EQ(bc.balance(addr), balance_before - receipt->gas_charged);
       EXPECT_EQ(bc.nonce(addr), nonce_before + 1);

@@ -1,23 +1,18 @@
 // Opcode coverage audit.
 //
-// Walks the full Opcode enum (vm::all_opcodes) and the full decoded-op
-// enum (vm::all_fused_ops) against a fixed corpus of builder programs.
-// Adding an opcode to isa.hpp without exercising it here — or adding a
-// superinstruction the corpus never produces — fails the audit, so the
-// differential harness can never silently lose coverage of a new
-// instruction. Every corpus program is also run under both engines and
-// must agree.
+// Walks the full Opcode enum (vm::all_opcodes) against a fixed corpus of
+// builder programs. Adding an opcode to isa.hpp without exercising it
+// here fails the audit, so the semantics tests can never silently lose
+// coverage of a new instruction. Every corpus program also runs to a
+// pinned outcome.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "vm/builder.hpp"
-#include "vm/dispatch.hpp"
 #include "vm/interpreter.hpp"
-#include "vm/reference.hpp"
 #include "vm/validator.hpp"
 
 namespace debuglet {
@@ -25,10 +20,12 @@ namespace {
 
 using vm::Opcode;
 
-// One corpus entry: a named module exercising a cluster of opcodes.
+// One corpus entry: a named module exercising a cluster of opcodes, and
+// the outcome its run must render to (see render()).
 struct CorpusEntry {
   std::string name;
   vm::Module module;
+  std::string outcome;
   bool needs_host = false;
 };
 
@@ -55,23 +52,21 @@ std::vector<CorpusEntry> corpus() {
     fb.emit(Opcode::kEqz);
     fb.emit(Opcode::kNop);
     fb.ret();
-    out.push_back({"arith", mb.build()});
+    out.push_back({"arith", mb.build(), "value=0 fuel=28 host_calls=0"});
   }
 
-  {  // Comparisons, both fused (after local.get/const) and plain.
+  {  // Comparisons, after dup and after two consts.
     vm::ModuleBuilder mb;
     mb.memory(64);
     auto& fb = mb.function(vm::kEntryPointName, 0, 2);
     const auto ops = {Opcode::kEq,  Opcode::kNe,  Opcode::kLtS,
                       Opcode::kGtS, Opcode::kLeS, Opcode::kGeS};
     for (Opcode op : ops) {
-      // Plain: both operands via dup so no fusion pattern matches.
       fb.constant(4).emit(Opcode::kDup).emit(op).emit(Opcode::kDrop);
-      // Fused const-arith shape: const k; cmp.
       fb.constant(9).constant(5).emit(op).emit(Opcode::kDrop);
     }
     fb.constant(0).ret();
-    out.push_back({"compare", mb.build()});
+    out.push_back({"compare", mb.build(), "value=0 fuel=50 host_calls=0"});
   }
 
   {  // Memory: all load/store widths plus mem.size.
@@ -86,10 +81,10 @@ std::vector<CorpusEntry> corpus() {
     fb.constant(8).emit(Opcode::kLoad8, 24);
     fb.emit(Opcode::kMemSize).emit(Opcode::kAdd);
     fb.ret();
-    out.push_back({"memory", mb.build()});
+    out.push_back({"memory", mb.build(), "value=218 fuel=20 host_calls=0"});
   }
 
-  {  // Locals, globals, and the fused local/const shapes the apps emit.
+  {  // Locals, globals, and the local/const loop shapes the apps emit.
     vm::ModuleBuilder mb;
     mb.memory(64);
     const auto g = mb.add_global(11);
@@ -97,22 +92,18 @@ std::vector<CorpusEntry> corpus() {
     const auto top = fb.make_label();
     const auto done = fb.make_label();
     fb.bind(top);
-    // kFusedLocalBranchIf: local.get; const; cmp; jump_if.
     fb.local_get(0).constant(10).emit(Opcode::kGeS).jump_if(done);
-    // kFusedLocalConstArithSet: local.get; const; arith; local.set.
     fb.local_get(1).constant(3).emit(Opcode::kAdd).local_set(1);
     fb.local_get(0).constant(1).emit(Opcode::kAdd).local_set(0);
     fb.jump(top);
     fb.bind(done);
     const auto tail = fb.make_label();
-    // kFusedLocalBranchIfZ.
     fb.local_get(0).constant(10).emit(Opcode::kEq).jump_ifz(tail);
     fb.bind(tail);
-    // kFusedLocalArith: value on stack, then local.get; arith.
     fb.global_get(g).local_get(1).emit(Opcode::kAdd);
     fb.global_set(g);
     fb.global_get(g).ret();
-    out.push_back({"locals_globals", mb.build()});
+    out.push_back({"locals_globals", mb.build(), "value=41 fuel=144 host_calls=0"});
   }
 
   {  // Control: call, call_host, conditional jumps, return.
@@ -124,10 +115,11 @@ std::vector<CorpusEntry> corpus() {
     fb.constant(20).constant(22).call("helper");
     fb.call_host("h_probe");
     fb.ret();
-    out.push_back({"calls", mb.build(), true});
+    out.push_back({"calls", mb.build(), "value=43 fuel=41 host_calls=1",
+                   true});
   }
 
-  {  // Abort: the only trapping corpus entry (still engine-compared).
+  {  // Abort: the only trapping corpus entry.
     vm::ModuleBuilder mb;
     mb.memory(64);
     auto& fb = mb.function(vm::kEntryPointName, 0, 0);
@@ -136,7 +128,9 @@ std::vector<CorpusEntry> corpus() {
     fb.emit(Opcode::kAbort, 42);
     fb.bind(skip);
     fb.constant(0).ret();
-    out.push_back({"abort", mb.build()});
+    out.push_back({"abort", mb.build(),
+                   "trap=abort 'abort(42) in 'run_debuglet'' at 0:2 fuel=3 "
+                   "host_calls=0"});
   }
 
   return out;
@@ -163,64 +157,24 @@ TEST(VmCoverage, EveryOpcodeIsExercisedByTheCorpus) {
            "tests/vm_coverage_test.cpp when adding instructions";
 }
 
-TEST(VmCoverage, EveryDecodedOpIsProducedByTheCorpus) {
-  // Union of decoded ops over fused AND unfused translations: base ops
-  // that always fuse in real code still must appear somewhere unfused.
-  std::set<vm::FusedOp> produced;
-  for (const CorpusEntry& entry : corpus()) {
-    for (bool fuse : {true, false}) {
-      vm::TranslateOptions opts;
-      opts.fuse = fuse;
-      auto tm = vm::translate(entry.module, opts);
-      ASSERT_TRUE(tm.ok()) << entry.name << ": " << tm.error_message();
-      for (const vm::TranslatedFunction& tf : tm->functions)
-        for (const vm::DecodedInst& d : tf.code) produced.insert(d.op);
-    }
-  }
-  for (vm::FusedOp op : vm::all_fused_ops()) {
-    if (op == vm::FusedOp::kCount) continue;
-    EXPECT_TRUE(produced.contains(op))
-        << "decoded op '" << vm::fused_op_name(op)
-        << "' is never produced when translating the coverage corpus; "
-           "extend tests/vm_coverage_test.cpp when adding "
-           "superinstructions";
-  }
+std::string render(const vm::RunOutcome& o) {
+  const std::string tail = " fuel=" + std::to_string(o.fuel_used) +
+                           " host_calls=" + std::to_string(o.host_calls);
+  if (!o.trapped) return "value=" + std::to_string(o.value) + tail;
+  return "trap=" + vm::trap_name(o.trap) + " '" + o.trap_message + "' at " +
+         std::to_string(o.trap_function) + ":" + std::to_string(o.trap_pc) +
+         tail;
 }
 
-TEST(VmCoverage, CorpusAgreesAcrossEngines) {
+TEST(VmCoverage, CorpusRunsToPinnedOutcomes) {
   for (const CorpusEntry& entry : corpus()) {
-    auto hosts = entry.needs_host ? corpus_hosts()
-                                  : std::vector<vm::HostFunction>{};
-    auto fast_inst = vm::Instance::create(entry.module, hosts, {});
-    auto ref_inst = vm::Instance::create(entry.module, hosts, {});
-    ASSERT_TRUE(fast_inst.ok() && ref_inst.ok()) << entry.name;
-    const vm::RunOutcome fast = fast_inst->run_function(
-        vm::kEntryPointName, {}, vm::Engine::kFast);
-    const vm::RunOutcome ref = ref_inst->run_function(
-        vm::kEntryPointName, {}, vm::Engine::kReference);
-    EXPECT_EQ(fast.trapped, ref.trapped) << entry.name;
-    EXPECT_EQ(fast.trap, ref.trap) << entry.name;
-    EXPECT_EQ(fast.trap_message, ref.trap_message) << entry.name;
-    EXPECT_EQ(fast.trap_pc, ref.trap_pc) << entry.name;
-    EXPECT_EQ(fast.value, ref.value) << entry.name;
-    EXPECT_EQ(fast.fuel_used, ref.fuel_used) << entry.name;
-    EXPECT_EQ(fast.host_calls, ref.host_calls) << entry.name;
+    auto instance = vm::Instance::create(
+        entry.module,
+        entry.needs_host ? corpus_hosts() : std::vector<vm::HostFunction>{},
+        {});
+    ASSERT_TRUE(instance.ok()) << entry.name;
+    EXPECT_EQ(render(instance->run()), entry.outcome) << entry.name;
   }
-}
-
-// The dispatch loop's handler table and the decoded-op enum must stay in
-// lockstep; fused_op_name doubles as the existence check.
-TEST(VmCoverage, DecodedOpNamesAreDistinctAndDefined) {
-  std::set<std::string> names;
-  for (vm::FusedOp op : vm::all_fused_ops()) {
-    if (op == vm::FusedOp::kCount) continue;
-    const std::string name = vm::fused_op_name(op);
-    EXPECT_NE(name, "invalid") << static_cast<int>(op);
-    EXPECT_TRUE(names.insert(name).second)
-        << "duplicate decoded-op name '" << name << "'";
-  }
-  EXPECT_TRUE(vm::dispatch_mode() == std::string("threaded") ||
-              vm::dispatch_mode() == std::string("switch"));
 }
 
 }  // namespace

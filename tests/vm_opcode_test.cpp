@@ -75,6 +75,9 @@ INSTANTIATE_TEST_SUITE_P(
         BinCase{Opcode::kShrU, -1, 1, kMax},   // logical shift
         BinCase{Opcode::kShrS, -8, 2, -2},     // arithmetic shift
         BinCase{Opcode::kShrS, 8, 2, 2},
+        BinCase{Opcode::kShrS, kMin, 63, -1},  // counts past 31 shift too
+        BinCase{Opcode::kShrS, kMin, 104, -8388608},  // 104 & 63 = 40
+        BinCase{Opcode::kShrU, -1, 63, 1},
         BinCase{Opcode::kShrU, 8, 64, 8}));    // masked
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,17 +1,16 @@
-// Validator regression tests for the decode-once pipeline.
+// Validator regression tests for the indices the interpreter trusts.
 //
-// Translation (vm/dispatch.hpp) consumes jump targets and call indices as
-// trusted array indices, so anything out of range MUST be rejected before
-// translation runs: by Module::parse for malformed bytes (truncated
-// multi-byte immediates), by vm::validate for in-range-syntax but
-// out-of-range-semantics code, and — belt and braces — by translate()
-// itself when handed an unvalidated module.
+// The interpreter (vm/interpreter.hpp) uses jump targets and local,
+// global, function and host-import indices as unchecked array indices, so
+// anything out of range MUST be rejected before a run: by Module::parse
+// for malformed bytes (truncated multi-byte immediates), by vm::validate
+// for in-range-syntax but out-of-range-semantics code, and — belt and
+// braces — by Instance::create itself when handed an unvalidated module.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "util/bytes.hpp"
-#include "vm/dispatch.hpp"
 #include "vm/interpreter.hpp"
 #include "vm/validator.hpp"
 
@@ -61,16 +60,19 @@ TEST(VmValidator, JumpTargetIntoImmediateBytesRejected) {
   EXPECT_FALSE(vm::validate(m).ok());
 }
 
-TEST(VmValidator, TranslateRejectsUnvalidatedJumpTargets) {
-  vm::Module m = minimal_module();
-  m.functions[0].code = {{Opcode::kJump, 99}, {Opcode::kReturn, 0}};
-  auto tm = vm::translate(m);
-  ASSERT_FALSE(tm.ok());
-  EXPECT_NE(tm.error_message().find("jump target out of range"),
-            std::string::npos);
-  // Instance::create translates, so it must fail too — not misbehave.
-  auto instance = vm::Instance::create(m, {}, {});
-  EXPECT_FALSE(instance.ok());
+TEST(VmValidator, CreateRejectsUnvalidatedJumpTargets) {
+  for (Opcode op : {Opcode::kJump, Opcode::kJumpIf, Opcode::kJumpIfZ}) {
+    for (std::int64_t target : {3, 99, -1}) {  // code has 3 instructions
+      vm::Module m = minimal_module();
+      m.functions[0].code = {
+          {Opcode::kConst, 1}, {op, target}, {Opcode::kReturn, 0}};
+      auto instance = vm::Instance::create(m, {}, {});
+      ASSERT_FALSE(instance.ok()) << vm::opcode_name(op) << " " << target;
+      EXPECT_NE(instance.error_message().find("jump target out of range"),
+                std::string::npos)
+          << instance.error_message();
+    }
+  }
 }
 
 // --- Truncated immediates -----------------------------------------------
@@ -127,8 +129,11 @@ TEST(VmValidator, OutOfRangeCallIndexRejected) {
     EXPECT_NE(status.error_message().find("function index out of range"),
               std::string::npos)
         << status.error_message();
-    EXPECT_FALSE(vm::translate(m).ok()) << "callee " << callee;
-    EXPECT_FALSE(vm::Instance::create(m, {}, {}).ok()) << "callee " << callee;
+    auto instance = vm::Instance::create(m, {}, {});
+    ASSERT_FALSE(instance.ok()) << "callee " << callee;
+    EXPECT_NE(instance.error_message().find("function index out of range"),
+              std::string::npos)
+        << instance.error_message();
   }
 }
 
@@ -143,8 +148,12 @@ TEST(VmValidator, OutOfRangeCallHostIndexRejected) {
     EXPECT_NE(status.error_message().find("host import index out of range"),
               std::string::npos)
         << status.error_message();
-    EXPECT_FALSE(vm::translate(m).ok()) << "import " << import;
-    EXPECT_FALSE(vm::Instance::create(m, {}, {}).ok()) << "import " << import;
+    auto instance = vm::Instance::create(m, {}, {});
+    ASSERT_FALSE(instance.ok()) << "import " << import;
+    EXPECT_NE(
+        instance.error_message().find("host import index out of range"),
+        std::string::npos)
+        << instance.error_message();
   }
   // With one import declared, index 0 is fine and index 1 is not.
   vm::Module m = minimal_module();
@@ -158,21 +167,43 @@ TEST(VmValidator, OutOfRangeCallHostIndexRejected) {
   EXPECT_FALSE(vm::validate(m).ok());
 }
 
-// --- Local/global indices reach translation safely ------------------------
+// --- Local/global indices never reach the interpreter ----------------------
 
-TEST(VmValidator, TranslateRejectsOutOfRangeLocalsAndGlobals) {
-  {
-    vm::Module m = minimal_module();
-    m.functions[0].code = {{Opcode::kLocalGet, 5}, {Opcode::kReturn, 0}};
-    EXPECT_FALSE(vm::validate(m).ok());
-    EXPECT_FALSE(vm::translate(m).ok());
+TEST(VmValidator, CreateRejectsOutOfRangeLocalsAndGlobals) {
+  for (Opcode op : {Opcode::kLocalGet, Opcode::kLocalSet}) {
+    for (std::int64_t index : {5, -1}) {  // no params, no locals
+      vm::Module m = minimal_module();
+      m.functions[0].code = {{Opcode::kConst, 0}, {op, index},
+                             {Opcode::kConst, 0}, {Opcode::kReturn, 0}};
+      EXPECT_FALSE(vm::validate(m).ok()) << index;
+      auto instance = vm::Instance::create(m, {}, {});
+      ASSERT_FALSE(instance.ok()) << index;
+      EXPECT_NE(instance.error_message().find("local index out of range"),
+                std::string::npos)
+          << instance.error_message();
+    }
   }
-  {
-    vm::Module m = minimal_module();
-    m.functions[0].code = {{Opcode::kGlobalGet, 0}, {Opcode::kReturn, 0}};
-    EXPECT_FALSE(vm::validate(m).ok());  // no globals declared
-    EXPECT_FALSE(vm::translate(m).ok());
+  for (Opcode op : {Opcode::kGlobalGet, Opcode::kGlobalSet}) {
+    for (std::int64_t index : {0, -1}) {  // no globals declared
+      vm::Module m = minimal_module();
+      m.functions[0].code = {{Opcode::kConst, 0}, {op, index},
+                             {Opcode::kConst, 0}, {Opcode::kReturn, 0}};
+      EXPECT_FALSE(vm::validate(m).ok()) << index;
+      auto instance = vm::Instance::create(m, {}, {});
+      ASSERT_FALSE(instance.ok()) << index;
+      EXPECT_NE(instance.error_message().find("global index out of range"),
+                std::string::npos)
+          << instance.error_message();
+    }
   }
+  // One param plus one local make indices 0 and 1 valid, 2 not.
+  vm::Module m = minimal_module();
+  m.functions[0].param_count = 1;
+  m.functions[0].local_count = 1;
+  m.functions[0].code = {{Opcode::kLocalGet, 1}, {Opcode::kReturn, 0}};
+  EXPECT_TRUE(vm::Instance::create(m, {}, {}).ok());
+  m.functions[0].code[0].imm = 2;
+  EXPECT_FALSE(vm::Instance::create(m, {}, {}).ok());
 }
 
 }  // namespace
