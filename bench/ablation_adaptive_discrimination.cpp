@@ -68,17 +68,15 @@ SweepPoint run_arm(std::uint32_t promote_after, bool randomize,
     // identical twins recur every round, feeding the learner exactly the
     // recurrence it needs.
     {
-      core::DiscriminationDetector::Options opts;
-      opts.randomize_twins = false;
-      core::DiscriminationDetector warmup(*s.network, 1, 5, seed + 31, opts);
+      core::DiscriminationDetector warmup(*s.network, 1, 5, seed + 31,
+                                          /*randomize_twins=*/false);
       if (!warmup.run()) std::abort();
     }
 
     // The measured visit: same seed (same static signature), static vs.
     // randomized generation.
-    core::DiscriminationDetector::Options opts;
-    opts.randomize_twins = randomize;
-    core::DiscriminationDetector detector(*s.network, 1, 5, seed + 31, opts);
+    core::DiscriminationDetector detector(*s.network, 1, 5, seed + 31,
+                                          randomize);
     auto twins = detector.run();
     if (!twins) std::abort();
     rounds.push_back(twins->rounds_used);

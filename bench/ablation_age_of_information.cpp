@@ -90,14 +90,13 @@ int main() {
   // On-chain anchoring (A3's pattern): one 32-byte object commits to the
   // whole archive; entries stay verifiable.
   const crypto::Digest anchor = archive.anchor(diagnostic);
-  const chain::Mist anchor_cost =
-      system.chain().config().gas.submission_cost(32);
+  const chain::Mist anchor_cost = chain::submission_cost(32);
   std::printf("\nArchive: %zu entries; 32-byte anchor %s...\n",
               archive.total_entries(), anchor.hex().substr(0, 16).c_str());
   std::printf("Anchoring cost: %.5f SUI (vs %.5f SUI for the full archive "
               "on-chain)\n",
               chain::mist_to_sui(anchor_cost),
-              chain::mist_to_sui(system.chain().config().gas.submission_cost(
+              chain::mist_to_sui(chain::submission_cost(
                   archive.total_entries() *
                   archive.history(diagnostic)[0].serialize().size())));
   auto proof = archive.prove(diagnostic, 3);

@@ -99,7 +99,7 @@ int main() {
     return 2;
   }
 
-  const SimDuration finality = system.chain().config().finality_latency;
+  const SimDuration finality = chain::kFinalityLatency;
   const SimTime first_packet = outcome->client.record.actual_start;
   std::printf("\nCritical path (simulated):\n");
   std::printf("  chain transactions on critical path : 2 (LookupSlot, "

@@ -114,7 +114,7 @@ int main() {
 
   // The paper's off-chain optimization: storing only a 32-byte hash keeps
   // the fee near one cent.
-  const Mist hash_only = chain.config().gas.submission_cost(32);
+  const Mist hash_only = submission_cost(32);
   const double usd = mist_to_sui(hash_only) * 0.94;  // paper's SUI price
   std::printf("\nHash-only submission (32 B): %.5f SUI = %.2f cents "
               "(paper: ~1 cent)\n",

@@ -56,11 +56,6 @@ std::vector<std::int64_t> OneWayReceiverParams::to_parameters() const {
           idle_timeout_ms};
 }
 
-std::vector<std::int64_t> StatsServerParams::to_parameters() const {
-  return {static_cast<std::int64_t>(protocol), chunk_payload, idle_timeout_ms,
-          max_requests};
-}
-
 vm::Module make_probe_client_debuglet() {
   // Locals: 0 = i (probes sent), 1 = received, 2 = t0, 3 = len, 4 = tmp.
   constexpr std::uint32_t kI = 0, kReceived = 1, kT0 = 2, kLen = 3, kTmp = 4;

@@ -76,18 +76,6 @@ struct OneWayReceiverParams {
   std::vector<std::int64_t> to_parameters() const;
 };
 
-/// Parameters of the stats (telemetry-serving) Debuglet.
-struct StatsServerParams {
-  net::Protocol protocol = net::Protocol::kUdp;
-  /// Snapshot bytes per chunk (obs::wire payload size). Must leave room
-  /// for ~30 bytes of chunk framing inside the 512-byte send buffer.
-  std::int64_t chunk_payload = 400;
-  std::int64_t idle_timeout_ms = 5000;
-  std::int64_t max_requests = 0;  // 0 = until idle timeout
-
-  std::vector<std::int64_t> to_parameters() const;
-};
-
 /// Builds the probe client Debuglet: sends `probe_count` equal-payload
 /// probes, matches echoed sequence numbers, records (seq, RTT) pairs.
 vm::Module make_probe_client_debuglet();
@@ -108,7 +96,10 @@ vm::Module make_oneway_receiver_debuglet();
 /// messages until max_requests or an idle timeout. A request for chunk 0
 /// re-freezes a fresh snapshot, so each scrape session observes the
 /// registry at scrape time; malformed and out-of-range requests are
-/// ignored, never fatal.
+/// ignored, never fatal. Parameters: 0 = protocol, 1 = snapshot bytes per
+/// chunk (obs::wire payload size; must leave room for ~30 bytes of chunk
+/// framing inside the 512-byte send buffer), 2 = idle timeout in ms,
+/// 3 = max requests (0 = until the idle timeout).
 vm::Module make_stats_debuglet();
 
 /// A manifest sized for a probe-client/one-way-sender run against `peer`.

@@ -75,23 +75,6 @@ struct AccessSet {
     w.u32(static_cast<std::uint32_t>(writes.size()));
     for (const std::string& k : writes) w.str(k);
   }
-
-  static Result<AccessSet> read_from(BytesReader& r) {
-    AccessSet out;
-    auto read_list = [&r](std::vector<std::string>& into) -> Status {
-      auto n = r.u32();
-      if (!n) return n.error();
-      for (std::uint32_t i = 0; i < *n; ++i) {
-        auto s = r.str();
-        if (!s) return s.error();
-        into.push_back(std::move(*s));
-      }
-      return ok_status();
-    };
-    if (auto s = read_list(out.reads); !s) return s.error();
-    if (auto s = read_list(out.writes); !s) return s.error();
-    return out;
-  }
 };
 
 /// The access key naming a StoredObject.

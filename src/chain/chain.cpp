@@ -164,7 +164,7 @@ Result<ObjectId> CallContext::create_object(Bytes data) {
   StoredObject obj;
   obj.id = id;
   obj.owner = sender_;
-  obj.rebate_credit = chain_.config_.gas.storage_rebate(data.size());
+  obj.rebate_credit = storage_rebate(data.size());
   s.effects.bytes_stored += data.size();
   ++s.effects.objects_created;
   s.effects.rebate_accrued += obj.rebate_credit;
@@ -336,7 +336,7 @@ Status CallContext::pay_from_escrow(const Address& to, Mist amount) {
 
 // --- Blockchain ----------------------------------------------------------
 
-Blockchain::Blockchain(ChainConfig config) : config_(config) {
+Blockchain::Blockchain() {
   Block genesis;
   genesis.height = 0;
   genesis.previous = crypto::sha256("debuglet-genesis");

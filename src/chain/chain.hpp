@@ -234,14 +234,10 @@ class Contract {
 using EventCallback = std::function<void(const Event&)>;
 using SubscriptionId = std::uint64_t;
 
-/// Chain-level configuration.
-struct ChainConfig {
-  GasSchedule gas;
-  /// Finality latency per transaction (Sui: <0.5 s, paper §V-B). The chain
-  /// executes synchronously; orchestration code adds this to simulated
-  /// schedules.
-  SimDuration finality_latency = duration::milliseconds(400);
-};
+/// Finality latency per transaction (Sui: <0.5 s, paper §V-B). The chain
+/// executes synchronously; orchestration code adds this to simulated
+/// schedules.
+inline constexpr SimDuration kFinalityLatency = duration::milliseconds(400);
 
 /// Batch execution knobs.
 struct BatchOptions {
@@ -253,9 +249,7 @@ struct BatchOptions {
 /// The chain itself.
 class Blockchain {
  public:
-  explicit Blockchain(ChainConfig config = ChainConfig{});
-
-  const ChainConfig& config() const { return config_; }
+  Blockchain();
 
   /// Registers a contract instance under its name().
   Status register_contract(std::unique_ptr<Contract> contract);
@@ -345,7 +339,6 @@ class Blockchain {
   friend class CallContext;
   friend struct detail::BatchState;
 
-  ChainConfig config_;
   std::map<std::string, std::unique_ptr<Contract>> contracts_;
   std::map<Address, Mist> balances_;
   std::map<Address, std::uint64_t> nonces_;

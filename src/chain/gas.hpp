@@ -26,30 +26,28 @@ using Mist = std::uint64_t;
 
 inline constexpr double kMistPerSui = 1e9;
 
-/// Pricing constants for object creation and deletion.
-struct GasSchedule {
-  Mist computation_fee = 9'373'200;     // flat per transaction
-  Mist storage_price_per_byte = 21'584; // charged per payload byte
-  std::uint32_t object_overhead_bytes = 200;  // metadata charged as storage
-  Mist rebate_per_object = 4'300'000;   // refunded when the object is freed
-  Mist rebate_per_byte = 20'266;        // refunded per payload byte
+// Pricing constants for object creation and deletion.
+inline constexpr Mist kComputationFee = 9'373'200;   // flat per transaction
+inline constexpr Mist kStoragePricePerByte = 21'584;  // per payload byte
+inline constexpr std::uint32_t kObjectOverheadBytes = 200;  // metadata
+inline constexpr Mist kRebatePerObject = 4'300'000;  // refunded on free
+inline constexpr Mist kRebatePerByte = 20'266;       // per payload byte
 
-  /// Storage charge for one object of `payload_bytes`.
-  Mist storage_fee(std::uint64_t payload_bytes) const {
-    return storage_price_per_byte * (object_overhead_bytes + payload_bytes);
-  }
+/// Storage charge for one object of `payload_bytes`.
+constexpr Mist storage_fee(std::uint64_t payload_bytes) {
+  return kStoragePricePerByte * (kObjectOverheadBytes + payload_bytes);
+}
 
-  /// Total transaction cost creating one object of `payload_bytes`
-  /// (the quantity Table II reports).
-  Mist submission_cost(std::uint64_t payload_bytes) const {
-    return computation_fee + storage_fee(payload_bytes);
-  }
+/// Total transaction cost creating one object of `payload_bytes` (the
+/// quantity Table II reports).
+constexpr Mist submission_cost(std::uint64_t payload_bytes) {
+  return kComputationFee + storage_fee(payload_bytes);
+}
 
-  /// Rebate credited when an object of `payload_bytes` is deleted.
-  Mist storage_rebate(std::uint64_t payload_bytes) const {
-    return rebate_per_object + rebate_per_byte * payload_bytes;
-  }
-};
+/// Rebate credited when an object of `payload_bytes` is deleted.
+constexpr Mist storage_rebate(std::uint64_t payload_bytes) {
+  return kRebatePerObject + kRebatePerByte * payload_bytes;
+}
 
 /// Converts MIST to SUI for reports.
 inline double mist_to_sui(Mist mist) {

@@ -199,10 +199,9 @@ void BatchState::execute_tx(GroupView& view, std::size_t index) {
       ctx, tx.function, BytesView(tx.arguments.data(), tx.arguments.size()));
 
   // Gas: flat computation plus storage for created objects.
-  Mist gas = chain->config_.gas.computation_fee;
-  gas += chain->config_.gas.storage_price_per_byte *
-         (scratch.effects.objects_created *
-              chain->config_.gas.object_overhead_bytes +
+  Mist gas = kComputationFee;
+  gas += kStoragePricePerByte *
+         (scratch.effects.objects_created * kObjectOverheadBytes +
           scratch.effects.bytes_stored);
 
   Receipt& receipt = out.receipt;

@@ -19,6 +19,40 @@ constexpr std::uint64_t kTwinPayloadSalt = 0x7719A3ULL;
 constexpr std::uint64_t kTwinPacingSalt = 0x7719B4ULL;
 constexpr std::uint64_t kTwinPortSalt = 0x7719C5ULL;
 
+// The detector's calibration.
+constexpr SimDuration kInterval = duration::milliseconds(50);
+// The one bit the twins differ in: a destination port inside the classic
+// measurement ranges vs. an unremarkable ephemeral port.
+constexpr std::uint16_t kProbePort = 40021;
+constexpr std::uint16_t kDataPort = 27101;
+// Identical high-entropy payload tail carried by both twins.
+constexpr std::size_t kPayloadTailBytes = 48;
+// INT budget when the network forwards with telemetry enabled.
+constexpr std::uint8_t kIntMaxHops = 12;
+// Detection bar: an SPRT arm accepts discrimination AND the top
+// confidence is at/above this. A delivered twin pair is evidence of delay
+// discrimination when the data twin trails by at least kMinEffectMs.
+constexpr double kConfidenceThreshold = 0.8;
+constexpr double kMinEffectMs = 1.0;
+// Sequential round bounds: never decide before kMinRounds, give up at
+// kMaxRounds.
+constexpr std::uint64_t kMinRounds = 8;
+constexpr std::uint64_t kMaxRounds = 64;
+// Wald error bounds: false-accusation rate <= alpha, missed detection
+// <= beta.
+constexpr double kAlpha = 0.01;
+constexpr double kBeta = 0.05;
+// Bernoulli design points: P(round shows a >= kMinEffectMs delay gap)
+// under honest (p0) vs discriminating (p1) treatment, and P(a discordant
+// loss pair hits the data twin) under discrimination (the honest null is
+// 0.5 by symmetry).
+constexpr double kDelayP0 = 0.05;
+constexpr double kDelayP1 = 0.9;
+constexpr double kLossP1 = 0.95;
+// Extra rounds granted after the first H1 so prefix evidence can firm up
+// before the run stops.
+constexpr std::uint64_t kGraceRounds = 8;
+
 // Maps a nonnegative separation score into [0, 1); 4.0 is the score at
 // which confidence crosses 0.5. Genuine fault hiding scores far higher.
 double score_to_confidence(double score) {
@@ -246,28 +280,14 @@ std::string DiscriminationReport::trace() const {
 
 DiscriminationDetector::DiscriminationDetector(
     simnet::SimulatedNetwork& network, topology::AsNumber client_as,
-    topology::AsNumber server_as, std::uint64_t seed)
-    : DiscriminationDetector(network, client_as, server_as, seed, Options{}) {}
-
-DiscriminationDetector::DiscriminationDetector(
-    simnet::SimulatedNetwork& network, topology::AsNumber client_as,
-    topology::AsNumber server_as, std::uint64_t seed, Options options)
+    topology::AsNumber server_as, std::uint64_t seed, bool randomize_twins)
     : network_(network),
       client_as_(client_as),
       server_as_(server_as),
       seed_(seed),
-      options_(options) {}
+      randomize_twins_(randomize_twins) {}
 
 Result<DiscriminationReport> DiscriminationDetector::run() {
-  if (options_.interval <= 0)
-    return fail("discrimination: interval must be positive");
-  if (options_.probe_port == options_.data_port)
-    return fail("discrimination: twin ports must differ");
-  if (options_.max_rounds == 0 || options_.max_rounds > 1024)
-    return fail("discrimination: max_rounds must be in [1, 1024]");
-  if (options_.min_rounds > options_.max_rounds)
-    return fail("discrimination: min_rounds exceeds max_rounds");
-
   using Decision = Sprt::Decision;
   DiscriminationReport report;
   const net::Ipv4Address client = network_.allocate_host_address(client_as_);
@@ -276,9 +296,9 @@ Result<DiscriminationReport> DiscriminationDetector::run() {
   // path AS gets its own twin stream (the prefix scan that localizes
   // loss-only discrimination); the final collector is always last.
   struct Target {
-    explicit Target(const Options& o)
-        : delay(o.delay_p0, o.delay_p1, o.alpha, o.beta),
-          loss(0.5, o.loss_p1, o.alpha, o.beta) {}
+    Target()
+        : delay(kDelayP0, kDelayP1, kAlpha, kBeta),
+          loss(0.5, kLossP1, kAlpha, kBeta) {}
     topology::AsNumber asn = 0;
     bool is_final = false;
     net::Ipv4Address addr;
@@ -295,16 +315,15 @@ Result<DiscriminationReport> DiscriminationDetector::run() {
 
   auto add_target = [&](topology::AsNumber asn,
                         bool is_final) -> Result<bool> {
-    auto t = std::make_unique<Target>(options_);
+    auto t = std::make_unique<Target>();
     t->asn = asn;
     t->is_final = is_final;
     t->addr = network_.allocate_host_address(asn);
     t->probe_like = is_final ? &report.probe_like : &t->local_probe;
     t->data_like = is_final ? &report.data_like : &t->local_data;
-    t->rounds.resize(options_.max_rounds);
+    t->rounds.resize(kMaxRounds);
     t->sink = std::make_unique<TwinCollector>(
-        options_.probe_port, options_.data_port, *t->probe_like,
-        *t->data_like, t->rounds);
+        kProbePort, kDataPort, *t->probe_like, *t->data_like, t->rounds);
     if (auto attached = network_.attach_host(t->addr, t->sink.get());
         !attached)
       return fail("discrimination: " + attached.error_message());
@@ -336,8 +355,7 @@ Result<DiscriminationReport> DiscriminationDetector::run() {
   // must never replay the ports/payloads an earlier static run with the
   // same seed already taught a learning middlebox (the first randomized
   // round would otherwise collide with the promoted static signature).
-  const std::uint64_t mode_salt =
-      options_.randomize_twins ? 0x52414E44ULL << 24 : 0;
+  const std::uint64_t mode_salt = randomize_twins_ ? 0x52414E44ULL << 24 : 0;
   Rng payload_rng = Rng(seed_).fork(kTwinPayloadSalt ^ mode_salt);
   Rng pacing_rng = Rng(seed_).fork(kTwinPacingSalt ^ mode_salt);
   Rng port_rng = Rng(seed_).fork(kTwinPortSalt ^ mode_salt);
@@ -351,39 +369,36 @@ Result<DiscriminationReport> DiscriminationDetector::run() {
   std::uint64_t rounds_done = 0;
   bool stopped_early = false;
 
-  for (std::uint64_t r = 0; r < options_.max_rounds; ++r) {
+  for (std::uint64_t r = 0; r < kMaxRounds; ++r) {
     // Randomized twins defeat the learning middlebox: a fresh source
     // port and payload tail every round keeps the signature novel, and
     // pacing jitter drawn from an app-like (exponential) mimicry profile
     // breaks the metronome. Static twins reuse everything — the learnable
     // baseline the arms-race tests need.
-    if (options_.randomize_twins && r > 0)
+    if (randomize_twins_ && r > 0)
       source_port = ephemeral_source_port(port_rng);
     Bytes payload;
     if (network_.int_enabled())
-      payload =
-          telemetry::IntHeader::reserve(options_.int_max_hops).serialize();
+      payload = telemetry::IntHeader::reserve(kIntMaxHops).serialize();
     const std::size_t base = payload.size();
-    if (options_.randomize_twins) {
-      payload.resize(base + options_.payload_tail_bytes);
+    if (randomize_twins_) {
+      payload.resize(base + kPayloadTailBytes);
       for (std::size_t i = base; i < payload.size(); ++i)
         payload[i] = static_cast<std::uint8_t>(payload_rng.next_u64() & 0xFF);
     } else {
       if (static_tail.empty()) {
-        static_tail.resize(options_.payload_tail_bytes);
+        static_tail.resize(kPayloadTailBytes);
         for (std::uint8_t& b : static_tail)
           b = static_cast<std::uint8_t>(payload_rng.next_u64() & 0xFF);
       }
       payload.insert(payload.end(), static_tail.begin(), static_tail.end());
     }
 
-    SimTime at = start + options_.interval * static_cast<SimDuration>(r + 1);
-    if (options_.randomize_twins) {
-      const double mean_ms =
-          duration::to_ms(options_.interval) / 6.0;
+    SimTime at = start + kInterval * static_cast<SimDuration>(r + 1);
+    if (randomize_twins_) {
+      const double mean_ms = duration::to_ms(kInterval) / 6.0;
       const SimDuration jitter = std::min<SimDuration>(
-          duration::from_ms(pacing_rng.exponential(mean_ms)),
-          options_.interval / 2);
+          duration::from_ms(pacing_rng.exponential(mean_ms)), kInterval / 2);
       at += jitter;
     }
     // Rounds run to completion before the next is scheduled, so never
@@ -400,9 +415,9 @@ Result<DiscriminationReport> DiscriminationDetector::run() {
       spec.source_port = source_port;
       spec.sequence = static_cast<std::uint16_t>(r);
       spec.payload = payload;
-      spec.destination_port = options_.probe_port;
+      spec.destination_port = kProbePort;
       auto probe_wire = net::build_probe(spec);
-      spec.destination_port = options_.data_port;
+      spec.destination_port = kDataPort;
       auto data_wire = net::build_probe(spec);
       if (!probe_wire || !data_wire) {
         detach_all();
@@ -431,12 +446,12 @@ Result<DiscriminationReport> DiscriminationDetector::run() {
     for (const auto& t : targets) {
       const RoundOutcome& o = t->rounds[r];
       if (o.probe && o.data)
-        t->delay.observe(o.data_ms - o.probe_ms >= options_.min_effect_ms);
+        t->delay.observe(o.data_ms - o.probe_ms >= kMinEffectMs);
       else if (o.probe != o.data)
         t->loss.observe(!o.data);
     }
 
-    if (rounds_done < options_.min_rounds) continue;
+    if (rounds_done < kMinRounds) continue;
     const bool delay_h1 = fin.delay.decision() == Decision::kAcceptH1;
     const bool loss_h1 = fin.loss.decision() == Decision::kAcceptH1;
     if (delay_h1 || loss_h1) {
@@ -452,7 +467,7 @@ Result<DiscriminationReport> DiscriminationDetector::run() {
         named = (delay_h1 && t.delay.decision() == Decision::kAcceptH1) ||
                 (loss_h1 && t.loss.decision() == Decision::kAcceptH1);
       }
-      if (named || rounds_done - first_h1_round >= options_.grace_rounds) {
+      if (named || rounds_done - first_h1_round >= kGraceRounds) {
         stopped_early = true;
         break;
       }
@@ -552,8 +567,7 @@ Result<DiscriminationReport> DiscriminationDetector::run() {
   }
 
   sort_suspects(report);
-  report.detected =
-      h1 && report.top_confidence() >= options_.confidence_threshold;
+  report.detected = h1 && report.top_confidence() >= kConfidenceThreshold;
   count_decision(report);
   return report;
 }

@@ -19,7 +19,7 @@
 // recurrence it needs to promote. The detector runs Wald SPRTs
 // (util/sprt.hpp) per arm — a sign test on per-round delay deltas and one
 // on discordant loss pairs — stopping as soon as the evidence crosses the
-// configured alpha/beta error bounds.
+// alpha/beta error bounds.
 // When INT is off, twin pairs aimed at every intermediate path AS act as a
 // prefix scan: the nearest prefix whose SPRT accepts discrimination names
 // the AS, so loss-only evidence localizes at realistic round counts.
@@ -91,7 +91,7 @@ struct DiscriminationReport {
   bool detected = false;
   /// Confidence-descending (ties break toward the lower AS number).
   std::vector<DiscriminationEvidence> suspects;
-  /// Rounds actually emitted (the SPRT may stop before max_rounds).
+  /// Rounds actually emitted (the SPRT may stop before the round cap).
   std::uint64_t rounds_used = 0;
   /// How the run ended: "h1-delay", "h1-loss", "h1-both", "h0" or
   /// "exhausted".
@@ -118,58 +118,18 @@ struct DiscriminationReport {
 /// for — and drives the event queue until the rounds drain.
 class DiscriminationDetector {
  public:
-  struct Options {
-    SimDuration interval = duration::milliseconds(50);
-    /// The one bit the twins differ in: a destination port inside the
-    /// classic measurement ranges vs. an unremarkable ephemeral port.
-    std::uint16_t probe_port = 40021;
-    std::uint16_t data_port = 27101;
-    /// Identical high-entropy payload tail carried by both twins.
-    std::size_t payload_tail_bytes = 48;
-    /// INT budget when the network forwards with telemetry enabled.
-    std::uint8_t int_max_hops = 12;
-    /// Detection bar: an SPRT arm accepts discrimination AND the top
-    /// confidence is at/above this. A delivered twin pair is evidence of
-    /// delay discrimination when the data twin trails by at least
-    /// `min_effect_ms`.
-    double confidence_threshold = 0.8;
-    double min_effect_ms = 1.0;
-
-    /// Randomized twin generation (per-round source ports, fresh payload
-    /// tails, mimicry pacing jitter) — the counter to a learning
-    /// middlebox. false = static twins: one source port, one payload,
-    /// metronome pacing (learnable on purpose, for arms-race tests).
-    bool randomize_twins = true;
-    /// Sequential round bounds: never decide before `min_rounds`, give up
-    /// at `max_rounds`.
-    std::uint64_t min_rounds = 8;
-    std::uint64_t max_rounds = 64;
-    /// Wald error bounds: false-accusation rate <= alpha, missed
-    /// detection <= beta.
-    double alpha = 0.01;
-    double beta = 0.05;
-    /// Bernoulli design points: P(round shows a >= min_effect delay gap)
-    /// under honest (p0) vs discriminating (p1) treatment, and
-    /// P(a discordant loss pair hits the data twin) under discrimination
-    /// (the honest null is 0.5 by symmetry).
-    double delay_p0 = 0.05;
-    double delay_p1 = 0.9;
-    double loss_p1 = 0.95;
-    /// Extra rounds granted after the first H1 so prefix evidence can
-    /// firm up before the run stops.
-    std::uint64_t grace_rounds = 8;
-  };
-
-  DiscriminationDetector(simnet::SimulatedNetwork& network,
-                         topology::AsNumber client_as,
-                         topology::AsNumber server_as, std::uint64_t seed);
+  /// `randomize_twins` selects randomized twin generation (per-round
+  /// source ports, fresh payload tails, mimicry pacing jitter), the
+  /// counter to a learning middlebox. false = static twins: one source
+  /// port, one payload, metronome pacing (learnable on purpose, for
+  /// arms-race tests).
   DiscriminationDetector(simnet::SimulatedNetwork& network,
                          topology::AsNumber client_as,
                          topology::AsNumber server_as, std::uint64_t seed,
-                         Options options);
+                         bool randomize_twins = true);
 
   /// Emits twin rounds one at a time and stops as soon as the final
-  /// collector's SPRT arms cross their error bounds (or at max_rounds).
+  /// collector's SPRT arms cross their error bounds (or at the round cap).
   Result<DiscriminationReport> run();
 
  private:
@@ -177,7 +137,7 @@ class DiscriminationDetector {
   topology::AsNumber client_as_;
   topology::AsNumber server_as_;
   std::uint64_t seed_;
-  Options options_;
+  bool randomize_twins_;
 };
 
 }  // namespace debuglet::core

@@ -211,7 +211,7 @@ Result<MeasurementHandle> Initiator::purchase(
   lookup.bandwidth_bps = request.bandwidth_bps;
   lookup.earliest_start =
       std::max(request.earliest_start,
-               system_.queue().now() + chain.config().finality_latency);
+               system_.queue().now() + chain::kFinalityLatency);
   auto lookup_receipt = chain.submit(chain.make_transaction(
       key_, marketplace::kContractName, "LookupSlot", lookup.serialize(), 0,
       1'000'000'000,
@@ -443,26 +443,22 @@ Result<ResilientMeasurement> Initiator::measure_rtt_resilient(
   simnet::EventQueue& queue = system_.queue();
   const auto& topo = system_.network().topology();
 
-  // The candidate rings: the primary first, then the explicit alternates,
-  // or — by default — the other border interfaces of the same AS. The
-  // endpoints of a measurement never traverse their own AS interior, so
-  // an alternate interface of the same AS measures the same segment.
-  auto candidates_for = [&](topology::InterfaceKey primary,
-                            const std::vector<topology::InterfaceKey>& extra) {
+  // The candidate rings, tried in order and wrapping when a side's
+  // executor fails: the primary first, then the other border interfaces
+  // of the same AS. The endpoints of a measurement never traverse their
+  // own AS interior, so an alternate interface of the same AS measures
+  // the same segment.
+  auto candidates_for = [&](topology::InterfaceKey primary) {
     std::vector<topology::InterfaceKey> out{primary};
-    if (!extra.empty()) {
-      out.insert(out.end(), extra.begin(), extra.end());
-    } else if (request.allow_failover) {
-      for (topology::InterfaceId intf : topo.interfaces_of(primary.asn))
-        if (intf != primary.interface)
-          out.push_back(topology::InterfaceKey{primary.asn, intf});
-    }
+    for (topology::InterfaceId intf : topo.interfaces_of(primary.asn))
+      if (intf != primary.interface)
+        out.push_back(topology::InterfaceKey{primary.asn, intf});
     return out;
   };
   const std::vector<topology::InterfaceKey> client_candidates =
-      candidates_for(request.client_key, request.client_alternates);
+      candidates_for(request.client_key);
   const std::vector<topology::InterfaceKey> server_candidates =
-      candidates_for(request.server_key, request.server_alternates);
+      candidates_for(request.server_key);
 
   ResilientMeasurement rm;
   std::size_t ci = 0;
@@ -478,7 +474,6 @@ Result<ResilientMeasurement> Initiator::measure_rtt_resilient(
   };
   auto fail_over = [&](bool client_side, bool server_side,
                        std::uint32_t attempt) {
-    if (!request.allow_failover) return;
     bool moved = false;
     if (client_side && client_candidates.size() > 1) {
       ci = (ci + 1) % client_candidates.size();
@@ -513,7 +508,8 @@ Result<ResilientMeasurement> Initiator::measure_rtt_resilient(
     auto handle = purchase_rtt_measurement(
         client_candidates[ci], server_candidates[si], request.protocol,
         request.probe_count, request.interval_ms,
-        std::max(request.earliest_start, queue.now()), request.seal_results);
+        std::max(request.earliest_start, queue.now()),
+        /*seal_results=*/false);
     if (!handle) {
       note(Kind::kPurchaseFailed, attempt, handle.error_message());
       // A pair that cannot even trade a slot: rotate both sides.

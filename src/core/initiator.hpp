@@ -172,15 +172,7 @@ struct ResilientRttRequest {
   std::int64_t probe_count = 10;
   std::int64_t interval_ms = 200;
   SimTime earliest_start = 0;
-  bool seal_results = false;
   RetryPolicy retry;
-  /// Alternates tried (in order, wrapping) when a side's executor fails.
-  /// Empty = derive from the other border interfaces of the same AS —
-  /// endpoints never traverse their own AS interior, so an alternate
-  /// interface of the same AS measures the same inter-domain segment.
-  std::vector<topology::InterfaceKey> client_alternates;
-  std::vector<topology::InterfaceKey> server_alternates;
-  bool allow_failover = true;
 };
 
 /// What a resilient measurement went through before succeeding.

@@ -75,8 +75,7 @@ Result<LocalizationStep> FaultLocalizer::measure_segment(std::size_t from_hop,
   request.probe_count = probes_;
   request.interval_ms = interval_ms_;
   request.earliest_start = segment_begin;
-  request.retry = resilience_.retry;
-  request.allow_failover = resilience_.allow_failover;
+  request.retry = retry_;
   auto measured = initiator_.measure_rtt_resilient(request);
   if (!measured) return measured.error();
   auto summary = summarize_rtt(measured->outcome.client,
@@ -497,19 +496,6 @@ Result<LocalizationReport> FaultLocalizer::run(Strategy strategy) {
                       "(confidence %.3f, not localized)",
                       twin->top_confidence());
       report.notes.push_back(note);
-      // Accountability cross-check: an accused AS that already carries
-      // on-chain strikes (prior confirmed reports, marketplace/reputation)
-      // is a repeat offender — say so next to the fresh evidence.
-      if (reputation_lookup_ && twin->named_as() != 0) {
-        const std::uint32_t strikes = reputation_lookup_(twin->named_as());
-        if (strikes > 0) {
-          char rep[96];
-          std::snprintf(rep, sizeof(rep),
-                        "AS%u carries %u prior on-chain reputation strike%s",
-                        twin->named_as(), strikes, strikes == 1 ? "" : "s");
-          report.notes.push_back(rep);
-        }
-      }
     }
   }
 

@@ -159,12 +159,8 @@ class FaultLocalizer {
   /// initiator's resilient path (retry + failover), and the parallel sweep
   /// awaits its purchases with Initiator::await_result. Runs with dead or
   /// byzantine executors degrade to bracketed / partial reports instead of
-  /// erroring out.
-  struct Resilience {
-    RetryPolicy retry;
-    bool allow_failover = true;
-  };
-  void set_resilience(Resilience resilience) { resilience_ = resilience; }
+  /// erroring out. `retry` paces each segment's attempts.
+  void set_resilience(RetryPolicy retry) { retry_ = retry; }
 
   /// Adversary tolerance: after the segment measurements conclude, run a
   /// twin-probe discrimination check (typically a closure around a
@@ -176,17 +172,6 @@ class FaultLocalizer {
   using DiscriminationProbe = std::function<Result<DiscriminationReport>()>;
   void set_discrimination_probe(DiscriminationProbe probe) {
     discrimination_probe_ = std::move(probe);
-  }
-
-  /// Accountability context: maps an AS number to its on-chain reputation
-  /// strike count (typically a closure over the reputation contract's
-  /// inspection helper). When the discrimination probe names an AS that
-  /// already carries strikes, the report notes the prior record — fresh
-  /// evidence against a repeat offender reads differently from a first
-  /// accusation. Optional; absent means no note.
-  using ReputationLookup = std::function<std::uint32_t(topology::AsNumber)>;
-  void set_reputation_lookup(ReputationLookup lookup) {
-    reputation_lookup_ = std::move(lookup);
   }
 
  private:
@@ -216,9 +201,8 @@ class FaultLocalizer {
   std::int64_t probes_;
   std::int64_t interval_ms_;
   EvidenceCollector evidence_collector_;
-  Resilience resilience_;
+  RetryPolicy retry_;
   DiscriminationProbe discrimination_probe_;
-  ReputationLookup reputation_lookup_;
 };
 
 }  // namespace debuglet::core

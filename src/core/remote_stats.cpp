@@ -4,12 +4,28 @@
 
 namespace debuglet::core {
 
+namespace {
+
+// How long each chunk request waits for its response.
+constexpr SimDuration kChunkTimeout = duration::milliseconds(500);
+// Maximum outstanding chunk requests once the count is known.
+constexpr std::size_t kWindow = 4;
+
+// The stats pair: listen ports, and each serving Debuglet's budget.
+constexpr std::uint16_t kFirstStatsPort = 45000;
+constexpr std::uint16_t kSecondStatsPort = 45001;
+constexpr std::int64_t kStatsRequestBudget = 256;
+constexpr SimDuration kStatsServeBudget = duration::seconds(60);
+// The stats Debuglet stops serving after this long without a request.
+constexpr std::int64_t kStatsIdleTimeoutMs = 5000;
+
+}  // namespace
+
 RemoteScraper::RemoteScraper(simnet::SimulatedNetwork& network,
                              net::Ipv4Address address, ScrapeConfig config)
     : network_(network),
       address_(address),
       config_(config),
-      retry_rng_(config.retry_seed),
       retry_obs_("scrape_chunk") {}
 
 void RemoteScraper::start(DoneCallback on_done) {
@@ -27,7 +43,7 @@ void RemoteScraper::request_chunk(std::uint16_t index) {
   BytesWriter w;
   w.u64(index);
   net::ProbeSpec spec;
-  spec.protocol = config_.protocol;
+  spec.protocol = net::Protocol::kUdp;
   spec.source = address_;
   spec.destination = config_.target;
   spec.source_port = source_port_;
@@ -40,7 +56,7 @@ void RemoteScraper::request_chunk(std::uint16_t index) {
     return;
   }
   ++report_.requests_sent;
-  const std::uint32_t attempt = ++attempts_[index];
+  ++attempts_[index];
   retry_obs_.attempt();
   const std::uint64_t token = next_token_++;
   pending_[index] = token;
@@ -48,27 +64,23 @@ void RemoteScraper::request_chunk(std::uint16_t index) {
     fail_scrape("request send: " + s.error_message());
     return;
   }
-  // The policy's backoff before attempt k doubles as attempt k-1's
-  // response timeout; give up once max_attempts is exhausted. The timer
-  // is homed on the scraper host's domain, where deliveries (on_packet)
-  // run too.
-  const SimDuration timeout =
-      config_.retry.delay_before(attempt + 1, retry_rng_);
+  // Give up once max_attempts is exhausted. The timer is homed on the
+  // scraper host's domain, where deliveries (on_packet) run too.
   network_.queue().schedule_on(
-      network_.domain_of(address_), network_.now() + timeout,
-      [this, index, token, timeout] {
+      network_.domain_of(address_), network_.now() + kChunkTimeout,
+      [this, index, token] {
     if (finished_) return;
     auto it = pending_.find(index);
     if (it == pending_.end() || it->second != token) return;
     pending_.erase(it);
-    if (attempts_[index] >= config_.retry.max_attempts) {
+    if (attempts_[index] >= config_.max_attempts) {
       retry_obs_.gave_up();
       fail_scrape("chunk " + std::to_string(index) + " timed out after " +
                   std::to_string(attempts_[index]) + " attempts");
       return;
     }
     ++report_.retries;
-    retry_obs_.retry(timeout);
+    retry_obs_.retry(kChunkTimeout);
     request_chunk(index);
   });
 }
@@ -76,9 +88,9 @@ void RemoteScraper::request_chunk(std::uint16_t index) {
 void RemoteScraper::rerequest_oldest_pending() {
   if (pending_.empty()) return;
   const std::uint16_t index = pending_.begin()->first;
-  // The shared RetryPolicy still governs the budget: once this index has
-  // burned its attempts, leave the timeout timer to declare failure.
-  if (attempts_[index] >= config_.retry.max_attempts) return;
+  // The attempt budget still holds: once this index has burned its
+  // attempts, leave the timeout timer to declare failure.
+  if (attempts_[index] >= config_.max_attempts) return;
   pending_.erase(index);  // invalidates the old timer's token match
   ++report_.retries;
   retry_obs_.retry(0);
@@ -90,7 +102,7 @@ void RemoteScraper::fill_window() {
   // The cursor visits each index exactly once (the timeout timer owns
   // re-requests), so everything between it and the window is missing.
   const std::size_t expected = assembler_.expected_chunks();
-  while (pending_.size() < config_.window && next_to_request_ < expected) {
+  while (pending_.size() < kWindow && next_to_request_ < expected) {
     request_chunk(next_to_request_++);
     if (finished_) return;  // a send failure ended the scrape
   }
@@ -99,7 +111,7 @@ void RemoteScraper::fill_window() {
 void RemoteScraper::on_packet(const simnet::Delivery& delivery) {
   if (finished_ || !started_) return;
   const net::Packet& packet = delivery.packet;
-  if (packet.protocol != config_.protocol) return;
+  if (packet.protocol != net::Protocol::kUdp) return;
   if (!(packet.ip.source == config_.target)) return;
   std::uint16_t destination_port = 0;
   if (packet.udp) destination_port = packet.udp->destination_port;
@@ -176,16 +188,6 @@ void RemoteScraper::fail_scrape(const std::string& reason) {
   if (on_done_) on_done_(report_);
 }
 
-Status RemoteScraper::merge_into(obs::MetricsRegistry& target,
-                                 std::string label) const {
-  if (!report_.complete)
-    return fail("scrape incomplete" +
-                (report_.error.empty() ? std::string()
-                                       : ": " + report_.error));
-  if (label.empty()) label = config_.target.to_string();
-  return obs::wire::merge_rows(target, report_.rows, label);
-}
-
 Result<StatsDeployment> purchase_stats_pair(Initiator& initiator,
                                             DebugletSystem& system,
                                             const StatsPairRequest& request) {
@@ -194,21 +196,24 @@ Result<StatsDeployment> purchase_stats_pair(Initiator& initiator,
   MeasurementRequest purchase;
   purchase.client_key = request.first_key;
   purchase.server_key = request.second_key;
-  purchase.earliest_start = request.earliest_start;
 
   const Bytes bytecode = apps::make_stats_debuglet().serialize();
   const Bytes manifest =
-      apps::stats_manifest(request.params.protocol, request.scraper_address,
-                           request.request_budget, request.serve_budget)
+      apps::stats_manifest(net::Protocol::kUdp, request.scraper_address,
+                           kStatsRequestBudget, kStatsServeBudget)
           .serialize();
+  const std::vector<std::int64_t> parameters = {
+      static_cast<std::int64_t>(net::Protocol::kUdp),
+      obs::wire::kDefaultChunkPayload, kStatsIdleTimeoutMs,
+      /*max_requests=*/0};
   purchase.client_app.bytecode = bytecode;
   purchase.client_app.manifest = manifest;
-  purchase.client_app.parameters = request.params.to_parameters();
-  purchase.client_app.listen_port = request.first_port;
+  purchase.client_app.parameters = parameters;
+  purchase.client_app.listen_port = kFirstStatsPort;
   purchase.server_app.bytecode = bytecode;
   purchase.server_app.manifest = manifest;
-  purchase.server_app.parameters = request.params.to_parameters();
-  purchase.server_app.listen_port = request.second_port;
+  purchase.server_app.parameters = parameters;
+  purchase.server_app.listen_port = kSecondStatsPort;
 
   auto handle = initiator.purchase(purchase);
   if (!handle) return handle.error();
@@ -217,8 +222,8 @@ Result<StatsDeployment> purchase_stats_pair(Initiator& initiator,
   out.handle = *handle;
   out.first_address = topo.address_of(request.first_key);
   out.second_address = topo.address_of(request.second_key);
-  out.first_port = request.first_port;
-  out.second_port = request.second_port;
+  out.first_port = kFirstStatsPort;
+  out.second_port = kSecondStatsPort;
   return out;
 }
 

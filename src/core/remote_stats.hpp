@@ -28,20 +28,14 @@
 
 namespace debuglet::core {
 
-/// How a RemoteScraper conducts one scrape.
+/// How a RemoteScraper conducts one scrape. Requests go over UDP, at most
+/// four chunks outstanding once the count is known; each attempt waits a
+/// flat 500 ms for its response.
 struct ScrapeConfig {
-  net::Protocol protocol = net::Protocol::kUdp;
   net::Ipv4Address target;        // the serving executor's address
   std::uint16_t target_port = 0;  // the stats Debuglet's listen port
-  /// Per-chunk retry schedule (shared core::RetryPolicy): the backoff
-  /// before attempt k is also how long attempt k-1 waits for its
-  /// response. Defaults reproduce the scraper's historical timing — six
-  /// attempts at a flat 500 ms, no jitter.
-  RetryPolicy retry{6, duration::milliseconds(500), 1.0, 0.0};
-  /// Seeds the jitter stream (unused while retry.jitter == 0).
-  std::uint64_t retry_seed = 0x5C4A9EULL;
-  /// Maximum outstanding chunk requests once the count is known.
-  std::uint32_t window = 4;
+  /// Attempts per chunk, the first included.
+  std::uint32_t max_attempts = 6;
 };
 
 /// Outcome of one scrape.
@@ -84,12 +78,6 @@ class RemoteScraper : public simnet::Host {
   const ScrapeReport& report() const { return report_; }
   net::Ipv4Address address() const { return address_; }
 
-  /// Merges the scraped rows into `target` labelled remote_host=`label`
-  /// (defaults to the target executor's address). Fails unless the scrape
-  /// completed.
-  Status merge_into(obs::MetricsRegistry& target,
-                    std::string label = "") const;
-
  private:
   void request_chunk(std::uint16_t index);
   void rerequest_oldest_pending();
@@ -110,7 +98,6 @@ class RemoteScraper : public simnet::Host {
   std::map<std::uint16_t, std::uint64_t> pending_;  // index -> timeout token
   std::map<std::uint16_t, std::uint32_t> attempts_;
   std::uint64_t next_token_ = 1;
-  Rng retry_rng_;
   RetryObs retry_obs_;
 };
 
@@ -131,17 +118,12 @@ struct StatsPairRequest {
   topology::InterfaceKey second_key;
   /// The scraper's address — the only peer the manifests allow.
   net::Ipv4Address scraper_address;
-  apps::StatsServerParams params;
-  /// Request/response budget per serving Debuglet.
-  std::int64_t request_budget = 256;
-  SimDuration serve_budget = duration::seconds(60);
-  std::uint16_t first_port = 45000;
-  std::uint16_t second_port = 45001;
-  SimTime earliest_start = 0;
 };
 
-/// Purchases a slot pair and deploys stats Debuglets at both executors
-/// (steps 1–3 of §IV-A, with telemetry servers as the cargo).
+/// Purchases the earliest slot pair and deploys stats Debuglets at both
+/// executors (steps 1–3 of §IV-A, with telemetry servers as the cargo),
+/// listening on ports 45000 and 45001, each serving up to 256 UDP
+/// requests within 60 s.
 Result<StatsDeployment> purchase_stats_pair(Initiator& initiator,
                                             DebugletSystem& system,
                                             const StatsPairRequest& request);

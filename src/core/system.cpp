@@ -4,6 +4,13 @@
 
 namespace debuglet::core {
 
+namespace {
+
+/// Funding minted to each AS operator account at startup.
+constexpr chain::Mist kOperatorFunding = 2'000'000'000'000;  // 2000 SUI
+
+}  // namespace
+
 ExecutorAgent::ExecutorAgent(chain::Blockchain& chain,
                              simnet::SimulatedNetwork& network,
                              topology::InterfaceKey key,
@@ -30,13 +37,13 @@ void ExecutorAgent::subscribe() {
 Status ExecutorAgent::register_slots(SimTime from, SimTime until) {
   marketplace::RegisterTimeSlotArgs slots;
   slots.key = key_;
-  for (SimTime t = from; t < until; t += config_->slot_length) {
+  for (SimTime t = from; t < until; t += kSlotLength) {
     marketplace::TimeSlot slot;
     slot.cores = 2;
     slot.memory_bytes = 1 << 20;
     slot.bandwidth_bps = 100'000'000;
     slot.start = t;
-    slot.end = t + config_->slot_length;
+    slot.end = t + kSlotLength;
     slot.price = config_->slot_price;
     slots.slots.push_back(slot);
   }
@@ -141,7 +148,7 @@ void ExecutorAgent::on_deployment_event(const chain::Event& event) {
   // The event fires synchronously inside the purchase transaction; the
   // executor observes it after the chain's finality latency.
   const chain::ObjectId id = *app_id;
-  network_.queue().schedule_after(chain_.config().finality_latency,
+  network_.queue().schedule_after(chain::kFinalityLatency,
                                   [this, id] { handle_application(id); });
 }
 
@@ -218,7 +225,7 @@ void ExecutorAgent::handle_application(chain::ObjectId application_id) {
 
 DebugletSystem::DebugletSystem(simnet::Scenario scenario, SystemConfig config,
                                std::uint64_t seed)
-    : scenario_(std::move(scenario)), config_(config), chain_(config.chain) {
+    : scenario_(std::move(scenario)), config_(config) {
   chain_.set_clock(
       [queue = scenario_.queue.get()] { return queue->now(); });
 
@@ -229,16 +236,15 @@ DebugletSystem::DebugletSystem(simnet::Scenario scenario, SystemConfig config,
 
   // Accountability sidecar: the marketplace quote/purchase paths read its
   // strike records cross-contract to price-penalize implicated ASes.
-  auto reputation = std::make_unique<marketplace::ReputationContract>();
-  reputation_ = reputation.get();
-  if (auto s = chain_.register_contract(std::move(reputation)); !s)
+  if (auto s = chain_.register_contract(
+          std::make_unique<marketplace::ReputationContract>());
+      !s)
     throw std::runtime_error(s.error_message());
 
   const auto& topo = scenario_.network->topology();
   for (topology::AsNumber asn : topo.as_numbers()) {
     auto key_pair = crypto::KeyPair::from_seed(seed ^ (0xA5ULL << 32) ^ asn);
-    chain_.mint(chain::Address::of(key_pair.public_key()),
-                config_.operator_funding);
+    chain_.mint(chain::Address::of(key_pair.public_key()), kOperatorFunding);
     operator_keys_.emplace(asn, key_pair);
     for (topology::InterfaceId intf : topo.interfaces_of(asn)) {
       const topology::InterfaceKey key{asn, intf};

@@ -20,17 +20,16 @@
 
 namespace debuglet::core {
 
+/// Length of every slot an executor registers on its calendar.
+inline constexpr SimDuration kSlotLength = duration::seconds(20);
+
 /// Per-system economic and scheduling defaults.
 struct SystemConfig {
   /// Slot calendar registered by every executor at startup, and rolled
   /// forward by its deployments (ExecutorAgent::top_up).
   SimTime slot_horizon = duration::hours(48);
-  SimDuration slot_length = duration::seconds(20);
   chain::Mist slot_price = 1'000'000;  // 0.001 SUI ≈ 0.1 cents (paper §VI-C)
-  /// Funding minted to each AS operator account at startup.
-  chain::Mist operator_funding = 2'000'000'000'000;  // 2000 SUI
   executor::ExecutorConfig executor;
-  chain::ChainConfig chain;
 };
 
 /// How a byzantine executor agent corrupts the results it publishes
@@ -52,7 +51,6 @@ class ExecutorAgent {
   /// Registers the executor and its slot calendar on-chain.
   Status bootstrap(SimTime horizon_start);
 
-  executor::ExecutorService& service() { return *service_; }
   const crypto::KeyPair& operator_key() const { return operator_key_; }
   chain::Address address() const {
     return chain::Address::of(operator_key_.public_key());
@@ -78,7 +76,6 @@ class ExecutorAgent {
   /// the published control-plane artifact lies. kHonest restores normal
   /// behaviour.
   void set_byzantine_mode(ByzantineMode mode) { byzantine_ = mode; }
-  ByzantineMode byzantine_mode() const { return byzantine_; }
 
  private:
   void subscribe();
@@ -118,8 +115,6 @@ class DebugletSystem {
   simnet::SimulatedNetwork& network() { return *scenario_.network; }
   chain::Blockchain& chain() { return chain_; }
   marketplace::MarketplaceContract& marketplace() { return *marketplace_; }
-  marketplace::ReputationContract& reputation() { return *reputation_; }
-  const SystemConfig& config() const { return config_; }
 
   /// The agent (and executor) at a border interface.
   Result<ExecutorAgent*> agent(topology::InterfaceKey key);
@@ -137,7 +132,6 @@ class DebugletSystem {
   SystemConfig config_;
   chain::Blockchain chain_;
   marketplace::MarketplaceContract* marketplace_ = nullptr;  // owned by chain_
-  marketplace::ReputationContract* reputation_ = nullptr;    // owned by chain_
   std::map<topology::AsNumber, crypto::KeyPair> operator_keys_;
   std::map<topology::InterfaceKey, std::unique_ptr<ExecutorAgent>> agents_;
 };

@@ -29,12 +29,6 @@ std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); 
 
 }  // namespace
 
-std::uint64_t Digest::prefix_u64() const {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | bytes[static_cast<std::size_t>(i)];
-  return v;
-}
-
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}

@@ -27,9 +27,6 @@ struct Digest {
 
   std::string hex() const { return to_hex(BytesView(bytes.data(), bytes.size())); }
   BytesView view() const { return BytesView(bytes.data(), bytes.size()); }
-
-  /// First 8 bytes as a big-endian integer; convenient short identifier.
-  std::uint64_t prefix_u64() const;
 };
 
 /// Incremental SHA-256; feed any number of update() calls, then finalize().

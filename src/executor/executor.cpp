@@ -11,6 +11,12 @@ namespace debuglet::executor {
 
 namespace {
 
+// Sandbox environment setup (~10 ms, §V-B) and the jitter of it and of
+// each I/O boundary crossing, drawn as |N(0, sigma)| in nanoseconds.
+constexpr SimDuration kSetupTime = duration::milliseconds(10);
+constexpr double kSetupJitterNs = 200'000.0;     // ±0.2 ms
+constexpr double kIoOverheadJitterNs = 5'000.0;  // ±5 µs
+
 Result<net::Protocol> protocol_from_i64(std::int64_t v) {
   switch (v) {
     case static_cast<std::int64_t>(net::Protocol::kUdp):
@@ -72,6 +78,7 @@ void ExecutorService::halt() {
   if (deployments_.empty()) return;
   obs_.abandoned->add(deployments_.size());
   deployments_.clear();
+  ports_.clear();
   obs_.active->set(0.0);
 }
 
@@ -108,7 +115,7 @@ Result<DeploymentId> ExecutorService::admit(DebugletApp app) {
       BytesView(app.module_bytes.data(), app.module_bytes.size()));
   if (!module) return fail("module rejected: " + module.error_message());
 
-  vm::ValidationLimits limits = config_.validation;
+  vm::ValidationLimits limits;
   limits.max_memory = std::min(limits.max_memory, app.manifest.peak_memory);
   if (auto s = vm::validate(*module, limits); !s)
     return fail("module rejected: " + s.error_message());
@@ -119,7 +126,7 @@ Result<DeploymentId> ExecutorService::admit(DebugletApp app) {
   if (dep.port == 0)
     return fail("no free port in [" + std::to_string(kFirstAutoPort) +
                 ", 65535]");
-  if (app.listen_port != 0 && port_in_use(dep.port))
+  if (!ports_.insert(dep.port).second)
     return fail("port " + std::to_string(dep.port) +
                 " already in use by an active deployment");
   dep.app = std::move(app);
@@ -129,17 +136,11 @@ Result<DeploymentId> ExecutorService::admit(DebugletApp app) {
   return id;
 }
 
-bool ExecutorService::port_in_use(std::uint16_t port) const {
-  for (const auto& [_, dep] : deployments_)
-    if (dep.port == port) return true;
-  return false;
-}
-
 std::uint16_t ExecutorService::next_free_port() {
   for (std::uint32_t n = 0; n <= 65535u - kFirstAutoPort; ++n) {
     const std::uint16_t port = next_port_;
     next_port_ = port == 65535 ? kFirstAutoPort : port + 1;
-    if (!port_in_use(port)) return port;
+    if (!ports_.contains(port)) return port;
   }
   return 0;  // every port in the range is held
 }
@@ -167,10 +168,9 @@ Result<DeploymentId> ExecutorService::deploy_and_schedule(
 }
 
 SimDuration ExecutorService::io_delay() {
-  SimDuration d = config_.io_overhead;
-  if (config_.io_overhead_jitter_ns > 0.0)
-    d += static_cast<SimDuration>(
-        std::abs(rng_.normal(0.0, config_.io_overhead_jitter_ns)));
+  const SimDuration d =
+      config_.io_overhead +
+      static_cast<SimDuration>(std::abs(rng_.normal(0.0, kIoOverheadJitterNs)));
   obs_.io_us->record(static_cast<double>(d) / 1000.0);
   return d;
 }
@@ -399,10 +399,9 @@ std::vector<vm::HostFunction> ExecutorService::bind_host_api(Deployment& dep) {
 void ExecutorService::begin_execution(DeploymentId id) {
   if (!deployments_.contains(id)) return;
 
-  SimDuration setup = config_.setup_time;
-  if (config_.setup_jitter_ns > 0.0)
-    setup += static_cast<SimDuration>(
-        std::abs(rng_.normal(0.0, config_.setup_jitter_ns)));
+  const SimDuration setup =
+      kSetupTime +
+      static_cast<SimDuration>(std::abs(rng_.normal(0.0, kSetupJitterNs)));
   obs_.setup_ms->record(duration::to_ms(setup));
 
   network_.queue().schedule_after(setup, [this, id] {
@@ -652,7 +651,9 @@ void ExecutorService::finish(Deployment& dep, const vm::RunOutcome& outcome) {
   // live inside it) are gone from here on.
   const CompletionCallback on_complete = std::move(dep.on_complete);
   const DeploymentId id = dep.id;
+  const std::uint16_t port = dep.port;
   deployments_.erase(id);
+  ports_.erase(port);
   obs_.active->set(static_cast<double>(deployments_.size()));
   const CertifiedResult certified = certify(record, as_key_);
   if (on_complete) on_complete(certified);

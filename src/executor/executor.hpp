@@ -40,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 
 #include "crypto/schnorr.hpp"
 #include "executor/manifest.hpp"
@@ -51,21 +52,17 @@
 
 namespace debuglet::executor {
 
-/// Timing characteristics of the sandbox bridge, matching §V-B: a roughly
-/// constant environment setup time (~10 ms) and a small per-I/O boundary
-/// cost (the ~300 µs/RTT Fig. 8 attributes to Go<->WA switching).
+/// Per-I/O boundary cost of the sandbox bridge (the ~300 µs/RTT Fig. 8
+/// attributes to Go<->WA switching), admission limits and policy. The
+/// ~10 ms environment setup of §V-B is fixed (executor.cpp).
 struct ExecutorConfig {
-  SimDuration setup_time = duration::milliseconds(10);
-  double setup_jitter_ns = 200'000.0;        // ±0.2 ms
   SimDuration io_overhead = duration::microseconds(80);
-  double io_overhead_jitter_ns = 5'000.0;    // ±5 µs
   std::uint32_t inbox_capacity = 256;        // queued packets per deployment
   /// Maximum concurrently active (accepted, unfinished) deployments — the
   /// data-plane counterpart of the slot calendar's finite resources
   /// ("only a limited number of requests can be accommodated at each
   /// executor", paper §IV-C). 0 = unlimited.
   std::uint32_t max_concurrent_deployments = 16;
-  vm::ValidationLimits validation;
   ExecutorPolicy policy;
 };
 
@@ -125,7 +122,6 @@ class ExecutorService : public simnet::Host {
   topology::InterfaceKey key() const { return key_; }
   net::Ipv4Address address() const { return address_; }
   const crypto::PublicKey& public_key() const { return as_key_.public_key(); }
-  const ExecutorConfig& config() const { return config_; }
 
   /// Number of deployments not yet finished.
   std::size_t active_deployments() const { return deployments_.size(); }
@@ -177,7 +173,6 @@ class ExecutorService : public simnet::Host {
 
   std::vector<vm::HostFunction> bind_host_api(Deployment& dep);
   Result<DeploymentId> admit(DebugletApp app);
-  bool port_in_use(std::uint16_t port) const;
   std::uint16_t next_free_port();
   void begin_execution(DeploymentId id);
   void pump(DeploymentId id);
@@ -195,6 +190,7 @@ class ExecutorService : public simnet::Host {
   ExecutorConfig config_;
   Rng rng_;
   std::map<DeploymentId, Deployment> deployments_;
+  std::set<std::uint16_t> ports_;  // the port of every live deployment
   DeploymentId next_id_ = 1;
   std::uint16_t next_port_ = kFirstAutoPort;
   bool halted_ = false;

@@ -73,21 +73,6 @@ Result<ReportArgs> ReportArgs::parse(BytesView data) {
   return out;
 }
 
-Bytes GetReputationArgs::serialize() const {
-  BytesWriter w;
-  w.u32(asn);
-  return w.take();
-}
-
-Result<GetReputationArgs> GetReputationArgs::parse(BytesView data) {
-  BytesReader r(data);
-  GetReputationArgs out;
-  auto asn = r.u32();
-  if (!asn) return asn.error();
-  out.asn = *asn;
-  return out;
-}
-
 chain::AccessSet access_report(topology::AsNumber asn,
                                const chain::Address& reporter) {
   chain::AccessSet access;
@@ -95,13 +80,6 @@ chain::AccessSet access_report(topology::AsNumber asn,
       chain::named_access_key(kReputationContractName, as_key(asn)));
   access.add_write(chain::named_access_key(kReputationContractName,
                                            reporter_key(asn, reporter)));
-  return access;
-}
-
-chain::AccessSet access_get_reputation(topology::AsNumber asn) {
-  chain::AccessSet access;
-  access.add_read(
-      chain::named_access_key(kReputationContractName, as_key(asn)));
   return access;
 }
 
@@ -127,7 +105,6 @@ Result<Bytes> ReputationContract::call(chain::CallContext& context,
                                        const std::string& function,
                                        BytesView arguments) {
   if (function == "Report") return report(context, arguments);
-  if (function == "Get") return get(context, arguments);
   return fail("unknown function '" + function + "'");
 }
 
@@ -168,29 +145,6 @@ Result<Bytes> ReputationContract::report(chain::CallContext& ctx,
                    record.serialize());
   }
   return record.serialize();
-}
-
-Result<Bytes> ReputationContract::get(chain::CallContext& ctx,
-                                      BytesView args) {
-  auto parsed = GetReputationArgs::parse(args);
-  if (!parsed) return parsed.error();
-  auto existing = ctx.read_named(as_key(parsed->asn));
-  if (!existing) return ReputationRecord{}.serialize();
-  return *existing;
-}
-
-std::uint32_t ReputationContract::strikes_for(topology::AsNumber asn) const {
-  return record_for(asn).strikes;
-}
-
-ReputationRecord ReputationContract::record_for(topology::AsNumber asn) const {
-  if (chain_ == nullptr) return {};
-  const chain::NamedEntry* entry = chain_->named_entry(
-      chain::named_access_key(kReputationContractName, as_key(asn)));
-  if (entry == nullptr) return {};
-  auto record =
-      ReputationRecord::parse(BytesView(entry->data.data(), entry->data.size()));
-  return record ? *record : ReputationRecord{};
 }
 
 }  // namespace debuglet::marketplace

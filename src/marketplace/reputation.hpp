@@ -57,18 +57,10 @@ struct ReportArgs {
   static Result<ReportArgs> parse(BytesView data);
 };
 
-/// Get(asn) -> ReputationRecord (zero-valued when never reported).
-struct GetReputationArgs {
-  topology::AsNumber asn = 0;
-  Bytes serialize() const;
-  static Result<GetReputationArgs> parse(BytesView data);
-};
-
-/// Declared access sets. Report writes the AS record plus its own
-/// (AS, reporter) dedup marker; Get reads the record only.
+/// Declared access set: Report writes the AS record plus its own
+/// (AS, reporter) dedup marker.
 chain::AccessSet access_report(topology::AsNumber asn,
                                const chain::Address& reporter);
-chain::AccessSet access_get_reputation(topology::AsNumber asn);
 
 /// The named key (within this contract's namespace) holding the strike
 /// record of `asn` — exposed so other contracts can declare cross-contract
@@ -92,17 +84,9 @@ class ReputationContract : public chain::Contract {
   Result<Bytes> call(chain::CallContext& context, const std::string& function,
                      BytesView arguments) override;
 
-  void attach(chain::Blockchain& chain) override { chain_ = &chain; }
-
-  // Inspection helpers (committed state only; not entry points).
-  std::uint32_t strikes_for(topology::AsNumber asn) const;
-  ReputationRecord record_for(topology::AsNumber asn) const;
-
  private:
   Result<Bytes> report(chain::CallContext& ctx, BytesView args);
-  Result<Bytes> get(chain::CallContext& ctx, BytesView args);
 
-  const chain::Blockchain* chain_ = nullptr;  // set by attach()
   struct ObsHandles {
     obs::Counter* strikes_recorded = nullptr;
     obs::Counter* reports_deduped = nullptr;

@@ -238,8 +238,6 @@ class MetricsRegistry {
     enabled_.store(on, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  /// The flag every metric of this registry caches a pointer to.
-  const std::atomic<bool>* enabled_flag() const { return &enabled_; }
 
   /// All metrics, sorted by name then labels. Histogram rows carry
   /// interpolated percentiles; the raw buckets stay inside the registry.

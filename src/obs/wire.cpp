@@ -30,16 +30,6 @@ Result<MetricRow::Kind> kind_from_u8(std::uint8_t v) {
 
 }  // namespace
 
-std::uint64_t digest(BytesView data) {
-  // FNV-1a, 64-bit.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 Bytes encode_snapshot(const std::vector<MetricRow>& rows) {
   BytesWriter w;
   w.u32(kSnapshotMagic);
@@ -81,7 +71,7 @@ Bytes encode_snapshot(const std::vector<MetricRow>& rows) {
       }
     }
   }
-  const std::uint64_t d = digest(BytesView(w.bytes().data(), w.size()));
+  const std::uint64_t d = fnv1a(BytesView(w.bytes().data(), w.size()));
   w.u64(d);
   return w.take();
 }
@@ -92,7 +82,7 @@ Result<std::vector<MetricRow>> decode_snapshot(BytesView data) {
   BytesReader trailer(BytesView(data.data() + data.size() - 8, 8));
   auto claimed = trailer.u64();
   if (!claimed) return claimed.error();
-  if (*claimed != digest(body))
+  if (*claimed != fnv1a(body))
     return fail("snapshot: digest mismatch (truncated or corrupted)");
 
   BytesReader r(body);
@@ -241,7 +231,7 @@ Result<Bytes> build_chunk(BytesView encoded_snapshot, std::size_t index,
   w.u16(static_cast<std::uint16_t>(count));
   w.u32(static_cast<std::uint32_t>(encoded_snapshot.size()));
   w.blob(BytesView(encoded_snapshot.data() + begin, length));
-  w.u64(digest(BytesView(w.bytes().data(), w.size())));
+  w.u64(fnv1a(BytesView(w.bytes().data(), w.size())));
   return w.take();
 }
 
@@ -251,7 +241,7 @@ Result<Chunk> parse_chunk(BytesView data) {
   BytesReader trailer(BytesView(data.data() + data.size() - 8, 8));
   auto claimed = trailer.u64();
   if (!claimed) return claimed.error();
-  if (*claimed != digest(body))
+  if (*claimed != fnv1a(body))
     return fail("chunk: digest mismatch (truncated or corrupted)");
 
   BytesReader r(body);

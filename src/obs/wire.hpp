@@ -47,11 +47,6 @@ inline constexpr std::uint32_t kDefaultChunkPayload = 400;
 /// A chunk stream is indexed by u16, bounding snapshots to ~256 MB.
 inline constexpr std::size_t kMaxChunks = 65535;
 
-/// 64-bit FNV-1a over a byte span — the digest both layers use. Not
-/// cryptographic: it detects truncation and corruption, not forgery
-/// (result *certification* is the executor signature's job).
-std::uint64_t digest(BytesView data);
-
 /// Serializes rows (as produced by MetricsRegistry::snapshot()) with a
 /// trailing digest.
 Bytes encode_snapshot(const std::vector<MetricRow>& rows);

@@ -2,16 +2,6 @@
 
 namespace debuglet::simnet {
 
-const char* host_fault_kind_name(HostFaultKind kind) {
-  switch (kind) {
-    case HostFaultKind::kNone: return "none";
-    case HostFaultKind::kSlowHost: return "slow-host";
-    case HostFaultKind::kSilentDrop: return "silent-drop";
-    case HostFaultKind::kCrash: return "crash";
-  }
-  return "unknown";
-}
-
 HostFaultPlan& HostFaultPlan::add(HostFaultWindow window) {
   windows_.push_back(window);
   return *this;

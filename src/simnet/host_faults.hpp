@@ -33,8 +33,6 @@ enum class HostFaultKind : std::uint8_t {
   kCrash = 3,
 };
 
-const char* host_fault_kind_name(HostFaultKind kind);
-
 /// One scheduled fault window. Mirrors link FaultSpec conventions:
 /// `end` is exclusive and end <= start means "never active".
 struct HostFaultWindow {

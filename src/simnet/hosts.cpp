@@ -6,6 +6,19 @@
 
 namespace debuglet::simnet {
 
+namespace {
+
+// A probe reply later than this counts as lost.
+constexpr SimDuration kRttTimeout = duration::seconds(2);
+
+// The traceroute probe train: the classic UDP base port, the pacing
+// between consecutive probes, and how late a reply may still count.
+constexpr std::uint16_t kTraceroutePort = 33434;
+constexpr SimDuration kTracerouteProbeInterval = duration::milliseconds(50);
+constexpr SimDuration kTracerouteReplyTimeout = duration::milliseconds(1500);
+
+}  // namespace
+
 EchoServerHost::EchoServerHost(SimulatedNetwork& network,
                                net::Ipv4Address address,
                                SimDuration processing_overhead,
@@ -102,11 +115,6 @@ void ProbeClientHost::send_probe(net::Protocol protocol, std::uint64_t round) {
     return;
   }
 
-  SimDuration overhead = config_.processing_overhead;
-  if (config_.overhead_jitter_ns > 0.0)
-    overhead += static_cast<SimDuration>(
-        std::abs(rng_.normal(0.0, config_.overhead_jitter_ns)));
-
   ++report_.sent[protocol];
   const auto key = std::make_pair(protocol, spec.sequence);
   // The application's clock starts when it initiates the probe, so any
@@ -114,7 +122,8 @@ void ProbeClientHost::send_probe(net::Protocol protocol, std::uint64_t round) {
   // the measured RTT (exactly what Fig. 8 quantifies).
   outstanding_[key] = Outstanding{network_.now(), round};
   network_.queue().schedule_on(
-      network_.domain_of(address_), network_.now() + overhead,
+      network_.domain_of(address_),
+      network_.now() + config_.processing_overhead,
       [this, wire = std::move(*wire)]() mutable {
         auto status = network_.send(address_, std::move(wire));
         if (!status)
@@ -134,7 +143,7 @@ void ProbeClientHost::on_packet(const Delivery& delivery) {
   auto it = outstanding_.find(key);
   if (it == outstanding_.end()) return;  // duplicate or late beyond reuse
   const SimDuration rtt = delivery.received_at - it->second.sent_at;
-  if (rtt <= config_.rtt_timeout) {
+  if (rtt <= kRttTimeout) {
     ++report_.received[pkt.protocol];
     report_.rtt_ms[pkt.protocol].add(duration::to_ms(rtt));
     if (config_.record_series) {
@@ -184,7 +193,7 @@ void TracerouteProber::start() {
       network_.queue().schedule_on(
           network_.domain_of(address_), base + offset,
           [this, ttl, attempt] { send_probe(ttl, attempt); });
-      offset += config_.probe_interval;
+      offset += kTracerouteProbeInterval;
     }
   }
 }
@@ -201,11 +210,11 @@ void TracerouteProber::send_probe(std::uint8_t ttl, std::uint32_t) {
   }
   const std::uint16_t ident = next_ident_++;
   net::ProbeSpec spec;
-  spec.protocol = config_.protocol;
+  spec.protocol = net::Protocol::kUdp;
   spec.source = address_;
   spec.destination = config_.destination;
   spec.source_port = 33000;
-  spec.destination_port = config_.destination_port;
+  spec.destination_port = kTraceroutePort;
   spec.sequence = ident;  // echoed back by time-exceeded and echo replies
   spec.ttl = ttl;
   spec.tcp_sequence = static_cast<std::uint32_t>(rng_.next_u64());
@@ -239,7 +248,7 @@ void TracerouteProber::on_packet(const Delivery& delivery) {
   const auto [ttl, sent_at] = it->second;
   outstanding_.erase(it);
   const SimDuration rtt = delivery.received_at - sent_at;
-  if (rtt > config_.reply_timeout) return;  // too late, counted silent
+  if (rtt > kTracerouteReplyTimeout) return;  // too late, counted silent
   TracerouteHop& hop = report_.hops[ttl - 1];
   hop.responded = true;
   hop.responder = pkt.ip.source;

@@ -51,7 +51,7 @@ struct ProbeReport {
   double loss_per_mille(net::Protocol p) const;
 };
 
-/// Configuration of a probe run.
+/// Configuration of a probe run. A reply later than 2 s counts as lost.
 struct ProbeClientConfig {
   net::Ipv4Address server;
   std::uint16_t server_port = 40000;
@@ -60,9 +60,7 @@ struct ProbeClientConfig {
   std::vector<net::Protocol> protocols{net::kAllProtocols,
                                        net::kAllProtocols + 4};
   std::uint16_t equalized_length = 64;  // total L3 bytes, all protocols
-  SimDuration rtt_timeout = duration::seconds(2);
   SimDuration processing_overhead = 0;   // sandbox cost at the client
-  double overhead_jitter_ns = 0.0;
   bool record_series = false;
 };
 
@@ -118,16 +116,12 @@ struct TracerouteReport {
   double silent_hop_fraction() const;
 };
 
-/// Configuration of a traceroute run (UDP probes with increasing TTL, the
-/// classic tool the paper's §II critiques).
+/// Configuration of a traceroute run (UDP probes to port 33434 with
+/// increasing TTL, the classic tool the paper's §II critiques).
 struct TracerouteConfig {
   net::Ipv4Address destination;
-  std::uint16_t destination_port = 33434;
   std::uint8_t max_ttl = 16;
   std::uint32_t probes_per_ttl = 3;
-  SimDuration probe_interval = duration::milliseconds(50);
-  SimDuration reply_timeout = duration::milliseconds(1500);
-  net::Protocol protocol = net::Protocol::kUdp;
 };
 
 /// The baseline: a traceroute prober. Sends probes_per_ttl probes at each

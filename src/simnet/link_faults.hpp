@@ -161,7 +161,6 @@ class LinkFaultPlan {
   const TruncateSpec& truncation() const { return truncate_; }
   const DuplicateSpec& duplication() const { return duplicate_; }
   const ReorderSpec& reordering() const { return reorder_; }
-  const std::vector<FaultWindow>& flaps() const { return flaps_; }
 
  private:
   CorruptSpec corrupt_;

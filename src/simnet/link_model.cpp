@@ -167,16 +167,12 @@ TraverseOutcome LinkModel::traverse(net::Protocol protocol,
   }
 
   TraverseOutcome out;
-  out.route = route_idx;
-  if (rng_.chance(loss_pm / 1000.0)) {
-    out.dropped = true;
-    return out;
-  }
+  if (rng_.chance(loss_pm / 1000.0)) return out;
   if (route.jitter_ms > 0.0) delay_ms += rng_.normal(0.0, route.jitter_ms);
   // Fault-plan copies only ever add delay on top of the primary, so
   // clamping here bounds every copy from below by the floor.
-  out.delay = duration::from_ms(std::max(delay_ms, floor_ms()));
-  out.copies.push_back(DeliveryCopy{out.delay, route_idx, false, false, {}});
+  const SimDuration delay = duration::from_ms(std::max(delay_ms, floor_ms()));
+  out.copies.push_back(DeliveryCopy{delay, route_idx, false, false, {}});
   if (!fault_plan_.empty()) apply_fault_plan(out, now, size_bytes);
   return out;
 }
@@ -188,8 +184,6 @@ void LinkModel::apply_fault_plan(TraverseOutcome& out, SimTime now,
     ++integrity_.flap_dropped;
     fault_obs_.flap_dropped->add();
     out.copies.clear();
-    out.dropped = true;
-    out.delay = 0;
     return;
   }
 
@@ -249,10 +243,6 @@ void LinkModel::apply_fault_plan(TraverseOutcome& out, SimTime now,
       fault_obs_.truncated->add();
     }
   }
-
-  // Keep the pre-fault-layer summary fields in sync with the primary copy.
-  out.dropped = out.copies.empty();
-  out.delay = out.dropped ? 0 : out.copies.front().delay;
 }
 
 double LinkModel::floor_ms() const {

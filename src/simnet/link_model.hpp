@@ -98,12 +98,6 @@ struct LinkConfig {
   /// episode queueing/loss) — the fault-hiding strategy of paper §VI-E.
   /// Matched against both source and destination.
   std::set<net::Ipv4Address> prioritized_addresses;
-
-  /// Convenience: sets one policy entry.
-  LinkConfig& with_policy(net::Protocol p, ProtocolPolicy policy) {
-    policies[p] = policy;
-    return *this;
-  }
 };
 
 /// One copy of a frame coming off the far end of a link. A healthy
@@ -118,13 +112,8 @@ struct DeliveryCopy {
 };
 
 /// The outcome of one packet crossing one link: zero or more delivery
-/// copies (zero = lost). `dropped`/`delay`/`route` summarize the primary
-/// copy for callers that predate the wire-fault layer; `copies` is the
-/// full story and what the network actually forwards.
+/// copies (zero = lost), the primary first.
 struct TraverseOutcome {
-  bool dropped = false;
-  SimDuration delay = 0;
-  std::size_t route = 0;  // which route carried the packet (if not dropped)
   std::vector<DeliveryCopy> copies;
 };
 
@@ -156,7 +145,6 @@ class LinkModel {
   /// damage the same packets the same way regardless of install order.
   void install_fault_plan(LinkFaultPlan plan, Rng rng);
   void clear_fault_plan();
-  const LinkFaultPlan& fault_plan() const { return fault_plan_; }
 
   /// Running totals of wire faults this link has injected.
   const LinkIntegrityStats& integrity() const { return integrity_; }

@@ -32,25 +32,6 @@ bool is_interactive_port(std::uint16_t port) {
   }
 }
 
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* data,
-                    std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_u32(std::uint64_t h, std::uint32_t v) {
-  const std::uint8_t bytes[4] = {
-      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
-      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
-  return fnv1a(h, bytes, sizeof bytes);
-}
-
 void packet_ports(const net::Packet& packet, std::uint16_t& sport,
                   std::uint16_t& dport) {
   sport = dport = 0;
@@ -89,7 +70,7 @@ std::uint32_t evict_flows(MiddleboxRuntime& runtime, const AdaptiveConfig& ad,
                           SimTime now) {
   std::uint32_t evicted = 0;
   for (auto it = runtime.flows.begin(); it != runtime.flows.end();) {
-    if (now - it->second.last_seen > ad.flow_idle_timeout) {
+    if (now - it->second.last_seen > kFlowIdleTimeout) {
       it = runtime.flows.erase(it);
       ++evicted;
     } else {
@@ -106,25 +87,23 @@ std::uint32_t evict_flows(MiddleboxRuntime& runtime, const AdaptiveConfig& ad,
   return evicted;
 }
 
-void evict_signatures(MiddleboxRuntime& runtime, const AdaptiveConfig& ad,
-                      SimTime now) {
+void evict_signatures(MiddleboxRuntime& runtime, SimTime now) {
   // Pacing anchors age out with the signatures they anchor.
   for (auto it = runtime.last_measurement_at.begin();
        it != runtime.last_measurement_at.end();) {
-    if (now - it->second > ad.signature_ttl)
+    if (now - it->second > kSignatureTtl)
       it = runtime.last_measurement_at.erase(it);
     else
       ++it;
   }
   for (auto it = runtime.signatures.begin();
        it != runtime.signatures.end();) {
-    if (now - it->second.last_seen > ad.signature_ttl)
+    if (now - it->second.last_seen > kSignatureTtl)
       it = runtime.signatures.erase(it);
     else
       ++it;
   }
-  while (runtime.signatures.size() >=
-         std::max<std::size_t>(ad.max_signatures, 1)) {
+  while (runtime.signatures.size() >= kMaxSignatures) {
     auto stalest = runtime.signatures.begin();
     for (auto it = runtime.signatures.begin(); it != runtime.signatures.end();
          ++it)
@@ -142,7 +121,7 @@ std::uint64_t adaptive_signature_of(const net::Packet& packet) {
   // Prefix hash over the first 16 application bytes: enough to pin a
   // static payload, cheap enough for the hop path.
   const std::size_t prefix = std::min<std::size_t>(app.size(), 16);
-  std::uint64_t h = fnv1a(kFnvOffset, app.data(), prefix);
+  const std::uint64_t h = fnv1a(app.first(prefix));
   const std::uint32_t prefix_hash = static_cast<std::uint32_t>(h ^ (h >> 32));
   const std::uint64_t src_bucket = sport >> 4;       // 16-port buckets
   const std::uint64_t size_bucket = app.size() >> 4;  // 16-byte buckets
@@ -154,11 +133,16 @@ std::uint64_t adaptive_signature_of(const net::Packet& packet) {
 std::uint64_t middlebox_flow_key(const net::Packet& packet) {
   std::uint16_t sport = 0, dport = 0;
   packet_ports(packet, sport, dport);
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_u32(h, packet.ip.source.value);
-  h = fnv1a_u32(h, packet.ip.destination.value);
-  h = fnv1a_u32(h, (static_cast<std::uint32_t>(sport) << 16) | dport);
-  h = fnv1a_u32(h, static_cast<std::uint32_t>(packet.protocol));
+  std::uint64_t h = kFnv1aBasis;
+  for (const std::uint32_t v :
+       {packet.ip.source.value, packet.ip.destination.value,
+        (static_cast<std::uint32_t>(sport) << 16) | dport,
+        static_cast<std::uint32_t>(packet.protocol)}) {
+    const std::uint8_t le[4] = {
+        static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+        static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+    h = fnv1a(le, h);
+  }
   return h;
 }
 
@@ -277,7 +261,7 @@ MiddleboxVerdict apply_middlebox(const MiddleboxPlan& plan,
     const std::uint64_t fkey = middlebox_flow_key(packet);
     auto flow_it = runtime.flows.find(fkey);
     if (flow_it != runtime.flows.end() &&
-        now - flow_it->second.last_seen > ad.flow_idle_timeout) {
+        now - flow_it->second.last_seen > kFlowIdleTimeout) {
       // Stale hit: the old flow ended; this packet starts a new one.
       runtime.flows.erase(flow_it);
       flow_it = runtime.flows.end();
@@ -304,7 +288,7 @@ MiddleboxVerdict apply_middlebox(const MiddleboxPlan& plan,
     const std::uint64_t sig = adaptive_signature_of(packet);
     auto sig_it = runtime.signatures.find(sig);
     if (sig_it != runtime.signatures.end() &&
-        now - sig_it->second.last_seen > ad.signature_ttl) {
+        now - sig_it->second.last_seen > kSignatureTtl) {
       runtime.signatures.erase(sig_it);
       sig_it = runtime.signatures.end();
     }
@@ -319,7 +303,7 @@ MiddleboxVerdict apply_middlebox(const MiddleboxPlan& plan,
     // Learn from everything that ended up classified as measurement.
     if (v.cls == TrafficClass::kMeasurement) {
       if (sig_it == runtime.signatures.end()) {
-        evict_signatures(runtime, ad, now);
+        evict_signatures(runtime, now);
         sig_it = runtime.signatures.emplace(sig, SignatureState{}).first;
       }
       SignatureState& st = sig_it->second;

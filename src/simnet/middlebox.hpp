@@ -111,10 +111,15 @@ struct MiddleboxStats {
     for (std::uint64_t c : classified) n += c;
     return n;
   }
-  std::uint64_t actions() const {
-    return dropped + deprioritized + mangled + throttled;
-  }
 };
+
+/// Signatures idle longer than this are forgotten (promoted or not).
+inline constexpr SimDuration kSignatureTtl = duration::seconds(30);
+/// Capacity bound of the signature table; the stalest entry is evicted
+/// deterministically when full.
+inline constexpr std::size_t kMaxSignatures = 256;
+/// Flows idle longer than this are evicted from the flow table.
+inline constexpr SimDuration kFlowIdleTimeout = duration::seconds(10);
 
 /// Knobs of the learning (adaptive) DPI mode. Disabled by default: a plan
 /// without `enabled` behaves exactly as the static model, draws nothing
@@ -124,13 +129,6 @@ struct AdaptiveConfig {
   /// The learning horizon: sightings of one signature before it is
   /// promoted into the DPI verdict.
   std::uint32_t promote_after = 8;
-  /// Signatures idle longer than this are forgotten (promoted or not).
-  SimDuration signature_ttl = duration::seconds(30);
-  /// Capacity bound of the signature table; the stalest entry is evicted
-  /// deterministically when full.
-  std::size_t max_signatures = 256;
-  /// Flows idle longer than this are evicted from the flow table.
-  SimDuration flow_idle_timeout = duration::seconds(10);
   /// Capacity bound of the flow table (stalest-first eviction).
   std::size_t max_flows = 1024;
 };
@@ -160,7 +158,6 @@ class MiddleboxPlan {
 
   bool empty() const;
   const AdaptiveConfig& adaptive_config() const { return adaptive_; }
-  bool adaptive_enabled() const { return adaptive_.enabled; }
   /// True when the plan treats recognized traffic differently — i.e. it
   /// is hiding something.
   bool hiding() const {

@@ -30,12 +30,12 @@ std::uint32_t clamp_u32(std::uint64_t v) {
 }  // namespace
 
 std::uint64_t flow_hash_of(const net::Packet& packet) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the 5-tuple
+  // FNV-1a over the 5-tuple, each field as 8 little-endian bytes.
+  std::uint64_t h = kFnv1aBasis;
   auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 0x100000001b3ULL;
-    }
+    std::uint8_t le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (i * 8));
+    h = fnv1a(le, h);
   };
   mix(packet.ip.source.value);
   mix(packet.ip.destination.value);
@@ -193,11 +193,6 @@ Status SimulatedNetwork::install_hop_program(vm::Module module,
   hop_limits_ = limits;
   for (auto& ds : domains_) ds->hop_runtime.reset();
   return ok_status();
-}
-
-void SimulatedNetwork::clear_hop_program() {
-  hop_module_.reset();
-  for (auto& ds : domains_) ds->hop_runtime.reset();
 }
 
 SimulatedNetwork::LinkEntry* SimulatedNetwork::find_link(
@@ -455,13 +450,6 @@ NetworkStats SimulatedNetwork::stats() const {
     if (dropped_[i] != 0) out.dropped[p] = dropped_[i];
   }
   return out;
-}
-
-void SimulatedNetwork::reset_stats() {
-  sent_.fill(0);
-  delivered_.fill(0);
-  dropped_.fill(0);
-  for (auto& ds : domains_) ds->drops = 0;
 }
 
 void SimulatedNetwork::count_drop(net::Protocol protocol) {

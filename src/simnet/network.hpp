@@ -210,7 +210,6 @@ class SimulatedNetwork {
   /// during a run).
   Status install_hop_program(vm::Module module,
                              telemetry::HopProgramLimits limits = {});
-  void clear_hop_program();
   bool has_hop_program() const { return hop_module_.has_value(); }
 
   /// Ground-truth expected one-way delay for a protocol on a path now.
@@ -219,7 +218,6 @@ class SimulatedNetwork {
 
   /// Snapshot of the per-protocol counters.
   NetworkStats stats() const;
-  void reset_stats();
 
   /// The link model for a direction (for tests; null if unconfigured).
   LinkModel* link_model(topology::InterfaceKey from, topology::InterfaceKey to);

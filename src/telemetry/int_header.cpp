@@ -38,15 +38,6 @@ const char* int_parse_error_name(IntParseError kind) {
   return "unknown";
 }
 
-std::uint64_t int_digest(BytesView data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 IntHeader IntHeader::reserve(std::uint8_t max_hops, bool request_hop_program) {
   IntHeader h;
   h.max_hops_ = std::clamp<std::uint8_t>(max_hops, 1, kMaxHopsLimit);
@@ -84,7 +75,7 @@ Bytes IntHeader::serialize() const {
   // Every slot serializes, used or not, so the wire size is a function of
   // max_hops alone and never changes as records are pushed in flight.
   for (std::size_t i = 0; i < max_hops_; ++i) write_record(w, records_[i]);
-  w.u64(int_digest(BytesView(w.bytes().data(), w.bytes().size())));
+  w.u64(fnv1a(BytesView(w.bytes().data(), w.bytes().size())));
   return w.take();
 }
 
@@ -147,7 +138,7 @@ Result<IntHeader> IntHeader::parse(BytesView data, IntParseError* kind) {
     rec.wire_faults = *r.u32();
   }
   const std::uint64_t carried = *r.u64();
-  if (carried != int_digest(data.subspan(0, total - 8)))
+  if (carried != fnv1a(data.subspan(0, total - 8)))
     return reject(kind, IntParseError::kDigestMismatch,
                   "INT digest mismatch (in-flight damage)");
   return h;

@@ -151,7 +151,4 @@ class IntHeader {
   std::array<HopRecord, kMaxHopsLimit> records_{};
 };
 
-/// FNV-1a 64-bit over a byte span — the digest the INT trailer carries.
-std::uint64_t int_digest(BytesView data);
-
 }  // namespace debuglet::telemetry

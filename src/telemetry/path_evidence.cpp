@@ -50,13 +50,6 @@ Result<PathEvidence> PathEvidence::from_header(const IntHeader& header,
   return out;
 }
 
-std::size_t PathEvidence::slowest_link() const {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < observations_.size(); ++i)
-    if (observations_[i].one_way_ms > observations_[best].one_way_ms) best = i;
-  return best;
-}
-
 std::vector<std::size_t> PathEvidence::links_over(double threshold_ms) const {
   std::vector<std::size_t> out;
   for (const LinkObservation& obs : observations_)

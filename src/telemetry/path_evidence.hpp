@@ -43,16 +43,12 @@ class PathEvidence {
     return observations_;
   }
 
-  /// Index of the slowest link, by one-way crossing latency.
-  std::size_t slowest_link() const;
-
   /// Links whose one-way latency exceeds `threshold_ms` (the localizer's
   /// per-link budget), in path order.
   std::vector<std::size_t> links_over(double threshold_ms) const;
 
   bool alarmed() const { return header_.alarmed(); }
   std::uint8_t alarm_hop() const { return header_.alarm_hop(); }
-  bool hop_program_fell_back() const { return header_.fell_back(); }
   const IntHeader& header() const { return header_; }
 
  private:

@@ -32,6 +32,23 @@ Bytes bytes_of(std::string_view s);
 /// Interprets a byte span as text (no validation; used for reports).
 std::string string_of(BytesView b);
 
+/// The FNV-1a offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// 64-bit FNV-1a over `data`, continuing from `seed` (the basis, or the
+/// hash of the bytes before `data`). Not cryptographic: it detects
+/// truncation and corruption, not forgery. The digest of INT trailers and
+/// obs::wire snapshots and chunks, and the simnet flow and signature keys.
+constexpr std::uint64_t fnv1a(BytesView data,
+                              std::uint64_t seed = kFnv1aBasis) {
+  std::uint64_t h = seed;
+  for (std::uint8_t b : data) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 /// Appends primitives to a growable byte vector.
 class BytesWriter {
  public:

@@ -528,12 +528,12 @@ Execution::State Execution::step() {
         std::vector<std::int64_t> call_args(stack_.end() - hf.arity,
                                             stack_.end());
         stack_.resize(stack_.size() - hf.arity);
-        if (fuel_ < limits.host_call_fuel_cost) {
+        if (fuel_ < kHostCallFuelCost) {
           finish_trap(TrapKind::kOutOfFuel, "fuel exhausted on host call",
                       at_func, at_pc);
           break;
         }
-        fuel_ -= limits.host_call_fuel_cost;
+        fuel_ -= kHostCallFuelCost;
         ++host_calls_;
         if (hf.async) {
           block_ = BlockInfo{static_cast<std::uint32_t>(ins.imm), hf.name,

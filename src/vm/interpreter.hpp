@@ -43,12 +43,14 @@ struct HostFunction {
   bool async = false;
 };
 
+/// Fuel charged per host call (every other instruction costs 1).
+inline constexpr std::uint64_t kHostCallFuelCost = 32;
+
 /// Execution limits for one run.
 struct ExecutionLimits {
   std::uint64_t fuel = 10'000'000;      // instruction budget
   std::uint32_t max_value_stack = 4096;
   std::uint32_t max_call_depth = 256;
-  std::uint64_t host_call_fuel_cost = 32;  // fuel charged per host call
 };
 
 /// Why a run ended.
@@ -130,9 +132,6 @@ class Instance {
   std::span<const std::int64_t> globals() const { return globals_; }
   std::uint32_t memory_size() const {
     return static_cast<std::uint32_t>(memory_.size());
-  }
-  const HostFunction& host_function(std::uint32_t import_index) const {
-    return imports_[import_index];
   }
 
  private:

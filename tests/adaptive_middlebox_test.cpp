@@ -166,7 +166,7 @@ TEST(AdaptiveLearning, SignatureTtlForgetsPromotedEntries) {
 
   // Past the TTL the entry is stale: the campaign ended, the middlebox
   // forgets, and the data twin is judged on its own features again.
-  now += ad.signature_ttl + duration::seconds(1);
+  now += kSignatureTtl + duration::seconds(1);
   const MiddleboxVerdict v =
       apply_middlebox(plan, data, now, rng, runtime, stats);
   EXPECT_FALSE(v.adaptive_matched);
@@ -196,7 +196,7 @@ TEST(AdaptiveFlows, IdleEvictionRestartsTheFlow) {
 
   // Idle past the timeout: the old flow ends, this packet starts a new one.
   const SimTime later =
-      duration::milliseconds(10) + ad.flow_idle_timeout + duration::seconds(1);
+      duration::milliseconds(10) + kFlowIdleTimeout + duration::seconds(1);
   const MiddleboxVerdict v =
       apply_middlebox(plan, pkt, later, rng, runtime, stats);
   EXPECT_EQ(v.flows_evicted, 1u);
@@ -341,9 +341,7 @@ Scenario arms_race_scenario(std::uint64_t seed, std::uint32_t promote_after) {
 
 core::DiscriminationReport run_detector(Scenario& s, std::uint64_t seed,
                                         bool randomize) {
-  core::DiscriminationDetector::Options opts;
-  opts.randomize_twins = randomize;
-  core::DiscriminationDetector detector(*s.network, 1, 5, seed, opts);
+  core::DiscriminationDetector detector(*s.network, 1, 5, seed, randomize);
   auto report = detector.run();
   EXPECT_TRUE(report.ok()) << report.error_message();
   return *report;

@@ -79,12 +79,11 @@ TEST_F(ChainFixture, GasChargedMatchesSchedule) {
   ASSERT_TRUE(receipt.ok());
   const Mist after = chain.balance(Address::of(alice.public_key()));
   EXPECT_EQ(before - after, receipt->gas_charged);
-  EXPECT_EQ(receipt->gas_charged, chain.config().gas.computation_fee)
+  EXPECT_EQ(receipt->gas_charged, kComputationFee)
       << "no storage -> computation only";
 }
 
 TEST_F(ChainFixture, StorageCostAndRebateMatchTable2Shape) {
-  const GasSchedule& gas = chain.config().gas;
   const Address a = Address::of(alice.public_key());
   for (std::size_t size : {0u, 100u, 1024u, 5120u, 10240u}) {
     const Mist before = chain.balance(a);
@@ -93,8 +92,8 @@ TEST_F(ChainFixture, StorageCostAndRebateMatchTable2Shape) {
     ASSERT_TRUE(receipt.ok());
     ASSERT_TRUE(receipt->success);
     const Mist charged = before - chain.balance(a);
-    EXPECT_EQ(charged, gas.submission_cost(size)) << "size " << size;
-    EXPECT_EQ(receipt->storage_rebate_accrued, gas.storage_rebate(size));
+    EXPECT_EQ(charged, submission_cost(size)) << "size " << size;
+    EXPECT_EQ(receipt->storage_rebate_accrued, storage_rebate(size));
 
     // Deleting the object refunds exactly the rebate.
     BytesReader r(BytesView(receipt->return_value.data(),
@@ -110,7 +109,7 @@ TEST_F(ChainFixture, StorageCostAndRebateMatchTable2Shape) {
     ASSERT_TRUE(erase.ok());
     ASSERT_TRUE(erase->success);
     const Mist delta = chain.balance(a) + erase->gas_charged - before_erase;
-    EXPECT_EQ(delta, gas.storage_rebate(size)) << "size " << size;
+    EXPECT_EQ(delta, storage_rebate(size)) << "size " << size;
     EXPECT_FALSE(chain.object_exists(id));
   }
 }
@@ -233,9 +232,8 @@ TEST_F(ChainFixture, ViewDoesNotChargeGas) {
   EXPECT_EQ(chain.balance(a), before);
 }
 
-TEST(GasSchedule, MatchesPublishedTable2) {
+TEST(Gas, MatchesPublishedTable2) {
   // The paper's Table II, in SUI (each row must match to 5 decimals).
-  const GasSchedule gas;
   const struct {
     std::uint64_t size;
     double total_sui;
@@ -246,11 +244,9 @@ TEST(GasSchedule, MatchesPublishedTable2) {
       {10000, 0.22953, 0.20696},
   };
   for (const auto& row : kRows) {
-    EXPECT_NEAR(mist_to_sui(gas.submission_cost(row.size)), row.total_sui,
-                5e-5)
+    EXPECT_NEAR(mist_to_sui(submission_cost(row.size)), row.total_sui, 5e-5)
         << "size " << row.size;
-    EXPECT_NEAR(mist_to_sui(gas.storage_rebate(row.size)), row.rebate_sui,
-                5e-5)
+    EXPECT_NEAR(mist_to_sui(storage_rebate(row.size)), row.rebate_sui, 5e-5)
         << "size " << row.size;
   }
 }

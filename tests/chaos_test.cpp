@@ -299,9 +299,9 @@ struct DegradedLocalizationFixture : ::testing::Test {
     criteria.max_loss = 0.2;
     FaultLocalizer localizer(system, initiator, *path, criteria,
                              Protocol::kUdp, 8, 100);
-    FaultLocalizer::Resilience resilience;
-    resilience.retry.max_attempts = 2;  // dark ASes fail fast
-    localizer.set_resilience(resilience);
+    RetryPolicy retry;
+    retry.max_attempts = 2;  // dark ASes fail fast
+    localizer.set_resilience(retry);
     return localizer;
   }
 

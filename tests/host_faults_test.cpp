@@ -95,8 +95,9 @@ TEST(HostFaultPlan, RandomizedPlansNeverCrashServingContradiction) {
       // Serving and crashed/silent are mutually exclusive by construction.
       EXPECT_EQ(plan.serving_at(t), !(state.crashed() || state.silent()));
       // Only slow hosts carry a service delay.
-      if (state.kind != HostFaultKind::kSlowHost)
+      if (state.kind != HostFaultKind::kSlowHost) {
         EXPECT_DOUBLE_EQ(state.extra_delay_ms, 0.0);
+      }
       // The resolved severity is the max over active windows.
       HostFaultKind expected = HostFaultKind::kNone;
       for (const HostFaultWindow& window : plan.windows())
@@ -107,7 +108,9 @@ TEST(HostFaultPlan, RandomizedPlansNeverCrashServingContradiction) {
       const SimTime recovered = plan.recovered_after(t);
       EXPECT_GE(recovered, t);
       EXPECT_TRUE(plan.serving_at(recovered));
-      if (!plan.serving_at(t)) EXPECT_GT(recovered, t);
+      if (!plan.serving_at(t)) {
+        EXPECT_GT(recovered, t);
+      }
     }
   }
 }

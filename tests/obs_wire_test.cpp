@@ -112,7 +112,7 @@ TEST(SnapshotCodec, RejectsNewerVersion) {
   // the trailing digest so ONLY the version is wrong.
   encoded[4] = static_cast<std::uint8_t>(kSnapshotVersion + 1);
   const std::uint64_t fixed =
-      digest(BytesView(encoded.data(), encoded.size() - 8));
+      fnv1a(BytesView(encoded.data(), encoded.size() - 8));
   for (int i = 0; i < 8; ++i)
     encoded[encoded.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(fixed >> (8 * i));

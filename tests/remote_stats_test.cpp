@@ -86,7 +86,7 @@ RunResult run_scrape(std::uint64_t seed, const ScrapeChaos* chaos = nullptr) {
       }
     }
     if (chaos->max_attempts > 0)
-      config.retry.max_attempts = chaos->max_attempts;
+      config.max_attempts = chaos->max_attempts;
     if (chaos->deadline > 0) deadline = chaos->deadline;
   }
   auto report = scrape_once(system, scraper_addr, config,
@@ -308,7 +308,7 @@ TEST(RemoteStats, ScrapeGivesUpWhenNothingListens) {
   ScrapeConfig config;
   config.target = system.network().allocate_host_address(kChainAses);
   config.target_port = 45000;
-  config.retry.max_attempts = 3;
+  config.max_attempts = 3;
   auto report = scrape_once(system, scraper_addr, config,
                             system.queue().now() + duration::seconds(10));
   EXPECT_FALSE(report.ok());

@@ -72,18 +72,25 @@ LinkConfig basic_config() {
   return cfg;
 }
 
+// The one copy of a crossing that must not be lost (these links carry no
+// fault plan); at() throws, failing the test, when it was lost.
+const DeliveryCopy& delivered(const TraverseOutcome& out) {
+  EXPECT_EQ(out.copies.size(), 1u);
+  return out.copies.at(0);
+}
+
 TEST(LinkModel, DeterministicDelay) {
   LinkModel link(basic_config(), Rng(1));
   const auto out = link.traverse(Protocol::kUdp, 1, 0);
-  EXPECT_FALSE(out.dropped);
-  EXPECT_EQ(out.delay, duration::milliseconds(10));
+  EXPECT_FALSE(out.copies.empty());
+  EXPECT_EQ(delivered(out).delay, duration::milliseconds(10));
 }
 
 TEST(LinkModel, RouteOffsetsApply) {
   LinkConfig cfg = basic_config();
   cfg.routes = {{5.0, 0.0, 0.0}};
   LinkModel link(cfg, Rng(1));
-  EXPECT_EQ(link.traverse(Protocol::kTcp, 1, 0).delay,
+  EXPECT_EQ(delivered(link.traverse(Protocol::kTcp, 1, 0)).delay,
             duration::milliseconds(15));
 }
 
@@ -93,7 +100,7 @@ TEST(LinkModel, LossRateApproximatelyHonored) {
   LinkModel link(cfg, Rng(2));
   int dropped = 0;
   for (int i = 0; i < 20000; ++i)
-    dropped += link.traverse(Protocol::kUdp, 1, i).dropped;
+    dropped += link.traverse(Protocol::kUdp, 1, i).copies.empty();
   EXPECT_NEAR(dropped / 20000.0, 0.10, 0.01);
 }
 
@@ -105,7 +112,7 @@ TEST(LinkModel, PerPacketSelectionSpreadsRoutes) {
   LinkModel link(cfg, Rng(3));
   std::map<std::size_t, int> used;
   for (int i = 0; i < 3000; ++i)
-    ++used[link.traverse(Protocol::kUdp, 42, 0).route];
+    ++used[delivered(link.traverse(Protocol::kUdp, 42, 0)).route];
   ASSERT_EQ(used.size(), 3u);
   for (const auto& [route, count] : used) EXPECT_GT(count, 800) << route;
 }
@@ -116,13 +123,14 @@ TEST(LinkModel, PerFlowSelectionIsStable) {
   cfg.policies[Protocol::kTcp] =
       ProtocolPolicy{SelectionPolicy::kPerFlow, {0, 1}, 1.0, false};
   LinkModel link(cfg, Rng(4));
-  const std::size_t first = link.traverse(Protocol::kTcp, 777, 0).route;
+  const std::size_t first =
+      delivered(link.traverse(Protocol::kTcp, 777, 0)).route;
   for (int i = 0; i < 100; ++i)
-    EXPECT_EQ(link.traverse(Protocol::kTcp, 777, 0).route, first);
+    EXPECT_EQ(delivered(link.traverse(Protocol::kTcp, 777, 0)).route, first);
   // Distinct flows can map to distinct routes.
   std::set<std::size_t> routes;
   for (std::uint64_t flow = 0; flow < 64; ++flow)
-    routes.insert(link.traverse(Protocol::kTcp, flow, 0).route);
+    routes.insert(delivered(link.traverse(Protocol::kTcp, flow, 0)).route);
   EXPECT_EQ(routes.size(), 2u);
 }
 
@@ -142,8 +150,8 @@ TEST(LinkModel, PriorityTrafficSkipsEpisodes) {
   const SimTime late = duration::hours(1);
   const auto icmp = link.traverse(Protocol::kIcmp, 1, late);
   const auto udp = link.traverse(Protocol::kUdp, 1, late);
-  EXPECT_EQ(icmp.delay, duration::milliseconds(10));
-  EXPECT_EQ(udp.delay, duration::milliseconds(60));
+  EXPECT_EQ(delivered(icmp).delay, duration::milliseconds(10));
+  EXPECT_EQ(delivered(udp).delay, duration::milliseconds(60));
 }
 
 TEST(LinkModel, EpisodeAffectsOnlyListedProtocols) {
@@ -156,9 +164,9 @@ TEST(LinkModel, EpisodeAffectsOnlyListedProtocols) {
   cfg.episodes = {episode};
   LinkModel link(cfg, Rng(6));
   const SimTime late = duration::hours(1);
-  EXPECT_EQ(link.traverse(Protocol::kUdp, 1, late).delay,
+  EXPECT_EQ(delivered(link.traverse(Protocol::kUdp, 1, late)).delay,
             duration::milliseconds(40));
-  EXPECT_EQ(link.traverse(Protocol::kTcp, 1, late).delay,
+  EXPECT_EQ(delivered(link.traverse(Protocol::kTcp, 1, late)).delay,
             duration::milliseconds(10));
 }
 
@@ -175,8 +183,8 @@ TEST(LinkModel, DropMultiplierAmplifiesEpisodeLoss) {
   const SimTime late = duration::hours(1);
   int udp_drops = 0, tcp_drops = 0;
   for (int i = 0; i < 30000; ++i) {
-    udp_drops += link.traverse(Protocol::kUdp, 1, late).dropped;
-    tcp_drops += link.traverse(Protocol::kTcp, 1, late).dropped;
+    udp_drops += link.traverse(Protocol::kUdp, 1, late).copies.empty();
+    tcp_drops += link.traverse(Protocol::kTcp, 1, late).copies.empty();
   }
   EXPECT_NEAR(udp_drops / 30000.0, 0.05, 0.01);
   EXPECT_NEAR(tcp_drops / 30000.0, 0.15, 0.015);
@@ -190,14 +198,18 @@ TEST(LinkModel, FaultInjectionWindowed) {
   fault.start = duration::seconds(10);
   fault.end = duration::seconds(20);
   link.inject_fault(fault);
-  EXPECT_EQ(link.traverse(Protocol::kUdp, 1, duration::seconds(5)).delay,
+  EXPECT_EQ(delivered(link.traverse(Protocol::kUdp, 1, duration::seconds(5)))
+                .delay,
             duration::milliseconds(10));
-  EXPECT_EQ(link.traverse(Protocol::kUdp, 1, duration::seconds(15)).delay,
+  EXPECT_EQ(delivered(link.traverse(Protocol::kUdp, 1, duration::seconds(15)))
+                .delay,
             duration::milliseconds(110));
-  EXPECT_EQ(link.traverse(Protocol::kUdp, 1, duration::seconds(25)).delay,
+  EXPECT_EQ(delivered(link.traverse(Protocol::kUdp, 1, duration::seconds(25)))
+                .delay,
             duration::milliseconds(10));
   link.clear_fault();
-  EXPECT_EQ(link.traverse(Protocol::kUdp, 1, duration::seconds(15)).delay,
+  EXPECT_EQ(delivered(link.traverse(Protocol::kUdp, 1, duration::seconds(15)))
+                .delay,
             duration::milliseconds(10));
 }
 
@@ -210,9 +222,9 @@ TEST(LinkModel, SerializationDelayScalesWithSize) {
                                    100);
   const auto big = link.traverse(Protocol::kUdp, 1, 0, net::Ipv4Address(),
                                  net::Ipv4Address(), 1500);
-  EXPECT_EQ(small.delay,
+  EXPECT_EQ(delivered(small).delay,
             duration::milliseconds(10) + duration::microseconds(100));
-  EXPECT_EQ(big.delay,
+  EXPECT_EQ(delivered(big).delay,
             duration::milliseconds(10) + duration::microseconds(1500));
   // Length-equalized probes see identical serialization delay — the
   // paper's reason for equalizing probe sizes.
@@ -222,13 +234,13 @@ TEST(LinkModel, SerializationDelayScalesWithSize) {
   const auto equal_b = link.traverse(Protocol::kIcmp, 1, 0,
                                      net::Ipv4Address(), net::Ipv4Address(),
                                      64);
-  EXPECT_EQ(equal_a.delay, equal_b.delay);
+  EXPECT_EQ(delivered(equal_a).delay, delivered(equal_b).delay);
 }
 
 TEST(LinkModel, ZeroBandwidthMeansNoSerializationDelay) {
   LinkModel link(basic_config(), Rng(10));
-  EXPECT_EQ(link.traverse(Protocol::kUdp, 1, 0, net::Ipv4Address(),
-                          net::Ipv4Address(), 65535)
+  EXPECT_EQ(delivered(link.traverse(Protocol::kUdp, 1, 0, net::Ipv4Address(),
+                                    net::Ipv4Address(), 65535))
                 .delay,
             duration::milliseconds(10));
 }

@@ -73,7 +73,7 @@ TEST(SystemEconomics, ReclaimRefundsStorageRebate) {
   ASSERT_TRUE(rebate.ok()) << rebate.error_message();
   // The application objects carried the Debuglet bytecodes (~1 kB each),
   // so the rebate exceeds two per-object minimums.
-  EXPECT_GT(*rebate, 2 * system.chain().config().gas.rebate_per_object);
+  EXPECT_GT(*rebate, 2 * chain::kRebatePerObject);
   EXPECT_FALSE(system.chain().object_exists(handle->client_application));
   EXPECT_FALSE(system.chain().object_exists(handle->server_application));
   // Results remain available after the applications are freed.
@@ -199,8 +199,8 @@ TEST(SystemEconomics, TokensConservedOverRandomMarketplaceSequence) {
       const std::uint64_t variant = rng.next_below(3);
       marketplace::TimeSlot slot;
       slot.start = registered_until[key] -
-                   (variant == 1 ? config.slot_length : SimDuration{0});
-      slot.end = slot.start + config.slot_length;
+                   (variant == 1 ? core::kSlotLength : SimDuration{0});
+      slot.end = slot.start + core::kSlotLength;
       slot.price = config.slot_price + rng.next_below(1000);
       auto r = run(kind, variant == 2 ? initiators[0] : operator_of(key),
                    marketplace::RegisterTimeSlotArgs{key, {slot}}.serialize(),

@@ -128,8 +128,8 @@ TEST(IntHeader, ParseRejectsWithTypedErrors) {
   // the bounds check can reject).
   Bytes bad_hops = wire;
   bad_hops[7] = 200;
-  const std::uint64_t digest = telemetry::int_digest(
-      BytesView(bad_hops.data(), bad_hops.size() - 8));
+  const std::uint64_t digest =
+      fnv1a(BytesView(bad_hops.data(), bad_hops.size() - 8));
   for (int i = 0; i < 8; ++i)
     bad_hops[bad_hops.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(digest >> (8 * i));

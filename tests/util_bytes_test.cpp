@@ -30,6 +30,21 @@ TEST(Hex, EmptyIsEmpty) {
   EXPECT_TRUE(v->empty());
 }
 
+// The published 64-bit FNV-1a test vectors, and that a seed continues a
+// hash: hashing "foo" then "bar" equals hashing "foobar".
+TEST(Fnv1a, MatchesPublishedVectors) {
+  const Bytes empty;
+  const Bytes a = bytes_of("a");
+  const Bytes foobar = bytes_of("foobar");
+  EXPECT_EQ(fnv1a(empty), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a(empty), kFnv1aBasis);
+  EXPECT_EQ(fnv1a(a), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a(foobar), 0x85944171f73967e8ULL);
+  const BytesView view(foobar.data(), foobar.size());
+  EXPECT_EQ(fnv1a(view.subspan(3), fnv1a(view.first(3))),
+            0x85944171f73967e8ULL);
+}
+
 TEST(BytesWriterReader, FixedWidthRoundTrip) {
   BytesWriter w;
   w.u8(0xAB);

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -413,6 +414,124 @@ TEST(VmDifferential, SuspendableSeededModulesMatchPinnedDigest) {
   EXPECT_GE(blocked_runs, 30);
 }
 
+// --- A value-level oracle ------------------------------------------------
+
+// The sweeps end every body with `const; return`, so a wrong arithmetic
+// result reaches none of their observables. Here seeded straight-line
+// bodies return the value they compute, and a test-local evaluator,
+// written from the opcode comments in src/vm/isa.hpp, predicts it.
+
+// The result of one body: a value, or the trap that ended it.
+struct Expected {
+  vm::TrapKind trap = vm::TrapKind::kNone;
+  std::int64_t value = 0;
+};
+
+// pop b, a; push a OP b. add/sub/mul wrap; div_s traps on a zero divisor
+// and on INT64_MIN / -1; rem_s traps on a zero divisor only; shift counts
+// are masked to 6 bits; compares push 1 or 0.
+Expected oracle_binop(Opcode op, std::int64_t a, std::int64_t b) {
+  const auto ua = static_cast<std::uint64_t>(a);
+  const auto ub = static_cast<std::uint64_t>(b);
+  const unsigned count = static_cast<unsigned>(ub % 64);
+  const auto value = [](std::uint64_t v) {
+    return Expected{vm::TrapKind::kNone, static_cast<std::int64_t>(v)};
+  };
+  switch (op) {
+    case Opcode::kAdd: return value(ua + ub);
+    case Opcode::kSub: return value(ua - ub);
+    case Opcode::kMul: return value(ua * ub);
+    case Opcode::kDivS:
+      if (b == 0) return {vm::TrapKind::kDivideByZero, 0};
+      if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
+        return {vm::TrapKind::kIntegerOverflow, 0};
+      return value(static_cast<std::uint64_t>(a / b));
+    case Opcode::kRemS:
+      if (b == 0) return {vm::TrapKind::kDivideByZero, 0};
+      return value(b == -1 ? 0 : static_cast<std::uint64_t>(a % b));
+    case Opcode::kAnd: return value(ua & ub);
+    case Opcode::kOr: return value(ua | ub);
+    case Opcode::kXor: return value(ua ^ ub);
+    case Opcode::kShl: return value(ua << count);
+    // Arithmetic shift spelled without a signed shift: the vacated high
+    // bits copy the sign.
+    case Opcode::kShrS: return value(a < 0 ? ~(~ua >> count) : ua >> count);
+    case Opcode::kShrU: return value(ua >> count);
+    case Opcode::kEq: return value(a == b);
+    case Opcode::kNe: return value(a != b);
+    case Opcode::kLtS: return value(a < b);
+    case Opcode::kGtS: return value(a > b);
+    case Opcode::kLeS: return value(a <= b);
+    case Opcode::kGeS: return value(a >= b);
+    default: ADD_FAILURE() << "not a binop: " << vm::opcode_name(op);
+  }
+  return {};
+}
+
+TEST(VmValueOracle, StraightLineBodiesReturnWhatTheIsaPrescribes) {
+  static const Opcode kBinops[] = {
+      Opcode::kAdd, Opcode::kSub,  Opcode::kMul,  Opcode::kDivS,
+      Opcode::kRemS, Opcode::kAnd, Opcode::kOr,   Opcode::kXor,
+      Opcode::kShl, Opcode::kShrS, Opcode::kShrU, Opcode::kEq,
+      Opcode::kNe,  Opcode::kLtS,  Opcode::kGtS,  Opcode::kLeS,
+      Opcode::kGeS};
+  std::map<Opcode, int> executed;
+  std::map<vm::TrapKind, int> traps;
+  constexpr std::uint64_t kBodies = 3000;
+  for (std::uint64_t seed = 0; seed < kBodies; ++seed) {
+    Rng rng(0x0AC1E000 + seed);
+    vm::ModuleBuilder mb;
+    mb.memory(16);
+    auto& fb = mb.function(vm::kEntryPointName, 0, 0);
+    Expected want{vm::TrapKind::kNone, interesting_const(rng)};
+    fb.constant(want.value);
+    const std::size_t steps = 1 + rng.index(6);
+    for (std::size_t i = 0; i < steps; ++i) {
+      // One slot in eighteen is eqz, the one unary opcode.
+      const std::size_t pick = rng.index(std::size(kBinops) + 1);
+      if (pick == std::size(kBinops)) {
+        fb.emit(Opcode::kEqz);
+        if (want.trap == vm::TrapKind::kNone)
+          want.value = want.value == 0 ? 1 : 0;
+        continue;
+      }
+      const Opcode op = kBinops[pick];
+      std::int64_t operand = interesting_const(rng);
+      if (op == Opcode::kShl || op == Opcode::kShrS || op == Opcode::kShrU) {
+        operand = static_cast<std::int64_t>(rng.index(128));
+      } else if ((op == Opcode::kDivS || op == Opcode::kRemS) &&
+                 rng.chance(0.5)) {
+        operand = rng.chance(0.5) ? 0 : -1;  // the trapping divisors
+      }
+      fb.constant(operand).emit(op);
+      if (want.trap != vm::TrapKind::kNone) continue;  // never reached
+      ++executed[op];
+      want = oracle_binop(op, want.value, operand);
+    }
+    fb.ret();
+    const vm::Module m = mb.build();
+    ASSERT_TRUE(vm::validate(m).ok()) << "seed " << seed;
+    auto instance = vm::Instance::create(m, {});
+    ASSERT_TRUE(instance.ok()) << instance.error_message();
+    const vm::RunOutcome got = instance->run_function(vm::kEntryPointName, {});
+    if (want.trap != vm::TrapKind::kNone) {
+      ++traps[want.trap];
+      EXPECT_TRUE(got.trapped) << "seed " << seed;
+      EXPECT_EQ(vm::trap_name(got.trap), vm::trap_name(want.trap))
+          << "seed " << seed;
+    } else {
+      EXPECT_FALSE(got.trapped)
+          << "seed " << seed << ": " << got.trap_message;
+      EXPECT_EQ(got.value, want.value) << "seed " << seed;
+    }
+  }
+  // Every opcode ran often, and both trapping divisors fired.
+  for (Opcode op : kBinops)
+    EXPECT_GE(executed[op], 200) << vm::opcode_name(op);
+  EXPECT_GE(traps[vm::TrapKind::kDivideByZero], 100);
+  EXPECT_GE(traps[vm::TrapKind::kIntegerOverflow], 5);
+}
+
 // --- Targeted edge cases the sweeps could plausibly miss ----------------
 
 void expect_trap(const vm::RunOutcome& o, vm::TrapKind kind,
@@ -540,7 +659,7 @@ TEST(VmDifferential, ResumeOverflowTrapsAtTheBlockedCall) {
   EXPECT_TRUE(exec->block().args.empty());
   exec->resume(42);  // stack already full: traps without running code
   EXPECT_EQ(exec->step(), vm::Execution::State::kDone);
-  // const (1) + call_host (1 + host_call_fuel_cost 32).
+  // const (1) + call_host (1 + kHostCallFuelCost 32).
   expect_trap(exec->outcome(), vm::TrapKind::kStackOverflow,
               "overflow resuming host call", 1, 34);
   EXPECT_EQ(exec->outcome().host_calls, 1u);

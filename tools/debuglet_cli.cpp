@@ -962,9 +962,9 @@ ChaosOutcome run_chaos(const ChaosParams& p, bool verbose) {
   core::FaultLocalizer localizer = p.link_faults() ? world.localizer(0.5)
                                                    : world.localizer();
   const topology::AsPath& path = world.path;
-  core::FaultLocalizer::Resilience resilience;
-  resilience.retry.max_attempts = p.attempts;
-  localizer.set_resilience(resilience);
+  core::RetryPolicy retry;
+  retry.max_attempts = p.attempts;
+  localizer.set_resilience(retry);
   std::optional<core::DiscriminationReport> twin_report;
   if (p.detect_discrimination) {
     localizer.set_discrimination_probe(
