@@ -22,9 +22,10 @@
 //   - the sender account (nonce + balance) is always a write;
 //   - objects created by the call are fresh (ids are a pure function of
 //     the block height and canonical transaction index) and free to use;
-//   - contract escrow moves are commutative deltas, re-checked in
-//     canonical order at commit, so escrow is deliberately NOT a conflict
-//     key — uncontended purchases do not serialize on the shared pot.
+//   - contract escrow moves are commutative deltas, so escrow is
+//     deliberately NOT a conflict key — uncontended purchases do not
+//     serialize on the shared pot. A batch whose groups together overdraw
+//     a contract's escrow executes again as one group.
 #pragma once
 
 #include <algorithm>

@@ -45,8 +45,6 @@ const char* error_kind_name(ErrorKind kind) {
       return "access_violation";
     case ErrorKind::kOutOfGas:
       return "out_of_gas";
-    case ErrorKind::kEscrowOverdraw:
-      return "escrow_overdraw";
   }
   return "unknown";
 }

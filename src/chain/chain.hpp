@@ -116,7 +116,6 @@ enum class ErrorKind : std::uint8_t {
   kContract,         // the contract returned an error
   kAccessViolation,  // touched a key outside the declared access set
   kOutOfGas,         // computed gas exceeded the transaction's budget
-  kEscrowOverdraw,   // commit-order escrow re-check failed (cross-group)
 };
 
 const char* error_kind_name(ErrorKind kind);
@@ -191,7 +190,8 @@ class CallContext {
   void emit_event(std::string name, std::string key, Bytes payload);
 
   /// Pays tokens out of the contract's escrow balance. Escrow moves are
-  /// commutative deltas re-checked at commit; they are not conflict keys.
+  /// commutative deltas, not conflict keys; a batch whose groups together
+  /// overdraw the escrow executes again as one group.
   Status pay_from_escrow(const Address& to, Mist amount);
 
  private:

@@ -128,6 +128,11 @@ struct BatchState {
   void execute(unsigned workers);  // phase 2: group execution on a pool
   std::vector<Result<Receipt>> commit();  // phase 3: canonical order
 
+  /// Replaces the grouping with one group of the whole batch.
+  void single_group();
+  /// True when the executed payouts, applied in canonical order, take
+  /// some contract's escrow below zero (possible only across groups).
+  bool overdraws_escrow() const;
   void execute_group(const std::vector<std::size_t>& members);
   void execute_tx(GroupView& view, std::size_t index);
 };

@@ -11,6 +11,9 @@
 //   2. execute   — groups run on the pool; each group executes its
 //                  members serially, in canonical order, against a
 //                  group-local overlay of the frozen committed state.
+//                  Escrow is not a conflict key, so when the groups'
+//                  payouts together overdraw a contract's escrow the
+//                  batch executes again as one group.
 //   3. commit    — single-threaded, canonical order: effects, balances,
 //                  versions, event sequence numbers and ONE sealed block.
 //
@@ -71,8 +74,6 @@ void BatchState::prepare(unsigned workers) {
   sig_ok.assign(n, 0);
   contract_ptr.assign(n, nullptr);
   senders.resize(n);
-  outcomes.clear();
-  outcomes.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     chain->obs_.tx_submitted->add();
     senders[i] = Address::of(batch[i].sender);
@@ -100,10 +101,7 @@ void BatchState::partition() {
       break;
     }
   if (!all_declared || n <= 1) {
-    // Exclusive mode (or trivial batch): one group, canonical order.
-    groups.emplace_back();
-    groups.front().resize(n);
-    for (std::size_t i = 0; i < n; ++i) groups.front()[i] = i;
+    single_group();  // exclusive mode (or trivial batch)
     return;
   }
   std::vector<std::size_t> parent(n);
@@ -141,9 +139,30 @@ void BatchState::partition() {
   }
 }
 
+void BatchState::single_group() {
+  groups.assign(1, std::vector<std::size_t>(txs->size()));
+  for (std::size_t i = 0; i < txs->size(); ++i) groups.front()[i] = i;
+}
+
 void BatchState::execute(unsigned workers) {
+  outcomes.assign(txs->size(), TxOutcome{});
   run_indexed(std::min<std::size_t>(workers, groups.size()), groups.size(),
               [&](std::size_t g) { execute_group(groups[g]); });
+}
+
+bool BatchState::overdraws_escrow() const {
+  // Each group checked its payouts against its own view only; replay the
+  // escrow moves of every successful call in canonical (commit) order.
+  std::map<std::string, Mist> pot;
+  for (const TxOutcome& out : outcomes) {
+    if (!out.apply_effects) continue;
+    auto [it, fresh] = pot.try_emplace(out.contract);
+    if (fresh) it->second = chain->escrow_balance(out.contract);
+    it->second += out.attached;
+    if (it->second < out.effects.escrow_out) return true;
+    it->second -= out.effects.escrow_out;
+  }
+  return false;
 }
 
 void BatchState::execute_group(const std::vector<std::size_t>& members) {
@@ -251,26 +270,10 @@ std::vector<Result<Receipt>> BatchState::commit() {
       continue;
     }
     Receipt receipt = std::move(out.receipt);
-    bool success = out.apply_effects;
-    if (success && out.effects.escrow_out > 0) {
-      // Escrow is a commutative pot shared across groups; re-check the
-      // payout against live state in canonical order.
-      const Mist pot = chain->escrow_[out.contract] + out.attached;
-      if (pot < out.effects.escrow_out) {
-        success = false;
-        receipt.success = false;
-        receipt.return_value.clear();
-        receipt.error = "contract escrow underfunded at commit: have " +
-                        std::to_string(pot) + ", need " +
-                        std::to_string(out.effects.escrow_out);
-        receipt.error_kind = ErrorKind::kEscrowOverdraw;
-        receipt.storage_rebate_accrued = 0;
-      }
-    }
     ++chain->nonces_[out.sender];
     chain->balances_[out.sender] -= receipt.gas_charged;
     chain->obs_.gas_charged->record(static_cast<double>(receipt.gas_charged));
-    if (success) {
+    if (out.apply_effects) {
       chain->balances_[out.sender] -= out.attached;
       chain->escrow_[out.contract] += out.attached;
       chain->escrow_[out.contract] -= out.effects.escrow_out;
@@ -364,6 +367,12 @@ std::vector<Result<Receipt>> Blockchain::submit_batch(
   batch.prepare(workers);
   batch.partition();
   batch.execute(workers);
+  if (batch.groups.size() > 1 && batch.overdraws_escrow()) {
+    // In one group every payout sees every earlier one, so the outcome
+    // depends only on the batch contents.
+    batch.single_group();
+    batch.execute(workers);
+  }
   return batch.commit();
 }
 

@@ -216,8 +216,8 @@ bool FaultLocalizer::inband_pass(LocalizationReport& report) {
   // One probe round: a few redundant copies of the same INT probe, sent
   // together. A single intact arrival suffices; redundancy only covers
   // wire loss, not extra measurement rounds.
-  const telemetry::IntHeader prototype = telemetry::IntHeader::reserve(
-      static_cast<std::uint8_t>(links), network.has_hop_program());
+  const telemetry::IntHeader prototype =
+      telemetry::IntHeader::reserve(static_cast<std::uint8_t>(links));
   constexpr int kProbesPerRound = 3;
   const SimTime round_sent_at = queue.now();
   int sent = 0;
@@ -283,8 +283,7 @@ bool FaultLocalizer::inband_pass(LocalizationReport& report) {
   }
 
   // Verdict from one round. The per-link RTT criterion halves into a
-  // one-way budget; a hop-program alarm (when installed) pins the link
-  // directly.
+  // one-way budget.
   const double one_way_budget_ms =
       criteria_.per_link_rtt_ms / 2.0 + criteria_.slack_ms / 2.0;
   report.measurements = 1;
@@ -298,15 +297,7 @@ bool FaultLocalizer::inband_pass(LocalizationReport& report) {
       duration::to_ms(queue.now() - round_sent_at);  // round wall time
 
   std::vector<std::size_t> over = evidence->links_over(one_way_budget_ms);
-  if (evidence->alarmed() &&
-      evidence->alarm_hop() < links) {
-    report.located = true;
-    report.fault_link = evidence->alarm_hop();
-    report.fault_link_hi = evidence->alarm_hop();
-    report.exact = true;
-    report.notes.push_back("in-band: hop program alarm at link " +
-                           std::to_string(report.fault_link));
-  } else if (!over.empty()) {
+  if (!over.empty()) {
     report.located = true;
     report.fault_link = over.front();
     report.fault_link_hi = over.back();

@@ -66,9 +66,6 @@ struct SimulatedNetwork::DomainState {
   // ICMP time-exceeded rate limiting (per-second window, per AS).
   std::int64_t icmp_window_second = -1;
   std::uint32_t icmp_sent_in_window = 0;
-  /// Lazily cloned hop-program runtime (the DVM instance is mutated per
-  /// run, so domains cannot share one).
-  std::unique_ptr<telemetry::HopProgramRuntime> hop_runtime;
   /// Middlebox state of THIS AS (throttle windows + ground-truth tally),
   /// touched only on hop events homed here.
   MiddleboxRuntime mb_runtime;
@@ -150,8 +147,6 @@ SimulatedNetwork::SimulatedNetwork(EventQueue& queue,
   obs_.ttl_expired = &reg.counter("net.ttl_expired");
   obs_.int_pushes = &reg.counter("telemetry.int_pushes");
   obs_.int_truncations = &reg.counter("telemetry.int_truncations");
-  obs_.hop_program_runs = &reg.counter("telemetry.hop_program_runs");
-  obs_.hop_program_traps = &reg.counter("telemetry.hop_program_traps");
 
   // One DomainState per AS plus the control domain, up front: the index
   // is immutable once events run.
@@ -180,19 +175,6 @@ SimulatedNetwork::DomainState& SimulatedNetwork::domain_state(
 
 SimulatedNetwork::DomainState& SimulatedNetwork::current_domain_state() {
   return domain_state(queue_.current_domain());
-}
-
-Status SimulatedNetwork::install_hop_program(vm::Module module,
-                                             telemetry::HopProgramLimits
-                                                 limits) {
-  // Validate and instantiate once; domains clone their runtimes lazily
-  // from the stored module.
-  auto runtime = telemetry::HopProgramRuntime::create(module, limits);
-  if (!runtime) return runtime.error();
-  hop_module_ = std::move(module);
-  hop_limits_ = limits;
-  for (auto& ds : domains_) ds->hop_runtime.reset();
-  return ok_status();
 }
 
 SimulatedNetwork::LinkEntry* SimulatedNetwork::find_link(
@@ -674,29 +656,10 @@ void SimulatedNetwork::push_int_record(FlightCopy* fc,
   rec.queue_depth = queue_depth;
   rec.drops_seen = clamp_u32(ds.drops);
   rec.wire_faults = wire_faults;
-  if (fc->int_header.push(rec)) {
+  if (fc->int_header.push(rec))
     obs_.int_pushes->add();
-    if (fc->int_header.hop_program_requested() && hop_module_.has_value()) {
-      if (ds.hop_runtime == nullptr) {
-        // First hop-program run in this domain: clone the runtime. The
-        // module was validated at install, so creation cannot fail; the
-        // clone's behaviour is identical to any other (run_hop resets the
-        // instance's globals per run).
-        auto runtime =
-            telemetry::HopProgramRuntime::create(*hop_module_, hop_limits_);
-        if (runtime) ds.hop_runtime = std::move(*runtime);
-      }
-      if (ds.hop_runtime != nullptr) {
-        obs_.hop_program_runs->add();
-        const telemetry::HopRunResult hp = ds.hop_runtime->run_hop(
-            fc->int_header, fc->int_header.hop_count() - 1, rec,
-            duration::from_ms(link_delay_ms));
-        if (hp.trapped) obs_.hop_program_traps->add();
-      }
-    }
-  } else {
+  else
     obs_.int_truncations->add();
-  }
 }
 
 void SimulatedNetwork::process_hop(FlightCopy* fc) {

@@ -20,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "net/packet.hpp"
@@ -29,7 +28,6 @@
 #include "simnet/host_faults.hpp"
 #include "simnet/link_model.hpp"
 #include "simnet/middlebox.hpp"
-#include "telemetry/hop_program.hpp"
 #include "telemetry/int_header.hpp"
 #include "topology/topology.hpp"
 #include "util/flat_hash.hpp"
@@ -202,16 +200,6 @@ class SimulatedNetwork {
   void set_int_enabled(bool on) { int_enabled_ = on; }
   bool int_enabled() const { return int_enabled_; }
 
-  /// Installs (replaces) the every-router hop program: a validated DVM
-  /// mini-module run once per traversed device for INT packets that set
-  /// the hop-program flag (paper §VI-G's every-router placement,
-  /// TPP-style). Validation and instantiation happen here, once; each
-  /// domain lazily clones its own runtime (the DVM instance is stateful
-  /// during a run).
-  Status install_hop_program(vm::Module module,
-                             telemetry::HopProgramLimits limits = {});
-  bool has_hop_program() const { return hop_module_.has_value(); }
-
   /// Ground-truth expected one-way delay for a protocol on a path now.
   Result<double> expected_path_delay_ms(const topology::AsPath& path,
                                         net::Protocol protocol) const;
@@ -371,16 +359,9 @@ class SimulatedNetwork {
     obs::Counter* ttl_expired = nullptr;
     obs::Counter* int_pushes = nullptr;
     obs::Counter* int_truncations = nullptr;
-    obs::Counter* hop_program_runs = nullptr;
-    obs::Counter* hop_program_traps = nullptr;
   };
   ObsHandles obs_;
   bool int_enabled_ = false;
-  // The validated hop program, kept as a module so each domain can clone
-  // its own runtime on first use (HopProgramRuntime mutates its DVM
-  // instance per run).
-  std::optional<vm::Module> hop_module_;
-  telemetry::HopProgramLimits hop_limits_;
 };
 
 /// Hashes a parsed packet's flow identity (5-tuple; protocol-dependent).

@@ -38,10 +38,9 @@ const char* int_parse_error_name(IntParseError kind) {
   return "unknown";
 }
 
-IntHeader IntHeader::reserve(std::uint8_t max_hops, bool request_hop_program) {
+IntHeader IntHeader::reserve(std::uint8_t max_hops) {
   IntHeader h;
   h.max_hops_ = std::clamp<std::uint8_t>(max_hops, 1, kMaxHopsLimit);
-  if (request_hop_program) h.flags_ |= kFlagHopProgram;
   return h;
 }
 
@@ -54,12 +53,6 @@ bool IntHeader::push(const HopRecord& record) {
   return true;
 }
 
-void IntHeader::raise_alarm(std::uint8_t hop) {
-  if (flags_ & kFlagAlarm) return;  // first alarm wins
-  flags_ |= kFlagAlarm;
-  alarm_hop_ = hop;
-}
-
 Bytes IntHeader::serialize() const {
   BytesWriter w;
   w.u32(kMagic);
@@ -67,11 +60,11 @@ Bytes IntHeader::serialize() const {
   w.u8(flags_);
   w.u8(max_hops_);
   w.u8(hop_count_);
-  w.u8(alarm_hop_);
-  w.u8(0);  // reserved
+  w.u8(reserved_[0]);
+  w.u8(0);  // pad
   w.u8(0);
   w.u8(0);
-  for (std::int64_t r : registers_) w.i64(r);
+  w.raw(BytesView(reserved_.data() + 1, kReservedTailSize));
   // Every slot serializes, used or not, so the wire size is a function of
   // max_hops alone and never changes as records are pushed in flight.
   for (std::size_t i = 0; i < max_hops_; ++i) write_record(w, records_[i]);
@@ -112,8 +105,8 @@ Result<IntHeader> IntHeader::parse(BytesView data, IntParseError* kind) {
   h.flags_ = *r.u8();
   h.max_hops_ = *r.u8();
   h.hop_count_ = *r.u8();
-  h.alarm_hop_ = *r.u8();
-  (void)r.u8();
+  h.reserved_[0] = *r.u8();
+  (void)r.u8();  // pad, written back as zero
   (void)r.u8();
   (void)r.u8();
   if (h.max_hops_ == 0 || h.max_hops_ > kMaxHopsLimit ||
@@ -124,8 +117,8 @@ Result<IntHeader> IntHeader::parse(BytesView data, IntParseError* kind) {
   if (data.size() < total)
     return reject(kind, IntParseError::kTruncated,
                   "INT block shorter than its budget demands");
-  for (std::size_t i = 0; i < kRegisterCount; ++i)
-    h.registers_[i] = *r.i64();
+  const Bytes reserved = *r.raw(kReservedTailSize);
+  std::copy(reserved.begin(), reserved.end(), h.reserved_.begin() + 1);
   for (std::size_t i = 0; i < h.max_hops_; ++i) {
     HopRecord& rec = h.records_[i];
     rec.asn = *r.u32();

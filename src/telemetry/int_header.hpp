@@ -65,20 +65,14 @@ class IntHeader {
   /// Hard hop budget: with 36-byte records this caps the INT block at
   /// 52 + 32*36 = 1204 bytes, inside any sane probe MTU.
   static constexpr std::uint8_t kMaxHopsLimit = 32;
-  static constexpr std::size_t kRegisterCount = 4;
-  static constexpr std::uint8_t kNoAlarmHop = 0xFF;
 
-  // Flag bits.
-  static constexpr std::uint8_t kFlagHopProgram = 0x01;  // run per-hop DVM
-  static constexpr std::uint8_t kFlagTruncated = 0x02;   // budget exceeded
-  static constexpr std::uint8_t kFlagFellBack = 0x04;    // program trapped
-  static constexpr std::uint8_t kFlagAlarm = 0x08;       // program alarmed
+  /// Flag bit: a push found the stack full. The other bits are reserved;
+  /// parse keeps them and serialize writes them back.
+  static constexpr std::uint8_t kFlagTruncated = 0x02;
 
   /// Builds an empty header with room for `max_hops` records (clamped to
-  /// [1, kMaxHopsLimit]). `request_hop_program` asks every traversed
-  /// device to run the installed hop program against this packet.
-  static IntHeader reserve(std::uint8_t max_hops,
-                           bool request_hop_program = false);
+  /// [1, kMaxHopsLimit]).
+  static IntHeader reserve(std::uint8_t max_hops);
 
   /// Appends a record. Returns false — and latches the TRUNCATED flag —
   /// when the stack is full; the record is dropped, the wire size is
@@ -92,28 +86,11 @@ class IntHeader {
   }
   const HopRecord& record(std::size_t i) const { return records_[i]; }
 
-  bool hop_program_requested() const { return flags_ & kFlagHopProgram; }
   bool truncated() const { return flags_ & kFlagTruncated; }
-  bool fell_back() const { return flags_ & kFlagFellBack; }
-  bool alarmed() const { return flags_ & kFlagAlarm; }
-  std::uint8_t flags() const { return flags_; }
-  std::uint8_t alarm_hop() const { return alarm_hop_; }
-
-  /// Latches the fell-back flag: the hop program trapped somewhere along
-  /// the path and plain INT continued without it.
-  void mark_fell_back() { flags_ |= kFlagFellBack; }
-  /// Raises the alarm at hop `hop` (first alarm wins).
-  void raise_alarm(std::uint8_t hop);
-
-  /// The carried hop-register file the per-hop DVM program reads/writes.
-  std::array<std::int64_t, kRegisterCount>& registers() { return registers_; }
-  const std::array<std::int64_t, kRegisterCount>& registers() const {
-    return registers_;
-  }
 
   /// Wire size of a header with the given budget (fixed in flight).
   static constexpr std::size_t wire_size(std::uint8_t max_hops) {
-    return kFixedSize + kRegisterCount * 8 +
+    return kFixedSize + kReservedTailSize +
            static_cast<std::size_t>(max_hops) * HopRecord::kSize + 8;
   }
   std::size_t wire_size() const { return wire_size(max_hops_); }
@@ -141,13 +118,15 @@ class IntHeader {
   bool operator==(const IntHeader&) const = default;
 
  private:
-  static constexpr std::size_t kFixedSize = 12;  // magic..reserved
+  static constexpr std::size_t kFixedSize = 12;         // magic..zero pad
+  static constexpr std::size_t kReservedTailSize = 32;  // bytes 12..43
 
   std::uint8_t flags_ = 0;
   std::uint8_t max_hops_ = 1;
   std::uint8_t hop_count_ = 0;
-  std::uint8_t alarm_hop_ = kNoAlarmHop;
-  std::array<std::int64_t, kRegisterCount> registers_{};
+  /// The reserved block (docs/TELEMETRY.md): byte 8, then the tail after
+  /// three zero pad bytes. reserve() writes 0xFF, then zeros.
+  std::array<std::uint8_t, 1 + kReservedTailSize> reserved_{0xFF};
   std::array<HopRecord, kMaxHopsLimit> records_{};
 };
 

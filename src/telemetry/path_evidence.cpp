@@ -19,7 +19,6 @@ Result<PathEvidence> PathEvidence::from_header(const IntHeader& header,
                 " records for " + std::to_string(links) + " links");
 
   PathEvidence out;
-  out.header_ = header;
   out.observations_.reserve(links);
   // Record k is appended by the ingress border router of path hop k+1; its
   // ingress timestamp closes link k's crossing and its egress timestamp

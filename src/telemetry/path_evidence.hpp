@@ -47,12 +47,7 @@ class PathEvidence {
   /// per-link budget), in path order.
   std::vector<std::size_t> links_over(double threshold_ms) const;
 
-  bool alarmed() const { return header_.alarmed(); }
-  std::uint8_t alarm_hop() const { return header_.alarm_hop(); }
-  const IntHeader& header() const { return header_; }
-
  private:
-  IntHeader header_;
   std::vector<LinkObservation> observations_;
 };
 

@@ -116,17 +116,6 @@ class Instance {
   /// Writes into a named buffer (must fit).
   Status write_buffer(std::string_view name, BytesView data);
 
-  /// Bounds-checked global write. The host-facing twin of globals():
-  /// embedders that carry state between runs (telemetry hop registers)
-  /// load it here before each run and read it back afterwards.
-  Status set_global(std::size_t index, std::int64_t value) {
-    if (index >= globals_.size())
-      return fail("set_global: index " + std::to_string(index) +
-                  " out of range");
-    globals_[index] = value;
-    return ok_status();
-  }
-
   const Module& module() const { return module_; }
   const ExecutionLimits& limits() const { return limits_; }
   std::span<const std::int64_t> globals() const { return globals_; }

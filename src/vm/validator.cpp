@@ -106,10 +106,9 @@ Status validate(const Module& m, const ValidationLimits& limits) {
   if (entry < 0)
     return fail(std::string("module does not export '") + kEntryPointName +
                 "'");
-  if (m.functions[static_cast<std::size_t>(entry)].param_count !=
-      limits.entry_param_count)
-    return fail(std::string(kEntryPointName) + " must take exactly " +
-                std::to_string(limits.entry_param_count) + " parameters");
+  if (m.functions[static_cast<std::size_t>(entry)].param_count != 0)
+    return fail(std::string(kEntryPointName) +
+                " must take exactly 0 parameters");
 
   std::set<std::string> import_names;
   for (const std::string& name : m.host_imports) {

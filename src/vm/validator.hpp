@@ -20,15 +20,12 @@ struct ValidationLimits {
   std::uint32_t max_code_length = 1 << 16;  // instructions per function
   std::uint32_t max_locals = 256;           // params + locals per function
   std::uint32_t max_globals = 256;
-  /// Exact parameter count the entry point must declare. Executors run
-  /// parameterless Debuglets (0); the forwarding-path hop-program ABI
-  /// passes per-hop facts as arguments instead.
-  std::uint32_t entry_param_count = 0;
 };
 
 /// Checks a module against the limits and internal consistency rules:
 ///  - memory size within limits; buffers lie inside memory, names unique;
-///  - function names unique and non-empty; an entry point exists;
+///  - function names unique and non-empty; a parameterless entry point
+///    exists;
 ///  - every jump target is an in-function instruction index;
 ///  - every local/global/function/import index in code is in range;
 ///  - every immediate-carrying opcode has a sensible immediate

@@ -16,6 +16,7 @@
 // overlapping slots — exactly one winner per slot).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <memory>
@@ -459,7 +460,7 @@ Workload random_kv_workload(std::uint64_t seed, bool disjoint) {
       batch.push_back(kv_boom(a, nonce++));
     } else if (roll < 88) {
       // Escrow payments: deltas race for the committed pot; losers get a
-      // deterministic kEscrowOverdraw or kContract failure.
+      // deterministic kContract failure.
       const Mist attached = rng.next_below(3) == 0 ? 200 : 0;
       const Mist amount = rng.next_below(400);
       const Actor& to = w.actors[rng.next_below(w.actors.size())];
@@ -539,8 +540,9 @@ TEST(ChainParallelDifferential, EveryOutcomeClassAgreesAcrossWorkers) {
   batch.push_back(kv_dobj(w.actors[5], 2, obj));                          // 8 ok (same group as 7)
   // Escrow race from two otherwise-idle senders: their only conflict keys
   // are their own accounts, so they land in different groups. Both see the
-  // committed 100 MIST at execution; the canonical-second one loses at the
-  // commit-order re-check with kEscrowOverdraw.
+  // committed 100 MIST at execution, which together overdraws it, so the
+  // batch executes again as one group and the canonical-second payout
+  // fails in the contract.
   batch.push_back(kv_pay(w.actors[6], 0, w.actors[2].address, 80, 0));    // 9 ok
   batch.push_back(kv_pay(w.actors[7], 0, w.actors[3].address, 80, 0));    // 10 overdraw
   w.batches.push_back(std::move(batch));
@@ -571,10 +573,58 @@ TEST(ChainParallelDifferential, EveryOutcomeClassAgreesAcrossWorkers) {
   expect_kind(7, ErrorKind::kNone);
   expect_kind(8, ErrorKind::kNone);
   expect_kind(9, ErrorKind::kNone);
-  expect_kind(10, ErrorKind::kEscrowOverdraw);
-  EXPECT_NE(results[10]->error.find("underfunded at commit"),
+  expect_kind(10, ErrorKind::kContract);
+  EXPECT_EQ(results[10]->error,
+            "contract escrow underfunded: have 20, need 80");
+}
+
+// A payout that overdraws the escrow across groups must not fund the rest
+// of its group: B's deposit attaches the 80 MIST B's own payout credited
+// it, which only exists if that payout commits.
+TEST(ChainParallelDifferential, OverdrawnPayoutFundsNothingLaterInItsGroup) {
+  Workload w;
+  w.actors.emplace_back("a", 7200, 1'000'000'000'000ULL);
+  w.actors.emplace_back("b", 7201, 1'000'000'000'000ULL);
+  w.actors.emplace_back("c", 7202, 0);
+  w.actors.emplace_back("funder", 7203, 1'000'000'000'000ULL);
+  const Actor& a = w.actors[0];
+  const Actor& b = w.actors[1];
+  const Actor& c = w.actors[2];
+  w.batches.push_back({kv_put(w.actors[3], 0, "seed-escrow", bytes_of("x"),
+                              true, /*attached=*/100)});
+
+  // B's balance once its payout is credited, less the deposit's budget.
+  const Mist b_after_payout = b.mint - kComputationFee + 80;
+  w.batches.push_back({
+      kv_pay(a, 0, c.address, 80, 0),
+      kv_pay(b, 0, b.address, 80, 0),
+      kv_put(b, 1, "deposit", bytes_of("v"), true,
+             /*attached=*/b_after_payout - kComputationFee,
+             /*budget=*/kComputationFee),
+  });
+
+  auto run = differential(w);
+  const auto& results = run.results.back();
+  ASSERT_EQ(results.size(), 3u);
+  ASSERT_TRUE(results[0].ok());
+  EXPECT_TRUE(results[0]->success) << results[0]->error;
+  ASSERT_TRUE(results[1].ok());
+  EXPECT_FALSE(results[1]->success);
+  EXPECT_EQ(results[1]->error_kind, ErrorKind::kContract);
+  ASSERT_FALSE(results[2].ok()) << "the deposit spends tokens B never got";
+  EXPECT_NE(results[2].error_message().find("insufficient balance"),
             std::string::npos)
-      << results[10]->error;
+      << results[2].error_message();
+
+  const auto has_line = [&](const std::string& line) {
+    return std::find(run.snap.lines.begin(), run.snap.lines.end(), line) !=
+           run.snap.lines.end();
+  };
+  EXPECT_TRUE(has_line("account[b]: balance=" +
+                       std::to_string(b.mint - kComputationFee) +
+                       " nonce=1"));
+  EXPECT_TRUE(has_line("account[c]: balance=80 nonce=0"));
+  EXPECT_TRUE(has_line("escrow[kv]: 20"));
 }
 
 // Mixing one legacy (empty access set) transaction into a declared batch

@@ -613,9 +613,7 @@ TEST(FuzzWireParsers, DamagedIntStacksRejectTypedOrRoundTrip) {
   std::vector<Bytes> corpus;
   for (const std::uint8_t budget :
        {std::uint8_t{1}, std::uint8_t{5}, telemetry::IntHeader::kMaxHopsLimit}) {
-    telemetry::IntHeader h =
-        telemetry::IntHeader::reserve(budget, /*request_hop_program=*/budget == 5);
-    h.registers() = {1, -2, 3, -4};
+    telemetry::IntHeader h = telemetry::IntHeader::reserve(budget);
     for (std::uint8_t hop = 0; hop < budget; ++hop) {
       telemetry::HopRecord rec;
       rec.asn = 10u + hop;
@@ -628,14 +626,28 @@ TEST(FuzzWireParsers, DamagedIntStacksRejectTypedOrRoundTrip) {
       rec.wire_faults = hop % 2;
       ASSERT_TRUE(h.push(rec));
     }
-    if (budget == 5) h.raise_alarm(2);
     if (budget == telemetry::IntHeader::kMaxHopsLimit) {
       EXPECT_FALSE(h.push(telemetry::HopRecord{}));  // latches TRUNCATED
     }
     Bytes wire = h.serialize();
     ASSERT_EQ(wire.size(), telemetry::IntHeader::wire_size(budget));
-    ASSERT_TRUE(
-        telemetry::IntHeader::parse(BytesView(wire.data(), wire.size())).ok());
+    // Non-default reserved bytes (12..43 everywhere, byte 8 and two more
+    // flag bits at budget 5), resealed: parse must carry them through.
+    BytesWriter reserved;
+    for (const std::int64_t v : {1, -2, 3, -4}) reserved.i64(v);
+    std::copy(reserved.bytes().begin(), reserved.bytes().end(),
+              wire.begin() + 12);
+    if (budget == 5) {
+      wire[5] |= 0x09;
+      wire[8] = 2;
+    }
+    const std::uint64_t digest = fnv1a(BytesView(wire.data(), wire.size() - 8));
+    for (std::size_t i = 0; i < 8; ++i)
+      wire[wire.size() - 8 + i] = static_cast<std::uint8_t>(digest >> (8 * i));
+    auto parsed =
+        telemetry::IntHeader::parse(BytesView(wire.data(), wire.size()));
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_EQ(parsed->serialize(), wire);
     corpus.push_back(std::move(wire));
   }
 

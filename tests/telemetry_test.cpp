@@ -1,6 +1,6 @@
 // In-band path telemetry: IntHeader wire discipline, PathEvidence
-// validation, fuel-capped hop programs, record accumulation through the
-// simulated network, and the O(1) in-band localization strategy.
+// validation, record accumulation through the simulated network, and the
+// O(1) in-band localization strategy.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,7 +11,6 @@
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "simnet/scenarios.hpp"
-#include "telemetry/hop_program.hpp"
 #include "telemetry/int_header.hpp"
 #include "telemetry/path_evidence.hpp"
 
@@ -36,14 +35,32 @@ HopRecord make_record(std::uint32_t asn, std::uint64_t ingress_ns,
   return rec;
 }
 
+// Recomputes the trailing FNV-1a digest of a serialized INT block after a
+// test edits its bytes.
+void reseal(Bytes& wire) {
+  const std::uint64_t digest = fnv1a(BytesView(wire.data(), wire.size() - 8));
+  for (std::size_t i = 0; i < 8; ++i)
+    wire[wire.size() - 8 + i] = static_cast<std::uint8_t>(digest >> (8 * i));
+}
+
+// An empty 3-hop block whose flag bits and reserved block (byte 8 and
+// bytes 12..43) all differ from reserve()'s, the pad bytes 9..11 left zero.
+Bytes block_with_reserved_bytes_set() {
+  Bytes wire = IntHeader::reserve(3).serialize();
+  wire[5] = 0xFD;  // every flag bit but TRUNCATED
+  wire[8] = 1;
+  for (std::size_t i = 12; i < 44; ++i)
+    wire[i] = static_cast<std::uint8_t>(7 * i + 1);
+  reseal(wire);
+  return wire;
+}
+
 // --- IntHeader wire discipline -----------------------------------------------
 
-TEST(IntHeader, RoundTripsRecordsFlagsAndRegisters) {
-  IntHeader header = IntHeader::reserve(5, /*request_hop_program=*/true);
-  header.registers() = {10, -20, 30, 40};
+TEST(IntHeader, RoundTripsRecords) {
+  IntHeader header = IntHeader::reserve(5);
   ASSERT_TRUE(header.push(make_record(100, 1'000, 2'000)));
   ASSERT_TRUE(header.push(make_record(200, 3'000, 4'000)));
-  header.raise_alarm(1);
 
   const Bytes wire = header.serialize();
   ASSERT_EQ(wire.size(), IntHeader::wire_size(5));
@@ -54,13 +71,23 @@ TEST(IntHeader, RoundTripsRecordsFlagsAndRegisters) {
   EXPECT_EQ(kind, IntParseError::kNone);
   EXPECT_EQ(parsed->hop_count(), 2);
   EXPECT_EQ(parsed->max_hops(), 5);
-  EXPECT_TRUE(parsed->hop_program_requested());
-  EXPECT_TRUE(parsed->alarmed());
-  EXPECT_EQ(parsed->alarm_hop(), 1);
-  EXPECT_EQ(parsed->registers(), header.registers());
   EXPECT_EQ(parsed->record(0), header.record(0));
   EXPECT_EQ(parsed->record(1), header.record(1));
   EXPECT_EQ(*parsed, header);
+}
+
+TEST(IntHeader, ReservedBytesAndFlagBitsRoundTripByteForByte) {
+  // reserve() sets no flag bit and writes 0xFF, then zeros.
+  const Bytes fresh = IntHeader::reserve(3).serialize();
+  EXPECT_EQ(fresh[5], 0);
+  EXPECT_EQ(fresh[8], 0xFF);
+  for (std::size_t i = 9; i < 44; ++i) EXPECT_EQ(fresh[i], 0) << "byte " << i;
+
+  const Bytes wire = block_with_reserved_bytes_set();
+  auto parsed = IntHeader::parse(BytesView(wire.data(), wire.size()));
+  ASSERT_TRUE(parsed.ok()) << parsed.error_message();
+  EXPECT_FALSE(parsed->truncated());
+  EXPECT_EQ(parsed->serialize(), wire);
 }
 
 TEST(IntHeader, WireSizeIsFixedRegardlessOfPushes) {
@@ -128,11 +155,7 @@ TEST(IntHeader, ParseRejectsWithTypedErrors) {
   // the bounds check can reject).
   Bytes bad_hops = wire;
   bad_hops[7] = 200;
-  const std::uint64_t digest =
-      fnv1a(BytesView(bad_hops.data(), bad_hops.size() - 8));
-  for (int i = 0; i < 8; ++i)
-    bad_hops[bad_hops.size() - 8 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(digest >> (8 * i));
+  reseal(bad_hops);
   EXPECT_FALSE(
       IntHeader::parse(BytesView(bad_hops.data(), bad_hops.size()), &kind)
           .ok());
@@ -203,69 +226,6 @@ TEST(PathEvidence, RejectsMismatchedOrIncompleteStacks) {
   wrong_as.push(make_record(4, 50, 60));
   EXPECT_FALSE(
       telemetry::PathEvidence::from_header(wrong_as, path, 0).ok());
-}
-
-// --- Hop programs: fuel-capped per-hop DVM snippets --------------------------
-
-TEST(HopProgram, WatchdogAlarmsOnSlowHopsAndUpdatesRegisters) {
-  auto runtime = telemetry::HopProgramRuntime::create(
-      telemetry::make_latency_watchdog(duration::milliseconds(10)));
-  ASSERT_TRUE(runtime.ok()) << runtime.error_message();
-
-  IntHeader header = IntHeader::reserve(4, /*request_hop_program=*/true);
-  HopRecord quick = make_record(2, 100, 200);
-  header.push(quick);
-  auto r0 = (*runtime)->run_hop(header, 0, quick, duration::milliseconds(5));
-  EXPECT_TRUE(r0.ran);
-  EXPECT_FALSE(r0.trapped);
-  EXPECT_FALSE(r0.alarmed);
-  EXPECT_FALSE(header.alarmed());
-  EXPECT_EQ(header.registers()[0], duration::milliseconds(5));  // max latency
-  EXPECT_EQ(header.registers()[1], 1);                          // hops run
-
-  HopRecord slow = make_record(3, 300, 400);
-  header.push(slow);
-  auto r1 = (*runtime)->run_hop(header, 1, slow, duration::milliseconds(25));
-  EXPECT_TRUE(r1.alarmed);
-  EXPECT_TRUE(header.alarmed());
-  EXPECT_EQ(header.alarm_hop(), 1);
-  EXPECT_EQ(header.registers()[0], duration::milliseconds(25));
-  EXPECT_EQ(header.registers()[1], 2);
-  EXPECT_EQ(header.registers()[3], 1);  // threshold crossings
-  EXPECT_GT(r1.fuel_used, 0u);
-}
-
-TEST(HopProgram, FuelBurnerTrapsAndFallsBackWithoutTouchingRegisters) {
-  telemetry::HopProgramLimits limits;
-  limits.fuel_per_hop = 256;
-  auto runtime = telemetry::HopProgramRuntime::create(
-      telemetry::make_fuel_burner(), limits);
-  ASSERT_TRUE(runtime.ok()) << runtime.error_message();
-
-  IntHeader header = IntHeader::reserve(2, /*request_hop_program=*/true);
-  header.registers() = {1, 2, 3, 4};
-  HopRecord rec = make_record(2, 100, 200);
-  header.push(rec);
-  auto result = (*runtime)->run_hop(header, 0, rec, 1'000);
-  EXPECT_TRUE(result.ran);
-  EXPECT_TRUE(result.trapped);
-  EXPECT_FALSE(result.alarmed);
-  EXPECT_TRUE(header.fell_back()) << "a trap must latch the fallback flag";
-  EXPECT_FALSE(header.alarmed());
-  const std::array<std::int64_t, 4> expected{1, 2, 3, 4};
-  EXPECT_EQ(header.registers(), expected)
-      << "a trapped hop must not half-write the carried registers";
-}
-
-TEST(HopProgram, CreateRejectsNonConformingModules) {
-  // Wrong arity for the ABI entry point.
-  vm::Module wrong_arity = telemetry::make_latency_watchdog(1);
-  wrong_arity.functions[0].param_count = 2;
-  EXPECT_FALSE(telemetry::HopProgramRuntime::create(wrong_arity).ok());
-  // Too few globals to back the register file.
-  vm::Module few_globals = telemetry::make_latency_watchdog(1);
-  few_globals.globals.resize(2);
-  EXPECT_FALSE(telemetry::HopProgramRuntime::create(few_globals).ok());
 }
 
 // --- Record accumulation through the simulated network -----------------------
@@ -395,49 +355,20 @@ TEST_F(IntNetFixture, EnablingIntDoesNotPerturbNonIntTraffic) {
   EXPECT_EQ(run_plain(false), run_plain(true));
 }
 
-TEST_F(IntNetFixture, HopProgramRunsPerHopAndAlarms) {
+TEST_F(IntNetFixture, ForwardingKeepsReservedBytesAndFlagBits) {
   scenario.network->set_int_enabled(true);
-  // 2 ms watchdog on 5 ms links: the very first crossing alarms.
-  ASSERT_TRUE(scenario.network
-                  ->install_hop_program(telemetry::make_latency_watchdog(
-                      duration::milliseconds(2)))
-                  .ok());
-  ASSERT_TRUE(
-      send_int_probe(IntHeader::reserve(3, /*request_hop_program=*/true))
-          .ok());
+  const Bytes sent = block_with_reserved_bytes_set();
+  auto header = IntHeader::parse(BytesView(sent.data(), sent.size()));
+  ASSERT_TRUE(header.ok()) << header.error_message();
+  ASSERT_TRUE(send_int_probe(*header).ok());
   scenario.queue->run();
   ASSERT_EQ(collector.deliveries.size(), 1u);
-  auto parsed = IntHeader::parse(BytesView(
-      collector.deliveries[0].packet.payload.data(),
-      collector.deliveries[0].packet.payload.size()));
-  ASSERT_TRUE(parsed.ok()) << parsed.error_message();
-  EXPECT_TRUE(parsed->alarmed());
-  EXPECT_EQ(parsed->alarm_hop(), 0);
-  EXPECT_FALSE(parsed->fell_back());
-  EXPECT_EQ(parsed->registers()[1], 3) << "one run per traversed device";
-  EXPECT_EQ(scoped.get().counter("telemetry.hop_program_runs").value(), 3u);
-  EXPECT_EQ(scoped.get().counter("telemetry.hop_program_traps").value(), 0u);
-}
-
-TEST_F(IntNetFixture, TrappingHopProgramFallsBackToPlainInt) {
-  scenario.network->set_int_enabled(true);
-  ASSERT_TRUE(scenario.network
-                  ->install_hop_program(telemetry::make_fuel_burner())
-                  .ok());
-  ASSERT_TRUE(
-      send_int_probe(IntHeader::reserve(3, /*request_hop_program=*/true))
-          .ok());
-  scenario.queue->run();
-  ASSERT_EQ(collector.deliveries.size(), 1u);
-  auto parsed = IntHeader::parse(BytesView(
-      collector.deliveries[0].packet.payload.data(),
-      collector.deliveries[0].packet.payload.size()));
-  ASSERT_TRUE(parsed.ok()) << parsed.error_message();
-  EXPECT_TRUE(parsed->fell_back());
-  EXPECT_FALSE(parsed->alarmed());
-  EXPECT_EQ(parsed->hop_count(), 3)
-      << "plain INT must continue after the program traps";
-  EXPECT_EQ(scoped.get().counter("telemetry.hop_program_traps").value(), 3u);
+  const Bytes& received = collector.deliveries[0].packet.payload;
+  ASSERT_GE(received.size(), sent.size());
+  EXPECT_EQ(received[5], sent[5]) << "flag bits";
+  EXPECT_EQ(received[7], 3) << "one record per link";
+  for (std::size_t i = 8; i < 44; ++i)
+    EXPECT_EQ(received[i], sent[i]) << "byte " << i;
 }
 
 // --- O(1) in-band localization -----------------------------------------------
@@ -518,21 +449,6 @@ TEST_F(InbandFixture, IntStateIsRestoredAfterTheRun) {
   ASSERT_TRUE(localizer.run(core::Strategy::kInband).ok());
   EXPECT_FALSE(system.network().int_enabled())
       << "the strategy must restore the network's INT switch";
-}
-
-TEST_F(InbandFixture, HopProgramAlarmPinsTheLinkDirectly) {
-  inject_fault(2, 60.0);
-  // Alarm threshold between the healthy 5 ms and the faulted 65 ms.
-  ASSERT_TRUE(system.network()
-                  .install_hop_program(telemetry::make_latency_watchdog(
-                      duration::milliseconds(30)))
-                  .ok());
-  core::FaultLocalizer localizer = make_localizer();
-  auto report = localizer.run(core::Strategy::kInband);
-  ASSERT_TRUE(report.ok()) << report.error_message();
-  ASSERT_TRUE(report->located);
-  EXPECT_EQ(report->fault_link, 2u);
-  EXPECT_EQ(report->measurements, 1u);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Identical-behaviour oracle for refactors: runs the same fixed set of
 # deterministic `debuglet` commands with two builds and byte-diffs their
-# output and `chaos --trace-out` traces.
+# output and `chaos --trace-out` traces. It then runs every `example_*`
+# found in each build's examples/ directory (beside tools/) and byte-diffs
+# their output and exit codes; when one build has no examples built, it
+# says so and skips them.
 #
 #   tools/behaviour_diff.sh OLD_DEBUGLET NEW_DEBUGLET [WORKDIR]
 #
@@ -56,20 +59,49 @@ commands=(
 )
 
 status=0
-for i in "${!commands[@]}"; do
-  for side in old new; do
-    dir="$work/$side/$i"
-    mkdir -p "$dir"
-    bin=$old
-    [ "$side" = new ] && bin=$new
-    # shellcheck disable=SC2086  # the command strings are word lists
-    (cd "$dir" && "$bin" ${commands[$i]} > stdout 2>&1; echo "exit $?" >> stdout)
-  done
-  if diff -r "$work/old/$i" "$work/new/$i" > /dev/null; then
-    echo "same    ${commands[$i]}"
+
+# Runs a command in WORK/SIDE/NAME, capturing its output and exit code.
+run_in() {  # run_in SIDE NAME CMD...
+  local dir="$work/$1/$2"
+  shift 2
+  mkdir -p "$dir"
+  (cd "$dir" && "$@" > stdout 2>&1; echo "exit $?" >> stdout)
+}
+
+# Byte-diffs the old and new directories of one invocation.
+compare() {  # compare NAME LABEL
+  if diff -r "$work/old/$1" "$work/new/$1" > /dev/null; then
+    echo "same    $2"
   else
-    echo "DIFFERS ${commands[$i]}  (see $work/{old,new}/$i)"
+    echo "DIFFERS $2  (see $work/{old,new}/$1)"
     status=1
   fi
+}
+
+for i in "${!commands[@]}"; do
+  # shellcheck disable=SC2086  # the command strings are word lists
+  run_in old "$i" "$old" ${commands[$i]}
+  # shellcheck disable=SC2086
+  run_in new "$i" "$new" ${commands[$i]}
+  compare "$i" "${commands[$i]}"
 done
+
+# The examples of each build: BUILD/tools/debuglet -> BUILD/examples/.
+old_examples=$(dirname "$(dirname "$old")")/examples
+new_examples=$(dirname "$(dirname "$new")")/examples
+if compgen -G "$old_examples/example_*" > /dev/null &&
+   compgen -G "$new_examples/example_*" > /dev/null; then
+  for example in "$new_examples"/example_*; do
+    name=$(basename "$example")
+    if [ ! -x "$old_examples/$name" ]; then
+      echo "note    $name is not built in the old tree; skipped"
+      continue
+    fi
+    run_in old "$name" "$old_examples/$name"
+    run_in new "$name" "$example"
+    compare "$name" "$name"
+  done
+else
+  echo "note    examples are not built in both trees; skipped"
+fi
 exit $status
