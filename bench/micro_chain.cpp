@@ -29,7 +29,7 @@
 
 #include "bench_util.hpp"
 #include "chain/chain.hpp"
-#include "util/flat_hash.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -130,8 +130,11 @@ struct ThroughputRun {
   std::uint64_t fingerprint = 0;
 };
 
+/// One splitmix64 output from state `x`.
+std::uint64_t mix(std::uint64_t x) { return splitmix64(x); }
+
 std::uint64_t mix_str(std::uint64_t h, const std::string& s) {
-  for (char c : s) h = util::mix64(h ^ static_cast<std::uint8_t>(c));
+  for (char c : s) h = mix(h ^ static_cast<std::uint8_t>(c));
   return h;
 }
 
@@ -184,8 +187,8 @@ ThroughputRun run_throughput(const Workload& w, unsigned workers) {
       continue;
     }
     ++out.committed;
-    fp = util::mix64(fp ^ (r->success ? 1 : 0));
-    fp = util::mix64(fp ^ r->gas_charged);
+    fp = mix(fp ^ (r->success ? 1 : 0));
+    fp = mix(fp ^ r->gas_charged);
     fp = mix_str(fp, r->transaction_digest.hex());
   }
   const Block& tip = chain.block(chain.height() - 1);

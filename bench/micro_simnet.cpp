@@ -8,10 +8,13 @@
 // before handing over to google-benchmark (so CI's
 // `--benchmark_filter=-.*` run still produces the report).
 // DEBUGLET_BENCH_HOURS scales the probe volume; the report records the
-// visible CPU count next to its figures.
+// visible CPU count next to its figures, and a fingerprint of the run
+// (events, replies, every RTT sample) that depends on no machine.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "bench_util.hpp"
 #include "simnet/hosts.hpp"
 #include "simnet/scenarios.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -117,7 +121,11 @@ struct ScaleRun {
   double wall_s = 0.0;
   std::size_t events = 0;
   std::uint64_t packets = 0;  // probe replies received across all clients
+  std::uint64_t fingerprint = 0;
 };
+
+/// One splitmix64 output from state `x`.
+std::uint64_t mix(std::uint64_t x) { return splitmix64(x); }
 
 /// One full run of the scale workload: `pairs` probe-client/echo-server
 /// pairs spread around an `ases`-AS ring, each client `span` hops from
@@ -157,6 +165,14 @@ ScaleRun run_scale(std::size_t ases, std::size_t pairs, std::size_t span,
   out.events = events;
   for (auto& c : clients)
     for (const auto& [protocol, n] : c->report().received) out.packets += n;
+  // Everything the simulation decided, in client order: a change that
+  // moves any event, reply or RTT sample moves the fingerprint.
+  std::uint64_t fp = mix(events ^ mix(out.packets));
+  for (auto& c : clients)
+    for (const auto& [protocol, samples] : c->report().rtt_ms)
+      for (const double rtt : samples.samples())
+        fp = mix(fp ^ std::bit_cast<std::uint64_t>(rtt));
+  out.fingerprint = fp;
   return out;
 }
 
@@ -187,6 +203,13 @@ int scale_report() {
   report.metric("wall_s", run.wall_s);
   std::printf("  %10.0f events/s  %8.0f packets/s  wall %.3fs\n",
               events_per_s, packets_per_s, run.wall_s);
+  // CI compares the fingerprint with the committed value at
+  // DEBUGLET_BENCH_HOURS=0.2 (bench/baselines/simnet_scale.json).
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(run.fingerprint));
+  report.metric("fingerprint", 1, {{"hex", hex}});
+  std::printf("  fingerprint %s (events, replies, RTT samples)\n", hex);
   // CI gates events_per_sec against the committed baseline.
   report.check(run.events > 0, "the ring run processed events");
   report.check(run.packets > 0, "probe replies came back");

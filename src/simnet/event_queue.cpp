@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/flat_hash.hpp"
+#include "util/rng.hpp"
 
 namespace debuglet::simnet {
 
@@ -98,10 +98,13 @@ void EventQueue::enqueue(std::uint32_t domain, SimTime at, Event ev) {
   }
   ev.at = at;
   ev.domain = domain;
-  ev.id = current_.active
-              ? (util::mix64(current_.event_id) << kChildIndexBits) |
-                    (current_.children++ & kChildIndexMask)
-              : (root_seq_++ << kChildIndexBits);
+  if (current_.active) {
+    std::uint64_t parent = current_.event_id;
+    ev.id = (splitmix64(parent) << kChildIndexBits) |
+            (current_.children++ & kChildIndexMask);
+  } else {
+    ev.id = root_seq_++ << kChildIndexBits;
+  }
   heap::push(heap_, std::move(ev));
 }
 

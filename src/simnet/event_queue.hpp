@@ -7,7 +7,7 @@
 //
 // Determinism contract (docs/SIMNET.md): events are totally ordered by
 // (time, id) where ids encode the scheduling context — the i-th event
-// scheduled while executing event E gets id (mix64(E.id) << 20) | i,
+// scheduled while executing event E gets id (splitmix64(E.id) << 20) | i,
 // and events scheduled outside any event (the main thread seeding a
 // scenario) get ordered root ids (seq << 20), so equal-time events from
 // one context fire in scheduling order.

@@ -2,20 +2,9 @@
 
 namespace debuglet::simnet {
 
-namespace {
-
-// splitmix64 — the same stream-derivation primitive Rng seeds with. Damage
-// application must be a pure function of WireDamage::seed so the network
-// can apply it at delivery time without consuming link RNG state.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
+// Damage positions are a pure function of WireDamage::seed (a splitmix64
+// stream), so the network applies damage at delivery time without
+// consuming link RNG state.
 void apply_wire_damage(Bytes& wire, const WireDamage& damage) {
   switch (damage.kind) {
     case WireDamage::Kind::kNone:

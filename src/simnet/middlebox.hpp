@@ -201,8 +201,8 @@ struct FlowState {
 
 /// Per-domain middlebox bookkeeping: throttle windows, and — in adaptive
 /// mode — the signature frequency table, the flow table, and per-source
-/// pacing anchors. Owned by the domain's DomainState, touched only by its
-/// events; ordered maps keep every sweep and eviction deterministic.
+/// pacing anchors. Owned by the AS's record in the network, touched only
+/// by its events; ordered maps keep every sweep and eviction deterministic.
 struct MiddleboxRuntime {
   std::int64_t window_second = -1;
   std::array<std::uint32_t, kTrafficClassCount> sent_in_window{};

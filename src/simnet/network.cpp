@@ -52,26 +52,6 @@ std::uint64_t flow_hash_of(const net::Packet& packet) {
   return h;
 }
 
-/// All mutable forwarding state owned by one domain, touched only by
-/// events homed on that domain.
-struct SimulatedNetwork::DomainState {
-  Rng transit_rng{0};
-  Rng access_rng{0};
-  Rng icmp_rng{0};
-  Rng middlebox_rng{0};
-  /// Drops counted while this domain was executing — the value INT hop
-  /// records snapshot as drops_seen (a border router knows its own AS's
-  /// tally, not a network-wide one).
-  std::uint64_t drops = 0;
-  // ICMP time-exceeded rate limiting (per-second window, per AS).
-  std::int64_t icmp_window_second = -1;
-  std::uint32_t icmp_sent_in_window = 0;
-  /// Middlebox state of THIS AS (throttle windows + ground-truth tally),
-  /// touched only on hop events homed here.
-  MiddleboxRuntime mb_runtime;
-  MiddleboxStats mb_stats;
-};
-
 /// One in-flight copy of a frame, moved hop by hop through raw events.
 /// `packet.ip.ttl` keeps the as-sent value until the final hop (ICMP
 /// time-exceeded quotes the original header); `ttl` tracks the live
@@ -88,10 +68,23 @@ struct SimulatedNetwork::FlightCopy {
   std::size_t next_link = 0;
   std::uint8_t ttl = 0;
   int dup_budget = 0;
-  bool int_active = false;
-  telemetry::IntHeader int_header;  // records appended as hops are crossed
+  LinkEntry* link = nullptr;  // the link crossed at the next hop event
+  /// The INT stack of a packet that opted in; records are appended as
+  /// hops are crossed.
+  std::optional<telemetry::IntHeader> int_header;
   std::vector<WireDamage> damages;
   Host* deliver_host = nullptr;  // captured at arrival, checked at delivery
+
+  /// Writes the INT stack over the payload prefix it was parsed from and
+  /// re-serializes the wire bytes (nothing to do without INT).
+  void splice_int() {
+    if (!int_header) return;
+    const Bytes block = int_header->serialize();
+    if (block.size() <= packet.payload.size())
+      std::copy(block.begin(), block.end(), packet.payload.begin());
+    auto rewired = net::serialize_packet(packet);
+    if (rewired) wire = std::move(*rewired);
+  }
 };
 
 struct SimulatedNetwork::FlightPool {
@@ -114,8 +107,7 @@ struct SimulatedNetwork::FlightPool {
     fc->packet = net::Packet{};
     fc->wire.clear();
     fc->damages.clear();
-    fc->int_header = telemetry::IntHeader{};
-    fc->int_active = false;
+    fc->int_header.reset();
     fc->deliver_host = nullptr;
     free_list.push_back(fc);
   }
@@ -148,40 +140,40 @@ SimulatedNetwork::SimulatedNetwork(EventQueue& queue,
   obs_.int_pushes = &reg.counter("telemetry.int_pushes");
   obs_.int_truncations = &reg.counter("telemetry.int_truncations");
 
-  // One DomainState per AS plus the control domain, up front: the index
-  // is immutable once events run.
-  auto make_domain = [this](std::uint32_t d) {
-    auto ds = std::make_unique<DomainState>();
+  // One record for the control domain and one per AS (the topology
+  // rejects AS 0), up front: the map is immutable once events run.
+  auto add_record = [this](std::uint32_t d) {
+    AsRecord& as = records_[d];
     const std::uint64_t salt = static_cast<std::uint64_t>(d) << 20;
-    ds->transit_rng = Rng(seed_).fork(kTransitRngSalt ^ salt);
-    ds->access_rng = Rng(seed_).fork(kAccessRngSalt ^ salt);
-    ds->icmp_rng = Rng(seed_).fork(kIcmpRngSalt ^ salt);
-    ds->middlebox_rng = Rng(seed_).fork(kMiddleboxRngSalt ^ salt);
-    domain_index_.insert(d, ds.get());
-    domains_.push_back(std::move(ds));
+    as.transit_rng = Rng(seed_).fork(kTransitRngSalt ^ salt);
+    as.access_rng = Rng(seed_).fork(kAccessRngSalt ^ salt);
+    as.icmp_rng = Rng(seed_).fork(kIcmpRngSalt ^ salt);
+    as.middlebox_rng = Rng(seed_).fork(kMiddleboxRngSalt ^ salt);
   };
-  make_domain(EventQueue::kControlDomain);
-  for (topology::AsNumber asn : topology_.as_numbers())
-    if (asn != EventQueue::kControlDomain) make_domain(asn);
+  add_record(EventQueue::kControlDomain);
+  for (topology::AsNumber asn : topology_.as_numbers()) add_record(asn);
 }
 
 SimulatedNetwork::~SimulatedNetwork() = default;
 
-SimulatedNetwork::DomainState& SimulatedNetwork::domain_state(
+SimulatedNetwork::AsRecord* SimulatedNetwork::find_record(
     std::uint32_t domain) {
-  DomainState** found = domain_index_.find(domain);
-  return found != nullptr ? **found : *domains_.front();
+  auto it = records_.find(domain);
+  return it != records_.end() ? &it->second : nullptr;
 }
 
-SimulatedNetwork::DomainState& SimulatedNetwork::current_domain_state() {
-  return domain_state(queue_.current_domain());
+SimulatedNetwork::AsRecord& SimulatedNetwork::current_record() {
+  // A domain outside the topology (a host at an unknown AS) shares the
+  // control record, which sorts first.
+  AsRecord* as = find_record(queue_.current_domain());
+  return as != nullptr ? *as : records_.begin()->second;
 }
 
 SimulatedNetwork::LinkEntry* SimulatedNetwork::find_link(
     topology::InterfaceKey from, topology::InterfaceKey to) {
-  LinkEntry* entry = links_.find(link_key(from));
-  if (entry == nullptr || entry->to != to) return nullptr;
-  return entry;
+  auto it = links_.find(from);
+  if (it == links_.end() || it->second.to != to) return nullptr;
+  return &it->second;
 }
 
 const SimulatedNetwork::LinkEntry* SimulatedNetwork::find_link(
@@ -204,7 +196,8 @@ Status SimulatedNetwork::configure_link(topology::InterfaceKey from,
   // The link's latency floor bounds how fast anything can cross it; the
   // smallest floor over all links sets the queue's cross-domain lookahead.
   queue_.note_link_floor(duration::from_ms(model->floor_ms()));
-  links_.insert(link_key(from), LinkEntry{to, std::move(model)});
+  AsRecord* ingress = &records_.at(to.asn);
+  links_.insert_or_assign(from, LinkEntry{to, std::move(model), ingress});
   return ok_status();
 }
 
@@ -218,36 +211,30 @@ Status SimulatedNetwork::configure_link_symmetric(topology::InterfaceKey a,
 
 void SimulatedNetwork::configure_transit(topology::AsNumber asn,
                                          TransitConfig config) {
-  transit_.insert(asn, config);
+  if (AsRecord* as = find_record(asn)) as->transit = config;
 }
 
 void SimulatedNetwork::configure_icmp_policy(topology::AsNumber asn,
                                              IcmpReplyPolicy policy) {
-  icmp_policies_.insert(asn, policy);
+  if (AsRecord* as = find_record(asn)) as->icmp_policy = policy;
 }
 
 Status SimulatedNetwork::attach_host(net::Ipv4Address address, Host* host,
                                      AccessConfig access) {
   if (host == nullptr) return fail("attach_host: null host");
-  if (hosts_.contains(address))
+  if (!hosts_.emplace(address, AttachedHost{host, access}).second)
     return fail("host already attached at " + address.to_string());
-  auto [it, inserted] = hosts_.emplace(address, AttachedHost{host, access});
-  host_index_.insert(address.value, &it->second);
   return ok_status();
 }
 
 void SimulatedNetwork::detach_host(net::Ipv4Address address) {
   hosts_.erase(address);
-  // No erase on the flat index; rebuild from the (small) ordered map.
-  host_index_.clear();
-  for (auto& [addr, attached] : hosts_)
-    host_index_.insert(addr.value, &attached);
 }
 
 net::Ipv4Address SimulatedNetwork::allocate_host_address(
     topology::AsNumber asn) {
   std::uint8_t& next = next_host_octet_[asn];
-  if (next == 0) next = 200;
+  if (next == 0) next = static_cast<std::uint8_t>(topology::kFirstHostOctet);
   const net::Ipv4Address addr(10, static_cast<std::uint8_t>(asn >> 8),
                               static_cast<std::uint8_t>(asn), next);
   ++next;
@@ -259,26 +246,24 @@ topology::AsNumber SimulatedNetwork::as_of(net::Ipv4Address address) const {
 }
 
 std::uint32_t SimulatedNetwork::domain_of(net::Ipv4Address address) const {
-  return (address.value & 0xFF) >= 200 ? as_of(address)
-                                       : EventQueue::kControlDomain;
+  const bool host = (address.value & 0xFF) >= topology::kFirstHostOctet;
+  return host ? as_of(address) : EventQueue::kControlDomain;
 }
 
 Result<std::shared_ptr<const topology::AsPath>> SimulatedNetwork::resolve_path(
     topology::AsNumber src, topology::AsNumber dst) const {
-  if (auto it = pinned_paths_.find({src, dst}); it != pinned_paths_.end())
-    return it->second;
-  if (auto it = path_cache_.find({src, dst}); it != path_cache_.end())
+  if (auto it = paths_.find({src, dst}); it != paths_.end())
     return it->second;
   auto path = topology_.shortest_path(src, dst);
   if (!path) return fail(path.error_message());
   auto shared = std::make_shared<const topology::AsPath>(std::move(*path));
-  path_cache_[{src, dst}] = shared;
+  paths_.emplace(std::pair{src, dst}, shared);
   return shared;
 }
 
 void SimulatedNetwork::pin_path(topology::AsNumber src, topology::AsNumber dst,
                                 topology::AsPath path) {
-  pinned_paths_[{src, dst}] =
+  paths_[{src, dst}] =
       std::make_shared<const topology::AsPath>(std::move(path));
 }
 
@@ -344,7 +329,7 @@ Status SimulatedNetwork::install_host_faults(net::Ipv4Address address,
   if (!topology_.has_as(as_of(address)))
     return fail("install_host_faults: AS of " + address.to_string() +
                 " unknown");
-  host_faults_.insert(address.value, std::move(plan));
+  host_faults_.insert_or_assign(address, std::move(plan));
   return ok_status();
 }
 
@@ -357,16 +342,13 @@ Status SimulatedNetwork::install_host_faults(topology::InterfaceKey key,
 }
 
 void SimulatedNetwork::clear_host_faults(net::Ipv4Address address) {
-  // The flat index has no erase; an empty plan resolves to kNone forever,
-  // which is indistinguishable from no plan.
-  if (host_faults_.find(address.value) != nullptr)
-    host_faults_.insert(address.value, HostFaultPlan{});
+  host_faults_.erase(address);
 }
 
 HostFaultState SimulatedNetwork::host_fault_state(net::Ipv4Address address,
                                                   SimTime t) const {
-  const HostFaultPlan* plan = host_faults_.find(address.value);
-  return plan == nullptr ? HostFaultState{} : plan->state_at(t);
+  auto it = host_faults_.find(address);
+  return it == host_faults_.end() ? HostFaultState{} : it->second.state_at(t);
 }
 
 Status SimulatedNetwork::install_middlebox(topology::AsNumber asn,
@@ -399,22 +381,18 @@ Status SimulatedNetwork::install_middlebox(topology::AsNumber asn,
                                          {{"asn", asn_label}});
   entry.flows_evicted =
       &reg.counter("simnet.middlebox.flows_evicted", {{"asn", asn_label}});
-  middleboxes_.insert(asn, std::move(entry));
-  any_middlebox_ = true;
+  records_.at(asn).middlebox = std::move(entry);
   return ok_status();
 }
 
 void SimulatedNetwork::clear_middlebox(topology::AsNumber asn) {
-  // The flat index has no erase; an empty plan is skipped on the hop path,
-  // which is indistinguishable from no middlebox.
-  if (middleboxes_.find(asn) != nullptr)
-    middleboxes_.insert(asn, MiddleboxEntry{});
+  if (AsRecord* as = find_record(asn)) as->middlebox.reset();
 }
 
 MiddleboxStats SimulatedNetwork::middlebox_stats(topology::AsNumber asn)
     const {
-  const DomainState* const* found = domain_index_.find(asn);
-  return found != nullptr ? (*found)->mb_stats : MiddleboxStats{};
+  auto it = records_.find(asn);
+  return it != records_.end() ? it->second.mb_stats : MiddleboxStats{};
 }
 
 LinkModel* SimulatedNetwork::link_model(topology::InterfaceKey from,
@@ -437,7 +415,7 @@ NetworkStats SimulatedNetwork::stats() const {
 void SimulatedNetwork::count_drop(net::Protocol protocol) {
   ++dropped_[proto_index(protocol)];
   obs_.dropped[proto_index(protocol)]->add();
-  current_domain_state().drops += 1;
+  current_record().drops += 1;
 }
 
 Result<double> SimulatedNetwork::expected_path_delay_ms(
@@ -451,33 +429,29 @@ Result<double> SimulatedNetwork::expected_path_delay_ms(
                   to.to_string());
     total += entry->model->expected_delay_ms(protocol, queue_.now());
   }
-  for (std::size_t i = 1; i + 1 < path.hops.size(); ++i) {
-    const TransitConfig* cfg = transit_.find(path.hops[i].asn);
-    total += (cfg != nullptr ? *cfg : TransitConfig{}).delay_ms;
-  }
+  // Every interior hop ends a configured link, so it is a topology AS.
+  for (std::size_t i = 1; i + 1 < path.hops.size(); ++i)
+    total += records_.at(path.hops[i].asn).transit.delay_ms;
   return total;
 }
 
 void SimulatedNetwork::expire_with_time_exceeded(
-    const net::Packet& packet, const topology::PathHop& at,
-    topology::InterfaceKey router, SimTime sent_at, double forward_delay_ms) {
-  const IcmpReplyPolicy* found = icmp_policies_.find(at.asn);
-  const IcmpReplyPolicy policy =
-      found != nullptr ? *found : IcmpReplyPolicy{};
+    const net::Packet& packet, topology::InterfaceKey router, SimTime sent_at,
+    double forward_delay_ms, AsRecord& as) {
+  const IcmpReplyPolicy& policy = as.icmp_policy;
   if (!policy.time_exceeded_enabled) return;
 
   // Token-bucket-per-second rate limiting across the whole AS. The
-  // counter lives in the AS's own domain state — this runs on the hop
-  // event of the expiring border router, which that domain owns.
-  DomainState& ds = domain_state(at.asn);
+  // counter lives in the AS's own record — this runs on the hop event of
+  // the expiring border router, which that domain owns.
   if (policy.rate_limit_per_s > 0) {
     const std::int64_t second = queue_.now() / 1'000'000'000;
-    if (ds.icmp_window_second != second) {
-      ds.icmp_window_second = second;
-      ds.icmp_sent_in_window = 0;
+    if (as.icmp_window_second != second) {
+      as.icmp_window_second = second;
+      as.icmp_sent_in_window = 0;
     }
-    if (ds.icmp_sent_in_window >= policy.rate_limit_per_s) return;
-    ++ds.icmp_sent_in_window;
+    if (as.icmp_sent_in_window >= policy.rate_limit_per_s) return;
+    ++as.icmp_sent_in_window;
   }
 
   const net::Ipv4Address router_address = topology_.address_of(router);
@@ -491,7 +465,7 @@ void SimulatedNetwork::expire_with_time_exceeded(
   // border addresses) so its draws come from that domain's streams.
   double delay_ms = forward_delay_ms + policy.slow_path_ms;
   if (policy.slow_path_jitter_ms > 0.0)
-    delay_ms += std::abs(ds.icmp_rng.normal(0.0, policy.slow_path_jitter_ms));
+    delay_ms += std::abs(as.icmp_rng.normal(0.0, policy.slow_path_jitter_ms));
   queue_.schedule_on(
       EventQueue::kControlDomain,
       sent_at + duration::from_ms(std::max(delay_ms, 0.0)),
@@ -535,8 +509,7 @@ Status SimulatedNetwork::send(net::Ipv4Address from_address, Bytes wire) {
   // other transports' checksums cover the payload, so a forwarding device
   // must not rewrite them). Malformed INT forwards untouched as an
   // ordinary opaque payload.
-  telemetry::IntHeader int_prototype;
-  bool int_active = false;
+  std::optional<telemetry::IntHeader> int_header;
   if (int_enabled_ &&
       (protocol == net::Protocol::kUdp ||
        protocol == net::Protocol::kRawIp) &&
@@ -544,10 +517,7 @@ Status SimulatedNetwork::send(net::Ipv4Address from_address, Bytes wire) {
           BytesView(packet.payload.data(), packet.payload.size()))) {
     auto parsed_int = telemetry::IntHeader::parse(
         BytesView(packet.payload.data(), packet.payload.size()));
-    if (parsed_int) {
-      int_active = true;
-      int_prototype = std::move(*parsed_int);
-    }
+    if (parsed_int) int_header = std::move(*parsed_int);
   }
 
   // Host-level faults (chaos layer): a crashed sender is off and a
@@ -565,11 +535,11 @@ Status SimulatedNetwork::send(net::Ipv4Address from_address, Bytes wire) {
   // The sender's intra-AS access stub (zero for border-router hosts). The
   // jitter draw comes from the executing domain's stream — sends run on
   // the sender's home domain (hosts schedule their timers there).
-  if (AttachedHost** attached = host_index_.find(from_address.value)) {
-    const AccessConfig& access = (*attached)->access;
+  if (auto it = hosts_.find(from_address); it != hosts_.end()) {
+    const AccessConfig& access = it->second.access;
     double d = access.delay_ms;
     if (access.jitter_ms > 0.0)
-      d += current_domain_state().access_rng.normal(0.0, access.jitter_ms);
+      d += current_record().access_rng.normal(0.0, access.jitter_ms);
     pre_wire_ms += std::max(d, 0.0);
   }
 
@@ -595,18 +565,11 @@ Status SimulatedNetwork::send(net::Ipv4Address from_address, Bytes wire) {
   fc->next_link = 0;
   fc->ttl = fc->packet.ip.ttl;
   fc->dup_budget = kMaxCopies - 1;
-  fc->int_active = int_active;
-  fc->int_header = std::move(int_prototype);
+  fc->int_header = std::move(int_header);
 
   if (hops.size() == 1) {
     // Same-AS delivery: no inter-domain links, straight to the receiver.
-    if (fc->int_active) {
-      const Bytes block = fc->int_header.serialize();
-      if (block.size() <= fc->packet.payload.size())
-        std::copy(block.begin(), block.end(), fc->packet.payload.begin());
-      auto rewired = net::serialize_packet(fc->packet);
-      if (rewired) fc->wire = std::move(*rewired);
-    }
+    fc->splice_int();
     schedule_arrival(fc);
     return ok_status();
   }
@@ -615,7 +578,8 @@ Status SimulatedNetwork::send(net::Ipv4Address from_address, Bytes wire) {
   // of the link's latency floor so both event edges clear the queue's
   // cross-domain lookahead (which is half the smallest floor).
   const auto [from0, to0] = path->link_after(0);
-  const LinkEntry* first = find_link(from0, to0);
+  LinkEntry* first = find_link(from0, to0);
+  fc->link = first;
   queue_.schedule_raw_on(
       hops[1].asn,
       sent_at + duration::from_ms(pre_wire_ms + first->model->floor_ms() * 0.5),
@@ -645,7 +609,7 @@ void SimulatedNetwork::push_int_record(FlightCopy* fc,
                                        double delay_at_entry_ms,
                                        std::uint32_t queue_depth,
                                        std::uint32_t wire_faults,
-                                       DomainState& ds) {
+                                       const AsRecord& as) {
   telemetry::HopRecord rec;
   rec.asn = hop.asn;
   rec.ingress_interface = hop.ingress;
@@ -654,9 +618,9 @@ void SimulatedNetwork::push_int_record(FlightCopy* fc,
       fc->sent_at + duration::from_ms(delay_at_entry_ms + link_delay_ms);
   rec.egress_ns = rec.ingress_ns + duration::from_ms(residence_ms);
   rec.queue_depth = queue_depth;
-  rec.drops_seen = clamp_u32(ds.drops);
+  rec.drops_seen = clamp_u32(as.drops);
   rec.wire_faults = wire_faults;
-  if (fc->int_header.push(rec))
+  if (fc->int_header->push(rec))
     obs_.int_pushes->add();
   else
     obs_.int_truncations->add();
@@ -665,14 +629,8 @@ void SimulatedNetwork::push_int_record(FlightCopy* fc,
 void SimulatedNetwork::process_hop(FlightCopy* fc) {
   const topology::AsPath& path = *fc->path;
   const std::size_t k = fc->next_link;
-  const auto [from, to] = path.link_after(k);
-  LinkEntry* entry = find_link(from, to);
-  if (entry == nullptr) {  // defensive; send() pre-checked the path
-    count_drop(fc->protocol);
-    flights_->release(fc);
-    return;
-  }
-  LinkModel& link = *entry->model;
+  const LinkEntry& entry = *fc->link;
+  LinkModel& link = *entry.model;
   const TraverseOutcome out = link.traverse(
       fc->protocol, fc->flow, fc->sent_at, fc->packet.ip.source,
       fc->packet.ip.destination, fc->packet.ip.total_length);
@@ -687,7 +645,7 @@ void SimulatedNetwork::process_hop(FlightCopy* fc) {
   // telemetry is on or off.
   std::uint32_t queue_depth = 0;
   std::uint32_t wire_faults = 0;
-  if (fc->int_active) {
+  if (fc->int_header) {
     queue_depth = link.active_episodes(fc->sent_at);
     wire_faults = clamp_u32(link.integrity().total());
   }
@@ -723,7 +681,6 @@ void SimulatedNetwork::process_hop(FlightCopy* fc) {
     child->next_link = k;
     child->ttl = fc->ttl;
     child->dup_budget = child_budget;
-    child->int_active = fc->int_active;
     child->int_header = fc->int_header;
     child->damages = fc->damages;
     pending.push_back(Pending{child, duration::to_ms(out.copies[c].delay),
@@ -733,11 +690,16 @@ void SimulatedNetwork::process_hop(FlightCopy* fc) {
   pending.push_back(Pending{fc, duration::to_ms(primary.delay),
                             primary.damage, true});
 
-  DomainState& ds = current_domain_state();
-  const TransitConfig* transit_cfg =
-      interior ? transit_.find(hop.asn) : nullptr;
-  const TransitConfig transit =
-      transit_cfg != nullptr ? *transit_cfg : TransitConfig{};
+  // This event is homed on hop.asn, the AS the link enters: its record
+  // holds the AS's streams, transit, ICMP policy and middlebox.
+  AsRecord& as = *entry.ingress;
+  // The next crossing (interior hops only). Links are never removed, and
+  // send() checked that every link of the path is configured.
+  LinkEntry* next = nullptr;
+  if (interior) {
+    const auto [nfrom, nto] = path.link_after(k + 1);
+    next = find_link(nfrom, nto);
+  }
 
   for (Pending& p : pending) {
     FlightCopy* f = p.flight;
@@ -751,7 +713,8 @@ void SimulatedNetwork::process_hop(FlightCopy* fc) {
       // Expired at the ingress border router of hops[k+1]. The quoted
       // packet keeps its as-sent header (fc->packet.ip.ttl is original).
       obs_.ttl_expired->add();
-      expire_with_time_exceeded(f->packet, hop, to, f->sent_at, f->delay_ms);
+      expire_with_time_exceeded(f->packet, entry.to, f->sent_at, f->delay_ms,
+                                as);
       count_drop(f->protocol);
       flights_->release(f);
       continue;
@@ -759,37 +722,33 @@ void SimulatedNetwork::process_hop(FlightCopy* fc) {
 
     // The adversarial middlebox of the AS being entered (if any) inspects
     // every copy at the ingress border — before transit, so added dwell
-    // lands in the same INT residence the per-hop record exposes. This
-    // event is homed on hop.asn, so the draws, throttle windows and
-    // ground-truth tally all live in that domain's state.
+    // lands in the same INT residence the per-hop record exposes.
     double residence_ms = 0.0;
-    if (any_middlebox_) {
-      if (MiddleboxEntry* mb = middleboxes_.find(hop.asn);
-          mb != nullptr && !mb->plan.empty()) {
-        const MiddleboxVerdict verdict =
-            apply_middlebox(mb->plan, f->packet, queue_.now(),
-                            ds.middlebox_rng, ds.mb_runtime, ds.mb_stats);
-        if (verdict.inspected) {
-          mb->classified[static_cast<std::size_t>(verdict.cls)]->add();
-          if (verdict.exempted) mb->exempted->add();
-          if (verdict.adaptive_matched) mb->adaptive_matched->add();
-          if (verdict.promoted_signature) mb->adaptive_promoted->add();
-          if (verdict.flows_evicted > 0)
-            mb->flows_evicted->add(verdict.flows_evicted);
-          if (verdict.dropped) {
-            (verdict.throttled ? mb->throttled : mb->dropped)->add();
-            count_drop(f->protocol);
-            flights_->release(f);
-            continue;
-          }
-          if (verdict.extra_delay_ms > 0.0) {
-            mb->deprioritized->add();
-            residence_ms += verdict.extra_delay_ms;
-          }
-          if (verdict.mangled) {
-            mb->mangled->add();
-            f->damages.push_back(verdict.damage);
-          }
+    if (as.middlebox && !as.middlebox->plan.empty()) {
+      MiddleboxEntry& mb = *as.middlebox;
+      const MiddleboxVerdict verdict =
+          apply_middlebox(mb.plan, f->packet, queue_.now(), as.middlebox_rng,
+                          as.mb_runtime, as.mb_stats);
+      if (verdict.inspected) {
+        mb.classified[static_cast<std::size_t>(verdict.cls)]->add();
+        if (verdict.exempted) mb.exempted->add();
+        if (verdict.adaptive_matched) mb.adaptive_matched->add();
+        if (verdict.promoted_signature) mb.adaptive_promoted->add();
+        if (verdict.flows_evicted > 0)
+          mb.flows_evicted->add(verdict.flows_evicted);
+        if (verdict.dropped) {
+          (verdict.throttled ? mb.throttled : mb.dropped)->add();
+          count_drop(f->protocol);
+          flights_->release(f);
+          continue;
+        }
+        if (verdict.extra_delay_ms > 0.0) {
+          mb.deprioritized->add();
+          residence_ms += verdict.extra_delay_ms;
+        }
+        if (verdict.mangled) {
+          mb.mangled->add();
+          f->damages.push_back(verdict.damage);
         }
       }
     }
@@ -801,19 +760,20 @@ void SimulatedNetwork::process_hop(FlightCopy* fc) {
     // (paper Fig. 6). Each surviving copy draws its own transit jitter
     // from this domain's stream.
     if (interior) {
-      if (ds.transit_rng.chance(transit.loss_pm / 1000.0)) {
+      const TransitConfig& transit = as.transit;
+      if (as.transit_rng.chance(transit.loss_pm / 1000.0)) {
         count_drop(f->protocol);
         flights_->release(f);
         continue;  // loss is a silent network outcome, not an error
       }
       residence_ms += transit.delay_ms;
       if (transit.jitter_ms > 0.0)
-        residence_ms += std::abs(ds.transit_rng.normal(0.0, transit.jitter_ms));
+        residence_ms += std::abs(as.transit_rng.normal(0.0, transit.jitter_ms));
     }
 
-    if (f->int_active)
+    if (f->int_header)
       push_int_record(f, hop, interior, p.link_delay_ms, residence_ms,
-                      entry_ms, queue_depth, wire_faults, ds);
+                      entry_ms, queue_depth, wire_faults, as);
     f->delay_ms += residence_ms;
     f->next_link = k + 1;
 
@@ -822,31 +782,18 @@ void SimulatedNetwork::process_hop(FlightCopy* fc) {
       // into the delivered header, splice the INT stack, and hand the
       // copy to the destination's own domain.
       f->packet.ip.ttl = f->ttl;
-      if (f->int_active) {
-        const Bytes block = f->int_header.serialize();
-        if (block.size() <= f->packet.payload.size())
-          std::copy(block.begin(), block.end(), f->packet.payload.begin());
-        auto rewired = net::serialize_packet(f->packet);
-        if (rewired) f->wire = std::move(*rewired);
-      }
+      f->splice_int();
       schedule_arrival(f);
       continue;
     }
 
     // Next crossing, homed on the next link's ingress AS and timed at the
     // midpoint of that link's latency floor.
-    const auto [nfrom, nto] = path.link_after(k + 1);
-    const LinkEntry* next_entry = find_link(nfrom, nto);
-    if (next_entry == nullptr) {  // defensive; send() pre-checked
-      count_drop(f->protocol);
-      flights_->release(f);
-      continue;
-    }
+    f->link = next;
     queue_.schedule_raw_on(
         path.hops[k + 2].asn,
         f->sent_at +
-            duration::from_ms(f->delay_ms +
-                              next_entry->model->floor_ms() * 0.5),
+            duration::from_ms(f->delay_ms + next->model->floor_ms() * 0.5),
         &SimulatedNetwork::hop_event, f);
   }
 }
@@ -859,8 +806,8 @@ void SimulatedNetwork::schedule_arrival(FlightCopy* fc) {
 
 void SimulatedNetwork::process_arrival(FlightCopy* fc) {
   const net::Ipv4Address dst = fc->packet.ip.destination;
-  AttachedHost** attached = host_index_.find(dst.value);
-  if (attached == nullptr) {
+  auto attached = hosts_.find(dst);
+  if (attached == hosts_.end()) {
     // No listener: the packet blackholes at the destination. Counted as a
     // drop; sending is still not an error (mirrors real networks).
     count_drop(fc->protocol);
@@ -870,11 +817,10 @@ void SimulatedNetwork::process_arrival(FlightCopy* fc) {
   }
 
   // The receiver's intra-AS access stub, drawn from this domain's stream.
-  DomainState& ds = current_domain_state();
-  const AccessConfig& access = (*attached)->access;
+  const AccessConfig& access = attached->second.access;
   double access_ms = access.delay_ms;
   if (access.jitter_ms > 0.0)
-    access_ms += ds.access_rng.normal(0.0, access.jitter_ms);
+    access_ms += current_record().access_rng.normal(0.0, access.jitter_ms);
   const SimTime nominal =
       queue_.now() + duration::from_ms(std::max(access_ms, 0.0));
 
@@ -882,7 +828,7 @@ void SimulatedNetwork::process_arrival(FlightCopy* fc) {
   // arrival instant (the fault window that matters is the one the packet
   // lands in, not the one it was sent in).
   const double extra_ms = host_fault_state(dst, nominal).extra_delay_ms;
-  fc->deliver_host = (*attached)->host;
+  fc->deliver_host = attached->second.host;
   queue_.schedule_raw_on(queue_.current_domain(),
                          nominal + duration::from_ms(extra_ms),
                          &SimulatedNetwork::delivery_event, fc);
@@ -892,8 +838,8 @@ void SimulatedNetwork::process_delivery(FlightCopy* fc) {
   const net::Ipv4Address dst = fc->packet.ip.destination;
   // Hosts may detach while packets are in flight; deliver only if the
   // same host is still attached.
-  AttachedHost** attached = host_index_.find(dst.value);
-  if (attached == nullptr || (*attached)->host != fc->deliver_host) {
+  auto attached = hosts_.find(dst);
+  if (attached == hosts_.end() || attached->second.host != fc->deliver_host) {
     count_drop(fc->protocol);
     flights_->release(fc);
     return;
@@ -907,7 +853,7 @@ void SimulatedNetwork::process_delivery(FlightCopy* fc) {
     return;
   }
   Host* host = fc->deliver_host;
-  Delivery d{std::move(fc->packet), fc->sent_at, queue_.now(), *fc->path};
+  Delivery d{std::move(fc->packet), fc->sent_at, queue_.now()};
   if (!fc->damages.empty()) {
     // Damaged copies carry their wire bytes and are re-parsed at arrival —
     // the receive path, not the sender, discovers in-flight damage. The

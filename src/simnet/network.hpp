@@ -13,13 +13,14 @@
 // chain, the main thread). A packet is forwarded hop by hop: each link
 // crossing is its own event, homed on the ingress AS's domain, and all
 // forwarding randomness is drawn from that domain's own streams, forked
-// from the scenario seed.
+// from the scenario seed and kept in the domain's one AsRecord.
 #pragma once
 
 #include <array>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "net/packet.hpp"
@@ -30,7 +31,6 @@
 #include "simnet/middlebox.hpp"
 #include "telemetry/int_header.hpp"
 #include "topology/topology.hpp"
-#include "util/flat_hash.hpp"
 
 namespace debuglet::simnet {
 
@@ -39,7 +39,6 @@ struct Delivery {
   net::Packet packet;
   SimTime sent_at = 0;
   SimTime received_at = 0;
-  topology::AsPath path;  // the path the packet actually took
 };
 
 /// Anything that can be attached to the network at an address.
@@ -107,10 +106,12 @@ class SimulatedNetwork {
   Status configure_link_symmetric(topology::InterfaceKey a,
                                   topology::InterfaceKey b, LinkConfig config);
 
-  /// Sets the internal transit behaviour of an AS.
+  /// Sets the internal transit behaviour of an AS (no effect on an AS the
+  /// topology does not have).
   void configure_transit(topology::AsNumber asn, TransitConfig config);
 
-  /// Sets how an AS's border routers answer TTL expiries.
+  /// Sets how an AS's border routers answer TTL expiries (no effect on an
+  /// AS the topology does not have).
   void configure_icmp_policy(topology::AsNumber asn, IcmpReplyPolicy policy);
 
   /// Attaches a host at an explicit address. Host addresses inside an AS
@@ -187,7 +188,9 @@ class SimulatedNetwork {
 
   /// Ground-truth action tally of the middlebox at `asn` (zeroes when none
   /// was ever installed) — what the adversary really did, for tests and
-  /// chaos traces to hold against the detector's inference.
+  /// chaos traces to hold against the detector's inference. The tally and
+  /// the learner's state belong to the AS: they outlive clear_middlebox
+  /// and carry over to the next install.
   MiddleboxStats middlebox_stats(topology::AsNumber asn) const;
 
   /// In-band telemetry (INT). When enabled, UDP and raw-IP packets whose
@@ -211,15 +214,51 @@ class SimulatedNetwork {
   LinkModel* link_model(topology::InterfaceKey from, topology::InterfaceKey to);
 
  private:
-  /// Mutable state owned by one domain (one AS, or the control plane).
-  /// All forwarding-path randomness that is not a link's own stream draws
-  /// from here, on events homed on the domain.
-  struct DomainState;
   /// One in-flight copy of a frame, moved hop by hop through raw events.
   struct FlightCopy;
   /// Pool of FlightCopy nodes: reuses allocations (and their vector
   /// capacity) across packets and reclaims in-flight copies on teardown.
   struct FlightPool;
+
+  /// One installed middlebox, with its obs handles pre-resolved at install
+  /// time (the forwarding path must not pay registry lookups).
+  struct MiddleboxEntry {
+    MiddleboxPlan plan;
+    std::array<obs::Counter*, kTrafficClassCount> classified{};
+    obs::Counter* dropped = nullptr;
+    obs::Counter* deprioritized = nullptr;
+    obs::Counter* mangled = nullptr;
+    obs::Counter* throttled = nullptr;
+    obs::Counter* exempted = nullptr;
+    // Adaptive (learning) mode only.
+    obs::Counter* adaptive_matched = nullptr;
+    obs::Counter* adaptive_promoted = nullptr;
+    obs::Counter* flows_evicted = nullptr;
+  };
+
+  /// Everything one domain owns: an AS, or the control plane. Its mutable
+  /// state is touched only by events homed on the domain, and every
+  /// forwarding draw that is not a link's own comes from its streams.
+  struct AsRecord {
+    Rng transit_rng{0};
+    Rng access_rng{0};
+    Rng icmp_rng{0};
+    Rng middlebox_rng{0};
+    /// Drops counted while this domain was executing — the value INT hop
+    /// records snapshot as drops_seen (a border router knows its own AS's
+    /// tally, not a network-wide one).
+    std::uint64_t drops = 0;
+    // ICMP time-exceeded rate limiting (per-second window, per AS).
+    std::int64_t icmp_window_second = -1;
+    std::uint32_t icmp_sent_in_window = 0;
+    TransitConfig transit;
+    IcmpReplyPolicy icmp_policy;
+    std::optional<MiddleboxEntry> middlebox;
+    /// Middlebox throttle windows, learner and ground-truth tally: they
+    /// outlive the installed plan.
+    MiddleboxRuntime mb_runtime;
+    MiddleboxStats mb_stats;
+  };
 
   /// A configured directed link, keyed by its egress interface (an
   /// interface carries exactly one cable, so the egress key alone
@@ -227,28 +266,26 @@ class SimulatedNetwork {
   struct LinkEntry {
     topology::InterfaceKey to;
     std::unique_ptr<LinkModel> model;
+    /// The record of the AS the link enters, whose domain the crossing's
+    /// hop event is homed on.
+    AsRecord* ingress = nullptr;
   };
   struct AttachedHost {
     Host* host = nullptr;
     AccessConfig access;
   };
 
-  static std::uint64_t link_key(topology::InterfaceKey from) {
-    return (static_cast<std::uint64_t>(from.asn) << 16) | from.interface;
-  }
-
   LinkEntry* find_link(topology::InterfaceKey from, topology::InterfaceKey to);
   const LinkEntry* find_link(topology::InterfaceKey from,
                              topology::InterfaceKey to) const;
-  DomainState& domain_state(std::uint32_t domain);
-  DomainState& current_domain_state();
+  AsRecord* find_record(std::uint32_t domain);
+  AsRecord& current_record();
 
   Result<std::shared_ptr<const topology::AsPath>> resolve_path(
       topology::AsNumber src, topology::AsNumber dst) const;
   void expire_with_time_exceeded(const net::Packet& packet,
-                                 const topology::PathHop& at,
                                  topology::InterfaceKey router, SimTime sent_at,
-                                 double forward_delay_ms);
+                                 double forward_delay_ms, AsRecord& as);
 
   // The forwarding pipeline. Each stage is a raw event homed on the
   // domain that owns the state it touches: process_hop on the crossed
@@ -266,7 +303,7 @@ class SimulatedNetwork {
                        bool interior, double link_delay_ms,
                        double residence_ms, double delay_at_entry_ms,
                        std::uint32_t queue_depth, std::uint32_t wire_faults,
-                       DomainState& ds);
+                       const AsRecord& as);
 
   /// Counts a drop in the global per-protocol tally and in the executing
   /// domain's local drop counter (the value INT hop records snapshot).
@@ -289,56 +326,20 @@ class SimulatedNetwork {
   Rng rng_;
   const std::uint64_t seed_;  // scenario seed; per-domain RNGs derive here
 
-  util::FlatHash<std::uint64_t, LinkEntry, util::U64Hash, ~0ULL> links_;
-  util::FlatHash<std::uint64_t, TransitConfig, util::U64Hash, ~0ULL> transit_;
-  util::FlatHash<std::uint64_t, IcmpReplyPolicy, util::U64Hash, ~0ULL>
-      icmp_policies_;
-  util::FlatHash<std::uint64_t, HostFaultPlan, util::U64Hash, ~0ULL>
-      host_faults_;
-
-  /// One installed middlebox, with its obs handles pre-resolved at install
-  /// time (the forwarding path must not pay registry lookups).
-  struct MiddleboxEntry {
-    MiddleboxPlan plan;
-    std::array<obs::Counter*, kTrafficClassCount> classified{};
-    obs::Counter* dropped = nullptr;
-    obs::Counter* deprioritized = nullptr;
-    obs::Counter* mangled = nullptr;
-    obs::Counter* throttled = nullptr;
-    obs::Counter* exempted = nullptr;
-    // Adaptive (learning) mode only.
-    obs::Counter* adaptive_matched = nullptr;
-    obs::Counter* adaptive_promoted = nullptr;
-    obs::Counter* flows_evicted = nullptr;
-  };
-  util::FlatHash<std::uint64_t, MiddleboxEntry, util::U64Hash, ~0ULL>
-      middleboxes_;
-  /// One-branch-when-off guard: the per-copy middlebox lookup only runs
-  /// once any middlebox was ever installed.
-  bool any_middlebox_ = false;
-
-  // Hosts: the ordered map owns attachment records (node-stable), the flat
-  // index serves the per-packet lookups and is rebuilt on detach.
+  // One record per domain: the control domain (0, first in order) and
+  // every topology AS, all created at construction.
+  std::map<std::uint32_t, AsRecord> records_;
+  std::map<topology::InterfaceKey, LinkEntry> links_;  // by egress key
   std::map<net::Ipv4Address, AttachedHost> hosts_;
-  util::FlatHash<std::uint64_t, AttachedHost*, util::U64Hash, ~0ULL>
-      host_index_;
-
-  // Domain states, one per AS plus the control domain, created eagerly at
-  // construction so the index is immutable while events run.
-  std::vector<std::unique_ptr<DomainState>> domains_;
-  util::FlatHash<std::uint64_t, DomainState*, util::U64Hash, ~0ULL>
-      domain_index_;
-
+  // Fault plans by address: they outlive attach/detach cycles.
+  std::map<net::Ipv4Address, HostFaultPlan> host_faults_;
   std::map<topology::AsNumber, std::uint8_t> next_host_octet_;
-  std::map<std::pair<topology::AsNumber, topology::AsNumber>,
-           std::shared_ptr<const topology::AsPath>>
-      pinned_paths_;
-  // Resolved-path cache, filled on first send between two ASes. Contents
-  // are a pure function of the topology, so cache state never affects
-  // simulation results.
+  // Pinned paths, and shortest paths resolved on first send between two
+  // ASes; pin_path overwrites either. A resolved path is a pure function
+  // of the topology, so caching it never affects simulation results.
   mutable std::map<std::pair<topology::AsNumber, topology::AsNumber>,
                    std::shared_ptr<const topology::AsPath>>
-      path_cache_;
+      paths_;
 
   std::array<std::uint64_t, 4> sent_{};
   std::array<std::uint64_t, 4> delivered_{};

@@ -42,6 +42,11 @@ std::string AsPath::to_string() const {
 }
 
 Status Topology::add_as(AsNumber asn, std::string name) {
+  // address_of keeps 16 bits of the AS number; AS 0 is the simulator's
+  // control domain.
+  if (asn == 0) return fail("AS numbers must be nonzero");
+  if (asn > 0xFFFF)
+    return fail("AS" + std::to_string(asn) + " does not fit 16 bits");
   if (ases_.contains(asn))
     return fail("AS" + std::to_string(asn) + " already exists");
   ases_[asn] = AsEntry{std::move(name), {}};
@@ -56,6 +61,10 @@ Status Topology::add_link(InterfaceKey a, InterfaceKey b) {
   if (a.asn == b.asn) return fail("self-link on AS" + std::to_string(a.asn));
   if (a.interface == 0 || b.interface == 0)
     return fail("interface IDs must be nonzero");
+  // Border addresses end in the interface ID; .200 and up are hosts.
+  if (a.interface >= kFirstHostOctet || b.interface >= kFirstHostOctet)
+    return fail("interface IDs must be below " +
+                std::to_string(kFirstHostOctet));
   if (ita->second.links.contains(a.interface))
     return fail(a.to_string() + " already linked");
   if (itb->second.links.contains(b.interface))

@@ -67,15 +67,22 @@ struct InterDomainLink {
   bool operator==(const InterDomainLink&) const = default;
 };
 
+/// Host addresses inside an AS end in this octet or above (10.x.y.200,
+/// .201, ...); border-interface addresses end in their interface ID,
+/// which must stay below it.
+inline constexpr InterfaceId kFirstHostOctet = 200;
+
 /// The AS graph. ASes and links are added up front; the structure is then
 /// queried for neighbors, paths, and executor addressing.
 class Topology {
  public:
-  /// Registers an AS. Fails if the number is already present.
+  /// Registers an AS. Fails if the number is already present, is 0 (the
+  /// simulator's control domain) or exceeds the 16 bits an address holds.
   Status add_as(AsNumber asn, std::string name);
 
-  /// Connects two ASes through fresh or explicit interface IDs. Both ASes
-  /// must exist; an interface may carry only one link.
+  /// Connects two ASes through explicit interface IDs in
+  /// [1, kFirstHostOctet). Both ASes must exist; an interface may carry
+  /// only one link.
   Status add_link(InterfaceKey a, InterfaceKey b);
 
   bool has_as(AsNumber asn) const;

@@ -11,6 +11,16 @@
 
 namespace debuglet {
 
+/// splitmix64: advances `state` by the golden-ratio increment and returns
+/// the mixed value. Seeds Rng, derives wire-damage positions from a
+/// damage seed, and (on a copy of its input) mixes event ids.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 /// splitmix64 seeded xoshiro256** generator with shaped-draw helpers.
 class Rng {
  public:

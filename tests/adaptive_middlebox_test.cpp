@@ -7,6 +7,7 @@
 // the learner and keep naming the cheating AS.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "core/discrimination.hpp"
@@ -318,15 +319,13 @@ TEST(AdaptiveDeterminism, LearnerDrawsNothingFromTheRng) {
 // runs the learner (the bench scenario, one seed). One static detector
 // visit trains the learner past the horizon; after that, static twins are
 // evaded while randomized twins still name the AS.
-Scenario arms_race_scenario(std::uint64_t seed, std::uint32_t promote_after) {
-  Scenario s = build_chain_scenario(5, seed, 5.0);
-  s.network->set_int_enabled(true);
+MiddleboxPlan arms_race_plan(const topology::Topology& topo,
+                             std::uint32_t promote_after) {
   ClassPolicy slow;
   slow.extra_delay_ms = 25.0;
   slow.drop_pm = 60.0;
   MiddleboxPlan plan;
   plan.policy_all(slow).recognize_probe_signatures(true);
-  const auto& topo = s.network->topology();
   for (topology::AsNumber as = 1; as <= 5; ++as) {
     plan.recognize(topo.address_of(topology::InterfaceKey{as, 1}));
     plan.recognize(topo.address_of(topology::InterfaceKey{as, 2}));
@@ -335,6 +334,13 @@ Scenario arms_race_scenario(std::uint64_t seed, std::uint32_t promote_after) {
   adaptive.enabled = true;
   adaptive.promote_after = promote_after;
   plan.adaptive(adaptive);
+  return plan;
+}
+
+Scenario arms_race_scenario(std::uint64_t seed, std::uint32_t promote_after) {
+  Scenario s = build_chain_scenario(5, seed, 5.0);
+  s.network->set_int_enabled(true);
+  MiddleboxPlan plan = arms_race_plan(s.network->topology(), promote_after);
   EXPECT_TRUE(s.network->install_middlebox(3, plan).ok());
   return s;
 }
@@ -364,6 +370,42 @@ TEST(ArmsRace, StaticTwinsTrainTheAdversaryAndGoBlind) {
   EXPECT_FALSE(second.detected) << second.decision;
   EXPECT_GT(s.network->middlebox_stats(3).adaptive_matched,
             trained.adaptive_matched);
+}
+
+TEST(ArmsRace, LearnerAndTallySurviveClearAndReinstall) {
+  // The learner's table and the ground-truth tally belong to the AS, not
+  // to the installed plan: clearing the middlebox keeps the tally, and a
+  // reinstalled plan resumes exactly where an uncleared one would be.
+  const std::uint64_t seed = 17002;
+  Scenario kept = arms_race_scenario(seed, 8);
+  Scenario cleared = arms_race_scenario(seed, 8);
+  run_detector(kept, seed + 31, /*randomize=*/false);
+  run_detector(cleared, seed + 31, /*randomize=*/false);
+  auto tally = [](const MiddleboxStats& st) {
+    return std::make_tuple(st.inspected(), st.dropped, st.deprioritized,
+                           st.exempted, st.signatures_learned,
+                           st.signatures_promoted, st.adaptive_matched,
+                           st.flows_tracked, st.flows_evicted);
+  };
+  const MiddleboxStats trained = cleared.network->middlebox_stats(3);
+  ASSERT_GT(trained.signatures_promoted, 0u);
+
+  cleared.network->clear_middlebox(3);
+  EXPECT_EQ(tally(cleared.network->middlebox_stats(3)), tally(trained));
+  const MiddleboxPlan plan = arms_race_plan(cleared.network->topology(), 8);
+  ASSERT_TRUE(cleared.network->install_middlebox(3, plan).ok());
+  EXPECT_EQ(tally(cleared.network->middlebox_stats(3)), tally(trained));
+
+  // The second static visit is evaded straight away: the promoted
+  // signatures survived, and both runs stay in lockstep.
+  const core::DiscriminationReport second =
+      run_detector(cleared, seed + 31, /*randomize=*/false);
+  run_detector(kept, seed + 31, /*randomize=*/false);
+  EXPECT_FALSE(second.detected) << second.decision;
+  EXPECT_GT(cleared.network->middlebox_stats(3).adaptive_matched,
+            trained.adaptive_matched);
+  EXPECT_EQ(tally(cleared.network->middlebox_stats(3)),
+            tally(kept.network->middlebox_stats(3)));
 }
 
 TEST(ArmsRace, RandomizedTwinsStarveTheLearnerAndNameTheAs) {

@@ -249,5 +249,31 @@ TEST_F(HostFaultNetFixture, InstallValidatesAndClearRestores) {
   EXPECT_EQ(receiver.received, 1);
 }
 
+TEST_F(HostFaultNetFixture, PlanSurvivesDetachAndReattach) {
+  // A plan belongs to the address, not to the host object attached there.
+  HostFaultPlan plan;
+  plan.crash(0, duration::hours(1));
+  ASSERT_TRUE(
+      scenario.network->install_host_faults(receiver_addr, plan).ok());
+  scenario.network->detach_host(receiver_addr);
+  CountingHost replacement;
+  ASSERT_TRUE(scenario.network->attach_host(receiver_addr, &replacement).ok());
+  EXPECT_TRUE(scenario.network->host_fault_state(receiver_addr, 0).crashed());
+
+  ASSERT_TRUE(send_probe(1).ok());
+  scenario.queue->run();
+  EXPECT_EQ(replacement.received, 0);
+  EXPECT_EQ(scoped.get()
+                .counter("simnet.host_fault_drops", {{"side", "ingress"}})
+                .value(),
+            1u);
+
+  scenario.network->clear_host_faults(receiver_addr);
+  ASSERT_TRUE(send_probe(2).ok());
+  scenario.queue->run();
+  EXPECT_EQ(replacement.received, 1);
+  EXPECT_EQ(receiver.received, 0);
+}
+
 }  // namespace
 }  // namespace debuglet::simnet

@@ -15,7 +15,7 @@
 #include "simnet/hosts.hpp"
 #include "simnet/middlebox.hpp"
 #include "simnet/scenarios.hpp"
-#include "util/flat_hash.hpp"
+#include "util/rng.hpp"
 
 namespace debuglet::simnet {
 namespace {
@@ -70,6 +70,9 @@ TEST(EventOrder, CrossDomainSchedulesAreClampedToLookahead) {
 constexpr SimDuration kFloor = duration::milliseconds(2);  // lookahead 1 ms
 constexpr int kMaxDepth = 8;
 
+/// The event-id mixing function: one splitmix64 output from state `x`.
+std::uint64_t mix(std::uint64_t x) { return splitmix64(x); }
+
 enum class Kind { kAfter, kAtPast, kOn };
 
 /// One child an event schedules when it fires. The program is a pure
@@ -85,7 +88,7 @@ std::vector<Spawn> children_of(std::uint64_t seed, std::uint64_t label,
                                int depth) {
   std::vector<Spawn> out;
   if (depth >= kMaxDepth) return out;
-  Rng rng(seed ^ util::mix64(label));
+  Rng rng(seed ^ mix(label));
   const std::uint64_t n = rng.next_below(4);
   for (std::uint64_t k = 0; k < n; ++k) {
     Spawn s;
@@ -93,7 +96,7 @@ std::vector<Spawn> children_of(std::uint64_t seed, std::uint64_t label,
     s.domain = static_cast<std::uint32_t>(rng.next_below(4));
     // Coarse delays make equal timestamps common.
     s.delay = duration::milliseconds(rng.next_below(4));
-    s.label = util::mix64(label + k + 1);
+    s.label = mix(label + k + 1);
     out.push_back(s);
   }
   return out;
@@ -112,7 +115,7 @@ std::vector<Root> roots_of(std::uint64_t seed) {
     Root r;
     r.domain = static_cast<std::uint32_t>(rng.next_below(4));
     r.at = duration::milliseconds(rng.next_below(5));
-    r.label = util::mix64(seed * 1000 + i);
+    r.label = mix(seed * 1000 + i);
     roots.push_back(r);
   }
   return roots;
@@ -194,7 +197,7 @@ std::vector<Firing> reference_order(std::uint64_t seed) {
       if (s.kind == Kind::kOn) domain = s.domain;
       at = std::max(at, ev.at);
       if (domain != ev.domain) at = std::max(at, ev.at + lookahead);
-      const std::uint64_t id = (util::mix64(ev.id) << 20) | child++;
+      const std::uint64_t id = (mix(ev.id) << 20) | child++;
       pending.push_back(Pending{at, id, domain, s.label, ev.depth + 1});
     }
   }

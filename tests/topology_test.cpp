@@ -26,6 +26,39 @@ TEST(Topology, AddAsRejectsDuplicates) {
   EXPECT_FALSE(t.as_name(2).ok());
 }
 
+TEST(Topology, AddAsRejectsNumbersAddressesCannotCarry) {
+  // Addresses carry 16 bits of the AS number: AS 65537 would share AS 1's
+  // addresses. AS 0 is the simulator's control domain.
+  Topology t;
+  const Status zero = t.add_as(0, "control");
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.error_message(), "AS numbers must be nonzero");
+  const Status wide = t.add_as(65537, "wide");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.error_message(), "AS65537 does not fit 16 bits");
+  EXPECT_FALSE(t.has_as(0));
+  EXPECT_FALSE(t.has_as(65537));
+  EXPECT_TRUE(t.add_as(65535, "widest").ok());
+  EXPECT_TRUE(t.add_as(1, "one").ok());
+}
+
+TEST(Topology, AddLinkRejectsInterfacesInTheHostRange) {
+  // Border addresses end in the interface ID; .200 and up are hosts, so a
+  // router there would collide with allocated host addresses.
+  Topology t;
+  ASSERT_TRUE(t.add_as(1, "a").ok());
+  ASSERT_TRUE(t.add_as(2, "b").ok());
+  for (const InterfaceId bad : {200, 255, 300}) {
+    const Status s = t.add_link({1, bad}, {2, 1});
+    ASSERT_FALSE(s.ok()) << bad;
+    EXPECT_EQ(s.error_message(), "interface IDs must be below 200");
+    EXPECT_FALSE(t.add_link({1, 1}, {2, bad}).ok()) << bad;
+  }
+  EXPECT_TRUE(t.interfaces_of(1).empty());
+  EXPECT_TRUE(t.add_link({1, 199}, {2, 199}).ok());
+  EXPECT_EQ(t.address_of({1, 199}).to_string(), "10.0.1.199");
+}
+
 TEST(Topology, AddLinkValidation) {
   Topology t;
   ASSERT_TRUE(t.add_as(1, "a").ok());
