@@ -35,28 +35,21 @@ void ExecutorAgent::subscribe() {
 }
 
 Status ExecutorAgent::register_slots(SimTime from, SimTime until) {
-  marketplace::RegisterTimeSlotArgs slots;
-  slots.key = key_;
-  for (SimTime t = from; t < until; t += kSlotLength) {
-    marketplace::TimeSlot slot;
-    slot.cores = 2;
-    slot.memory_bytes = 1 << 20;
-    slot.bandwidth_bps = 100'000'000;
-    slot.start = t;
-    slot.end = t + kSlotLength;
-    slot.price = config_->slot_price;
-    slots.slots.push_back(slot);
-  }
-  if (slots.slots.empty()) return ok_status();
+  if (until <= from) return ok_status();
+  // Whole slots from `from`: the last may end past `until`.
+  const marketplace::SlotRun run{
+      {.cores = 2, .memory_bytes = 1 << 20, .bandwidth_bps = 100'000'000,
+       .start = from, .end = from + kSlotLength, .price = config_->slot_price},
+      static_cast<std::uint32_t>((until - from + kSlotLength - 1) /
+                                 kSlotLength)};
   auto slot_receipt = chain_.submit(chain_.make_transaction(
       operator_key_, marketplace::kContractName, "RegisterTimeSlot",
-      slots.serialize(), 0, 1'000'000'000,
-      marketplace::access_register_time_slot(key_)));
+      marketplace::RegisterTimeSlotArgs{key_, {run}}.serialize(), 0,
+      1'000'000'000, marketplace::access_register_time_slot(key_)));
   if (!slot_receipt) return slot_receipt.error();
   if (!slot_receipt->success)
     return fail("RegisterTimeSlot: " + slot_receipt->error);
-  // The last slot may end past `until`; the next top-up starts after it.
-  slots_registered_until_ = slots.slots.back().end;
+  slots_registered_until_ = run.end();
   return ok_status();
 }
 

@@ -7,64 +7,6 @@
 
 namespace debuglet::marketplace {
 
-namespace {
-
-// Run arithmetic is modulo 2^64. For a run that fits in SimTime every value
-// it forms (offsets, slot starts and ends, the run's end) is exact, and the
-// conversion back to SimTime is well defined.
-std::uint64_t as_u64(SimTime t) { return static_cast<std::uint64_t>(t); }
-SimTime as_time(std::uint64_t v) { return static_cast<SimTime>(v); }
-
-constexpr std::size_t kRunBytes = 48;  // write_slot (44) + count (4)
-
-bool same_terms(const TimeSlot& a, const TimeSlot& b) {
-  return a.cores == b.cores && a.memory_bytes == b.memory_bytes &&
-         a.bandwidth_bps == b.bandwidth_bps && a.price == b.price;
-}
-
-/// True if `slot` can join `run` as its next slot.
-bool extends(const SlotRun& run, const TimeSlot& slot) {
-  return run.count < std::numeric_limits<std::uint32_t>::max() &&
-         slot.start == run.end() &&
-         as_u64(slot.end) - as_u64(slot.start) == run.length() &&
-         same_terms(run.first, slot);
-}
-
-/// Index of the slot of `run` holding time `t`. Precondition:
-/// run.start() <= t < run.end().
-std::uint64_t index_at(const SlotRun& run, SimTime t) {
-  return (as_u64(t) - as_u64(run.start())) / run.length();
-}
-
-/// Maximal runs of slots sorted by start.
-std::vector<SlotRun> compress(const std::vector<TimeSlot>& sorted) {
-  std::vector<SlotRun> runs;
-  for (const TimeSlot& slot : sorted) {
-    if (!runs.empty() && extends(runs.back(), slot))
-      ++runs.back().count;
-    else
-      runs.push_back(SlotRun{slot, 1});
-  }
-  return runs;
-}
-
-}  // namespace
-
-std::uint64_t SlotRun::length() const {
-  return as_u64(first.end) - as_u64(first.start);
-}
-
-SimTime SlotRun::end() const {
-  return as_time(as_u64(first.start) + count * length());
-}
-
-TimeSlot SlotRun::slot(std::uint64_t k) const {
-  TimeSlot s = first;
-  s.start = as_time(as_u64(first.start) + k * length());
-  s.end = as_time(as_u64(s.start) + length());
-  return s;
-}
-
 Result<SlotCalendar> SlotCalendar::decode(BytesView data) {
   BytesReader r(data);
   auto count = r.u32();
@@ -72,20 +14,11 @@ Result<SlotCalendar> SlotCalendar::decode(BytesView data) {
   SlotCalendar out;
   out.runs_.reserve(std::min<std::size_t>(*count, r.remaining() / kRunBytes));
   for (std::uint32_t i = 0; i < *count; ++i) {
-    auto first = read_slot(r);
-    if (!first) return first.error();
-    auto slots = r.u32();
-    if (!slots) return slots.error();
-    const SlotRun run{*first, *slots};
-    if (run.count == 0 || run.first.end <= run.first.start)
-      return fail("slot calendar: empty run");
-    const std::uint64_t room = as_u64(std::numeric_limits<SimTime>::max()) -
-                               as_u64(run.start());
-    if (run.count > room / run.length())
-      return fail("slot calendar: run ends past the time range");
-    if (!out.runs_.empty() && out.runs_.back().end() > run.start())
+    auto run = read_run(r);
+    if (!run) return run.error();
+    if (!out.runs_.empty() && out.runs_.back().end() > run->start())
       return fail("slot calendar: runs out of order");
-    out.runs_.push_back(run);
+    out.runs_.push_back(*run);
   }
   if (!r.exhausted()) return fail("slot calendar: trailing bytes");
   return out;
@@ -94,10 +27,7 @@ Result<SlotCalendar> SlotCalendar::decode(BytesView data) {
 Bytes SlotCalendar::encode() const {
   BytesWriter w;
   w.u32(static_cast<std::uint32_t>(runs_.size()));
-  for (const SlotRun& run : runs_) {
-    write_slot(w, run.first);
-    w.u32(run.count);
-  }
+  for (const SlotRun& run : runs_) write_run(w, run);
   return w.take();
 }
 
@@ -111,23 +41,36 @@ std::vector<TimeSlot> SlotCalendar::slots() const {
   return out;
 }
 
-Status SlotCalendar::add(const std::vector<TimeSlot>& added,
+Status SlotCalendar::add(const std::vector<SlotRun>& added,
                          topology::InterfaceKey key) {
-  for (const TimeSlot& slot : added) {
-    if (slot.end <= slot.start) return fail("slot with non-positive duration");
+  for (const SlotRun& run : added) {
+    if (auto s = check_run(run); !s) return s;
   }
-  std::vector<TimeSlot> list = slots();
+  std::vector<SlotRun> list = runs_;
   list.insert(list.end(), added.begin(), added.end());
-  std::sort(list.begin(), list.end(),
-            [](const TimeSlot& a, const TimeSlot& b) {
-              return a.start != b.start ? a.start < b.start : a.end < b.end;
-            });
-  // Slots must be non-overlapping per the paper's ExecutionSlotsMap.
+  std::sort(list.begin(), list.end(), [](const SlotRun& a, const SlotRun& b) {
+    return a.start() < b.start();
+  });
+  // Slots must be non-overlapping per the paper's ExecutionSlotsMap. A run
+  // has no gaps, so two slots overlap only if two neighbouring runs do.
   for (std::size_t i = 0; i + 1 < list.size(); ++i) {
-    if (list[i].end > list[i + 1].start)
+    if (list[i].end() > list[i + 1].start())
       return fail("overlapping time slots for " + key.to_string());
   }
-  runs_ = compress(list);
+  // A run that continues the last one joins it. A run holds at most 2^32 - 1
+  // slots, and the rest starts the next run, as appending slot by slot would.
+  runs_.clear();
+  for (SlotRun run : list) {
+    if (!runs_.empty() && run.first == runs_.back().slot(runs_.back().count)) {
+      SlotRun& last = runs_.back();
+      const std::uint32_t joined = std::min(
+          std::numeric_limits<std::uint32_t>::max() - last.count, run.count);
+      last.count += joined;
+      if (joined == run.count) continue;
+      run = SlotRun{run.slot(joined), run.count - joined};
+    }
+    runs_.push_back(run);
+  }
   return ok_status();
 }
 
@@ -139,11 +82,11 @@ bool SlotCalendar::remove(const TimeSlot& slot) {
   if (it == runs_.begin()) return false;
   --it;
   if (slot.start >= it->end()) return false;
-  const std::uint64_t k = index_at(*it, slot.start);
+  const std::uint64_t k = it->index_at(slot.start);
   if (!(it->slot(k) == slot)) return false;
   const std::uint64_t after = it->count - k - 1;
-  // The pieces before and after the sold slot stay maximal runs: neither
-  // could join a neighbour the whole run could not join.
+  // The pieces stay maximal runs, as the whole run was, except the tail of a
+  // full run (2^32 - 1 slots), which could take slots from the next run.
   if (k == 0 && after == 0) {
     runs_.erase(it);
   } else if (k == 0) {
@@ -190,8 +133,8 @@ SlotQuote quote_calendars(const SlotCalendar& client,
     const SimTime at = std::max({c.start(), s.start(), query.earliest_start});
     if (at < c.end() && at < s.end()) {
       out.found = true;
-      out.client_slot = c.slot(index_at(c, at));
-      out.server_slot = s.slot(index_at(s, at));
+      out.client_slot = c.slot(c.index_at(at));
+      out.server_slot = s.slot(s.index_at(at));
       out.window_start = at;
       out.window_end = std::min(out.client_slot.end, out.server_slot.end);
       out.list_price = out.client_slot.price + out.server_slot.price;

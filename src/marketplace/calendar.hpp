@@ -1,16 +1,14 @@
-// An executor's slot calendar in run-length form: the stored value of one
-// ExecutionSlotsMap entry ("slots/⟨AS#intf⟩", paper §IV-C).
-//
-// A calendar is a sorted list of runs. A run is `count` back-to-back slots
-// with the same length, resources and price, stored as its first slot plus
-// the count: an executor's registered 48 h horizon of 20 s slots (8,640
+// An executor's slot calendar: the stored value of one ExecutionSlotsMap
+// entry ("slots/⟨AS#intf⟩", paper §IV-C), a sorted list of runs (SlotRun,
+// marketplace/types.hpp). The registered 48 h horizon of 20 s slots (8,640
 // slots) is one run, 52 bytes with the run count. Runs never overlap, and
 // neighbouring runs that could form one run are always merged, so the
-// stored bytes depend only on the set of available slots.
+// stored bytes depend only on the set of available slots (remove explains
+// the one exception, at the run cap).
 //
-// Cost: a lookup walks both calendars once, O(runs); a purchase finds its
-// slot by binary search, O(log runs), and splits that run; registration
-// expands, merges and re-compresses, O(slots log slots).
+// Cost, for n runs: a lookup walks both calendars once, O(n); a purchase
+// finds its slot by binary search, O(log n), and splits that run;
+// registration sorts old and new runs together, O(n log n), expanding no slot.
 #pragma once
 
 #include <vector>
@@ -19,26 +17,10 @@
 
 namespace debuglet::marketplace {
 
-/// `count` back-to-back slots: slot k is `first` shifted by k lengths.
-/// Run arithmetic is unsigned, so a slot spanning most of the SimTime range
-/// (length up to 2^64 - 1) is still exact.
-struct SlotRun {
-  TimeSlot first;
-  std::uint32_t count = 0;
-
-  /// Length of every slot in the run.
-  std::uint64_t length() const;
-  SimTime start() const { return first.start; }
-  /// End of the last slot.
-  SimTime end() const;
-  /// The k-th slot. Precondition: k < count.
-  TimeSlot slot(std::uint64_t k) const;
-};
-
 class SlotCalendar {
  public:
-  /// Parses a stored calendar; rejects runs that are empty, overflow
-  /// SimTime, or are unsorted or overlapping.
+  /// Parses a stored calendar; rejects runs that read_run rejects, and
+  /// runs that are unsorted or overlapping.
   static Result<SlotCalendar> decode(BytesView data);
   Bytes encode() const;
 
@@ -46,10 +28,10 @@ class SlotCalendar {
   /// Every available slot, sorted by start.
   std::vector<TimeSlot> slots() const;
 
-  /// RegisterTimeSlot: adds `added` to the calendar of executor `key`. Fails
-  /// with the contract's error (and leaves the calendar unchanged) when a
-  /// slot has a non-positive duration or two slots would overlap.
-  Status add(const std::vector<TimeSlot>& added, topology::InterfaceKey key);
+  /// RegisterTimeSlot: adds `added`, in any order, to the calendar of
+  /// executor `key`. Fails with the contract's error (and leaves the
+  /// calendar unchanged) when a run fails check_run or two would overlap.
+  Status add(const std::vector<SlotRun>& added, topology::InterfaceKey key);
 
   /// PurchaseSlot: removes `slot` by splitting its run. Returns false, and
   /// changes nothing, when the slot is not available exactly as given

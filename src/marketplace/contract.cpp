@@ -213,17 +213,13 @@ Result<Bytes> MarketplaceContract::register_time_slot(chain::CallContext& ctx,
   // are, in fact, associated with the calling executor".
   if (!(*owner == ctx.sender()))
     return fail("caller does not own executor " + parsed->key.to_string());
-  // Rejected before the calendar is read, so a call whose access set omits
-  // the calendar still fails on its arguments rather than on the access.
-  for (const TimeSlot& slot : parsed->slots) {
-    if (slot.end <= slot.start)
-      return fail("slot with non-positive duration");
-  }
   SlotCalendar calendar = read_calendar(ctx, parsed->key);
-  if (auto s = calendar.add(parsed->slots, parsed->key); !s) return s.error();
+  if (auto s = calendar.add(parsed->runs, parsed->key); !s) return s.error();
   if (auto s = ctx.write_named(slots_key(parsed->key), calendar.encode()); !s)
     return s.error();
-  obs_.slots_registered->add(parsed->slots.size());
+  std::uint64_t slots = 0;
+  for (const SlotRun& run : parsed->runs) slots += run.count;
+  obs_.slots_registered->add(slots);
   return Bytes{};
 }
 
@@ -294,6 +290,9 @@ Result<Bytes> MarketplaceContract::purchase_slot(chain::CallContext& ctx,
       std::min(parsed->client_slot.end, parsed->server_slot.end);
   if (window_start >= window_end)
     return fail("slots share no common time window");
+  // A window under way still sells; one that has ended cannot run.
+  if (window_end <= ctx.timestamp())
+    return fail("slot window ended at " + std::to_string(window_end));
 
   if (auto s = ctx.write_named(slots_key(parsed->client_key),
                                client_calendar.encode());

@@ -7,11 +7,9 @@
 //   ExecutionSlotsMap  : named entry  "slots/⟨AS#intf⟩" -> slot calendar:
 //                        sorted runs of back-to-back slots with equal
 //                        length, resources and price, each stored as its
-//                        first slot plus a count (marketplace/calendar.hpp).
-//                        A quote walks both calendars once, O(runs); a
-//                        purchase finds its slot by binary search,
-//                        O(log runs), splits that run and re-encodes the
-//                        calendar, O(runs).
+//                        first slot plus a count: the form RegisterTimeSlot
+//                        carries, so no entry point expands a run
+//                        (marketplace/calendar.hpp gives their costs).
 //   ApplicationsMap    : named entry  "apps/⟨ck⟩|⟨sk⟩"  -> application ids
 //   ResultsMap         : named entry  "result/⟨app⟩"    -> {result object
 //                        id, reported_at}; the certified result bytes live

@@ -1,6 +1,7 @@
 #include "marketplace/types.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "crypto/schnorr.hpp"
 
@@ -17,6 +18,14 @@ void write_params(BytesWriter& w, const std::vector<std::int64_t>& params) {
   w.varint(params.size());
   for (std::int64_t p : params) w.i64(p);
 }
+
+constexpr std::uint64_t kMaxRegisteredSlots = 65536;  // per RegisterTimeSlot
+
+// Run arithmetic is modulo 2^64. For a run that fits in SimTime every value
+// it forms (offsets, slot starts and ends, the run's end) is exact, and the
+// conversion back to SimTime is well defined.
+std::uint64_t as_u64(SimTime t) { return static_cast<std::uint64_t>(t); }
+SimTime as_time(std::uint64_t v) { return static_cast<SimTime>(v); }
 
 Result<std::vector<std::int64_t>> read_params(BytesReader& r) {
   DBG_TRY(count, r.varint());
@@ -69,6 +78,45 @@ Result<TimeSlot> read_slot(BytesReader& r) {
   return s;
 }
 
+std::uint64_t SlotRun::length() const {
+  return as_u64(first.end) - as_u64(first.start);
+}
+
+TimeSlot SlotRun::slot(std::uint64_t k) const {
+  TimeSlot s = first;
+  s.start = as_time(as_u64(first.start) + k * length());
+  s.end = as_time(as_u64(s.start) + length());
+  return s;
+}
+
+std::uint64_t SlotRun::index_at(SimTime t) const {
+  return (as_u64(t) - as_u64(start())) / length();
+}
+
+Status check_run(const SlotRun& run) {
+  if (run.count == 0) return fail("empty slot run");
+  if (run.first.end <= run.first.start)
+    return fail("slot with non-positive duration");
+  const std::uint64_t room =
+      as_u64(std::numeric_limits<SimTime>::max()) - as_u64(run.start());
+  if (run.count > room / run.length())
+    return fail("slot run ends past the time range");
+  return ok_status();
+}
+
+void write_run(BytesWriter& w, const SlotRun& run) {
+  write_slot(w, run.first);
+  w.u32(run.count);
+}
+
+Result<SlotRun> read_run(BytesReader& r) {
+  DBG_TRY(first, read_slot(r));
+  DBG_TRY(count, r.u32());
+  const SlotRun run{*first, *count};
+  if (auto s = check_run(run); !s) return s.error();
+  return run;
+}
+
 Bytes RegisterExecutorArgs::serialize() const {
   BytesWriter w;
   write_key(w, key);
@@ -85,8 +133,8 @@ Result<RegisterExecutorArgs> RegisterExecutorArgs::parse(BytesView data) {
 Bytes RegisterTimeSlotArgs::serialize() const {
   BytesWriter w;
   write_key(w, key);
-  w.varint(slots.size());
-  for (const TimeSlot& s : slots) write_slot(w, s);
+  w.varint(runs.size());
+  for (const SlotRun& run : runs) write_run(w, run);
   return w.take();
 }
 
@@ -96,11 +144,14 @@ Result<RegisterTimeSlotArgs> RegisterTimeSlotArgs::parse(BytesView data) {
   DBG_TRY(key, read_key(r));
   out.key = *key;
   DBG_TRY(count, r.varint());
-  if (*count > 65536) return fail("RegisterTimeSlot: too many slots");
-  out.slots.reserve(*count);
+  out.runs.reserve(std::min<std::uint64_t>(*count, r.remaining() / kRunBytes));
+  std::uint64_t slots = 0;
   for (std::uint64_t i = 0; i < *count; ++i) {
-    DBG_TRY(slot, read_slot(r));
-    out.slots.push_back(*slot);
+    DBG_TRY(run, read_run(r));
+    slots += run->count;
+    if (slots > kMaxRegisteredSlots)
+      return fail("RegisterTimeSlot: too many slots");
+    out.runs.push_back(*run);
   }
   if (!r.exhausted()) return fail("RegisterTimeSlot: trailing bytes");
   return out;

@@ -34,10 +34,38 @@ struct TimeSlot {
   }
 };
 
+/// `count` back-to-back slots with the same length, resources and price,
+/// the form RegisterTimeSlot carries and the calendar stores. Run arithmetic
+/// is unsigned, so a slot spanning most of the SimTime range (length up to
+/// 2^64 - 1) is still exact.
+struct SlotRun {
+  TimeSlot first;
+  std::uint32_t count = 0;
+
+  bool operator==(const SlotRun&) const = default;
+
+  /// Length of every slot in the run.
+  std::uint64_t length() const;
+  SimTime start() const { return first.start; }
+  /// End of the last slot.
+  SimTime end() const { return slot(count).start; }
+  /// The k-th slot; slot(count) is the slot that would continue the run.
+  TimeSlot slot(std::uint64_t k) const;
+  /// Index of the slot holding time `t`. Precondition: start() <= t < end().
+  std::uint64_t index_at(SimTime t) const;
+};
+
 void write_key(BytesWriter& w, topology::InterfaceKey key);
 Result<topology::InterfaceKey> read_key(BytesReader& r);
 void write_slot(BytesWriter& w, const TimeSlot& slot);
 Result<TimeSlot> read_slot(BytesReader& r);
+
+inline constexpr std::size_t kRunBytes = 48;  // write_slot's 44 + count
+/// Fails unless `run` has a slot, of positive length, and ends in SimTime.
+Status check_run(const SlotRun& run);
+/// The run codec of RegisterTimeSlot and of the stored calendar.
+void write_run(BytesWriter& w, const SlotRun& run);
+Result<SlotRun> read_run(BytesReader& r);  // applies check_run
 
 /// RegisterExecutor(⟨AS, intf⟩).
 struct RegisterExecutorArgs {
@@ -46,10 +74,11 @@ struct RegisterExecutorArgs {
   static Result<RegisterExecutorArgs> parse(BytesView data);
 };
 
-/// RegisterTimeSlot(⟨AS, intf⟩, slots).
+/// RegisterTimeSlot(⟨AS, intf⟩, runs): runs in any order, at most 65,536
+/// slots in all, each run passing check_run.
 struct RegisterTimeSlotArgs {
   topology::InterfaceKey key;
-  std::vector<TimeSlot> slots;
+  std::vector<SlotRun> runs;
   Bytes serialize() const;
   static Result<RegisterTimeSlotArgs> parse(BytesView data);
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "util/log.hpp"
@@ -233,12 +234,14 @@ void SimulatedNetwork::detach_host(net::Ipv4Address address) {
 
 net::Ipv4Address SimulatedNetwork::allocate_host_address(
     topology::AsNumber asn) {
-  std::uint8_t& next = next_host_octet_[asn];
-  if (next == 0) next = static_cast<std::uint8_t>(topology::kFirstHostOctet);
-  const net::Ipv4Address addr(10, static_cast<std::uint8_t>(asn >> 8),
-                              static_cast<std::uint8_t>(asn), next);
-  ++next;
-  return addr;
+  unsigned& next = next_host_octet_[asn];
+  if (next == 0) next = topology::kFirstHostOctet;
+  if (next > 255)
+    throw std::out_of_range("no host address left in AS" +
+                            std::to_string(asn));
+  return net::Ipv4Address(10, static_cast<std::uint8_t>(asn >> 8),
+                          static_cast<std::uint8_t>(asn),
+                          static_cast<std::uint8_t>(next++));
 }
 
 topology::AsNumber SimulatedNetwork::as_of(net::Ipv4Address address) const {

@@ -121,7 +121,8 @@ class SimulatedNetwork {
                      AccessConfig access = {});
   void detach_host(net::Ipv4Address address);
 
-  /// A fresh host address within an AS (10.x.y.200, .201, ...).
+  /// A fresh host address within an AS (10.x.y.200, .201, ... .255).
+  /// Throws std::out_of_range when all 56 of an AS's are taken.
   net::Ipv4Address allocate_host_address(topology::AsNumber asn);
 
   /// The AS an address belongs to (addresses encode the AS number).
@@ -333,7 +334,7 @@ class SimulatedNetwork {
   std::map<net::Ipv4Address, AttachedHost> hosts_;
   // Fault plans by address: they outlive attach/detach cycles.
   std::map<net::Ipv4Address, HostFaultPlan> host_faults_;
-  std::map<topology::AsNumber, std::uint8_t> next_host_octet_;
+  std::map<topology::AsNumber, unsigned> next_host_octet_;
   // Pinned paths, and shortest paths resolved on first send between two
   // ASes; pin_path overwrites either. A resolved path is a pure function
   // of the topology, so caching it never affects simulation results.

@@ -1,11 +1,13 @@
 // Test-only reference for the marketplace slot calendar
 // (marketplace/calendar.hpp): an executor's slots as one flat sorted list,
 // with linear find/erase, and the nested-loop quote that compares every
-// client slot with every server slot. Differential tests run the same
+// client slot with every server slot. Registered runs are expanded into
+// their slots, so keep their counts small. Differential tests run the same
 // operations on both and compare every observable.
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "marketplace/reputation.hpp"
@@ -16,14 +18,29 @@ namespace debuglet::marketplace::oracle {
 struct FlatCalendar {
   std::vector<TimeSlot> slots;  // sorted by start, non-overlapping
 
-  /// RegisterTimeSlot's checks, error strings and merge.
-  Status add(const std::vector<TimeSlot>& added, topology::InterfaceKey key) {
-    for (const TimeSlot& slot : added) {
-      if (slot.end <= slot.start)
+  /// RegisterTimeSlot's checks, error strings and merge, slot by slot.
+  Status add(const std::vector<SlotRun>& added, topology::InterfaceKey key) {
+    for (const SlotRun& run : added) {
+      if (run.count == 0) return fail("empty slot run");
+      if (run.first.end <= run.first.start)
         return fail("slot with non-positive duration");
+      const __int128 length =
+          static_cast<__int128>(run.first.end) - run.first.start;
+      if (run.first.start + run.count * length >
+          std::numeric_limits<SimTime>::max())
+        return fail("slot run ends past the time range");
     }
     std::vector<TimeSlot> list = slots;
-    list.insert(list.end(), added.begin(), added.end());
+    for (const SlotRun& run : added) {
+      const __int128 length =
+          static_cast<__int128>(run.first.end) - run.first.start;
+      for (std::uint32_t k = 0; k < run.count; ++k) {
+        TimeSlot slot = run.first;
+        slot.start = static_cast<SimTime>(run.first.start + k * length);
+        slot.end = static_cast<SimTime>(run.first.start + (k + 1) * length);
+        list.push_back(slot);
+      }
+    }
     std::sort(list.begin(), list.end(),
               [](const TimeSlot& a, const TimeSlot& b) {
                 return a.start != b.start ? a.start < b.start : a.end < b.end;

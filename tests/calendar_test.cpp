@@ -1,6 +1,7 @@
 // The run-length slot calendar (marketplace/calendar.hpp): the stored
-// format, purchases that split runs, extreme times, and a randomized
-// differential test against the flat-list reference in calendar_oracle.hpp.
+// format, registered runs that merge and split at the run cap, purchases
+// that split runs, extreme times, and a randomized differential test
+// against the flat-list reference in calendar_oracle.hpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -37,13 +38,21 @@ std::vector<TimeSlot> grid(SimTime start, SimTime length, int count,
   return out;
 }
 
+/// Each slot as a run of one, for the calendar to merge.
+std::vector<SlotRun> runs_of(const std::vector<TimeSlot>& slots) {
+  std::vector<SlotRun> out;
+  for (const TimeSlot& s : slots) out.push_back(SlotRun{s, 1});
+  return out;
+}
+
 bool same_terms(const TimeSlot& a, const TimeSlot& b) {
   return a.cores == b.cores && a.memory_bytes == b.memory_bytes &&
          a.bandwidth_bps == b.bandwidth_bps && a.price == b.price;
 }
 
-/// Runs are non-empty, sorted, non-overlapping and maximal, and the
-/// calendar survives its stored form unchanged.
+/// Runs are non-empty, sorted, non-overlapping and maximal (a run that
+/// could join the next one is full), and the calendar survives its stored
+/// form unchanged.
 ::testing::AssertionResult well_formed(const SlotCalendar& calendar) {
   const std::vector<SlotRun>& runs = calendar.runs();
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -54,7 +63,8 @@ bool same_terms(const TimeSlot& a, const TimeSlot& b) {
     if (prev.end() > runs[i].start())
       return ::testing::AssertionFailure()
              << "runs " << i - 1 << " and " << i << " overlap or are unsorted";
-    if (prev.end() == runs[i].start() &&
+    if (prev.count < std::numeric_limits<std::uint32_t>::max() &&
+        prev.end() == runs[i].start() &&
         prev.length() == runs[i].length() &&
         same_terms(prev.first, runs[i].first))
       return ::testing::AssertionFailure()
@@ -71,22 +81,63 @@ bool same_terms(const TimeSlot& a, const TimeSlot& b) {
 }
 
 TEST(SlotCalendar, RegisteredHorizonIsOneFiftyTwoByteRun) {
-  // The default executor horizon: 48 h of 20 s slots.
+  // The default executor horizon: 48 h of 20 s slots, as one run.
   const SimDuration length = duration::seconds(20);
   std::vector<TimeSlot> horizon = grid(0, length, 8640, 1000);
   SlotCalendar calendar;
-  ASSERT_TRUE(calendar.add(horizon, kKey).ok());
+  ASSERT_TRUE(calendar.add({SlotRun{horizon.front(), 8640}}, kKey).ok());
   ASSERT_EQ(calendar.runs().size(), 1u);
   EXPECT_EQ(calendar.runs()[0].count, 8640u);
   EXPECT_EQ(calendar.runs()[0].end(), 8640 * length);
   EXPECT_EQ(calendar.encode().size(), 52u);
   EXPECT_EQ(calendar.slots(), horizon);
   EXPECT_TRUE(well_formed(calendar));
+
+  // The same slots as 8,640 runs of one, in reverse, store the same bytes.
+  std::vector<SlotRun> singles = runs_of(horizon);
+  std::reverse(singles.begin(), singles.end());
+  SlotCalendar merged;
+  ASSERT_TRUE(merged.add(singles, kKey).ok());
+  EXPECT_EQ(merged.encode(), calendar.encode());
+}
+
+TEST(SlotCalendar, MergedRunsSplitAtTheRunCap) {
+  // Back-to-back runs of 1 ns slots join into one run of at most 2^32 - 1
+  // slots; the rest starts the next run, where appending the slots one by
+  // one would have started it.
+  constexpr std::uint32_t kCap = std::numeric_limits<std::uint32_t>::max();
+  constexpr SimTime kEnd = static_cast<SimTime>(kCap);
+  SlotCalendar calendar;
+  ASSERT_TRUE(calendar.add({SlotRun{slot(kEnd - 10, kEnd - 9), 20},
+                            SlotRun{slot(0, 1), kCap - 10}},
+                           kKey)
+                  .ok());
+  ASSERT_EQ(calendar.runs().size(), 2u);
+  EXPECT_EQ(calendar.runs()[0], (SlotRun{slot(0, 1), kCap}));
+  EXPECT_EQ(calendar.runs()[1], (SlotRun{slot(kEnd, kEnd + 1), 10}));
+  EXPECT_TRUE(well_formed(calendar));
+
+  // A full run stays full; what continues it joins the run after it.
+  ASSERT_TRUE(
+      calendar.add({SlotRun{slot(kEnd + 10, kEnd + 11), 5}}, kKey).ok());
+  ASSERT_EQ(calendar.runs().size(), 2u);
+  EXPECT_EQ(calendar.runs()[1].count, 15u);
+
+  // After a sale at the front, the next registration regroups the runs
+  // from the first slot, as appending the slots one by one would: the
+  // first run fills up again from the run after it.
+  ASSERT_TRUE(calendar.remove(slot(0, 1)));
+  EXPECT_EQ(calendar.runs()[0], (SlotRun{slot(1, 2), kCap - 1}));
+  ASSERT_TRUE(calendar.add({SlotRun{slot(-5, -4), 1}}, kKey).ok());
+  ASSERT_EQ(calendar.runs().size(), 3u);
+  EXPECT_EQ(calendar.runs()[1], (SlotRun{slot(1, 2), kCap}));
+  EXPECT_EQ(calendar.runs()[2], (SlotRun{slot(kEnd + 1, kEnd + 2), 14}));
+  EXPECT_TRUE(well_formed(calendar));
 }
 
 TEST(SlotCalendar, PurchasesSplitRunsAndKeepTheRest) {
   SlotCalendar calendar;
-  ASSERT_TRUE(calendar.add(grid(0, 10, 10), kKey).ok());
+  ASSERT_TRUE(calendar.add(runs_of(grid(0, 10, 10)), kKey).ok());
   std::vector<TimeSlot> expected = grid(0, 10, 10);
 
   auto sell = [&](const TimeSlot& s) {
@@ -131,43 +182,52 @@ TEST(SlotCalendar, RunsBreakWhereLengthTermsOrTimeChange) {
   slots[5].end = 55;
   slots.push_back(slot(80, 90));  // back to back with slot 7
   SlotCalendar calendar;
-  ASSERT_TRUE(calendar.add(slots, kKey).ok());
+  ASSERT_TRUE(calendar.add(runs_of(slots), kKey).ok());
   EXPECT_EQ(calendar.runs().size(), 7u);  // slots 6, 7 and 80-90 are one
   EXPECT_EQ(calendar.runs().back().count, 3u);
   EXPECT_TRUE(well_formed(calendar));
 
   // Registering the missing piece in a later call merges the runs.
   SlotCalendar split;
-  ASSERT_TRUE(split.add(grid(0, 10, 2), kKey).ok());
-  ASSERT_TRUE(split.add(grid(40, 10, 3), kKey).ok());
+  ASSERT_TRUE(split.add({SlotRun{slot(0, 10), 2}}, kKey).ok());
+  ASSERT_TRUE(split.add({SlotRun{slot(40, 50), 3}}, kKey).ok());
   EXPECT_EQ(split.runs().size(), 2u);
-  ASSERT_TRUE(split.add(grid(30, 10, 1), kKey).ok());
+  ASSERT_TRUE(split.add({SlotRun{slot(30, 40), 1}}, kKey).ok());
   EXPECT_EQ(split.runs().size(), 2u);
-  ASSERT_TRUE(split.add(grid(20, 10, 1), kKey).ok());
+  ASSERT_TRUE(split.add({SlotRun{slot(20, 30), 1}}, kKey).ok());
   EXPECT_EQ(split.runs().size(), 1u);
   EXPECT_EQ(split.slots(), grid(0, 10, 7));
 }
 
 TEST(SlotCalendar, RegisterKeepsTheContractErrors) {
   SlotCalendar calendar;
-  ASSERT_TRUE(calendar.add(grid(0, 10, 3), kKey).ok());
+  ASSERT_TRUE(calendar.add({SlotRun{slot(0, 10), 3}}, kKey).ok());
   const Bytes before = calendar.encode();
-  auto empty = calendar.add({slot(50, 50)}, kKey);
-  ASSERT_FALSE(empty.ok());
-  EXPECT_EQ(empty.error().message, "slot with non-positive duration");
-  auto overlap = calendar.add({slot(25, 35)}, kKey);
-  ASSERT_FALSE(overlap.ok());
-  EXPECT_EQ(overlap.error().message,
-            "overlapping time slots for " + kKey.to_string());
-  auto duplicate = calendar.add({slot(40, 50), slot(40, 50)}, kKey);
-  EXPECT_FALSE(duplicate.ok());
-  EXPECT_EQ(calendar.encode(), before);
+  auto rejects = [&](const std::vector<SlotRun>& runs,
+                     const std::string& error) {
+    const Status s = calendar.add(runs, kKey);
+    EXPECT_EQ(s.error_message(), error);
+    EXPECT_EQ(calendar.encode(), before);
+  };
+  const std::string overlap = "overlapping time slots for " + kKey.to_string();
+  rejects({SlotRun{slot(50, 50), 1}}, "slot with non-positive duration");
+  rejects({SlotRun{slot(60, 70), 1}, SlotRun{slot(50, 40), 2}},
+          "slot with non-positive duration");
+  rejects({SlotRun{slot(50, 60), 0}}, "empty slot run");
+  rejects({SlotRun{slot(kMax - 25, kMax - 15), 3}},
+          "slot run ends past the time range");
+  rejects({SlotRun{slot(25, 35), 1}}, overlap);
+  rejects({SlotRun{slot(40, 50), 1}, SlotRun{slot(40, 50), 1}}, overlap);
+  // Runs overlap where a later slot of one meets another: [-20, 10) and
+  // [0, 30), or [40, 100) and [90, 95).
+  rejects({SlotRun{slot(-20, -10), 3}}, overlap);
+  rejects({SlotRun{slot(90, 95), 1}, SlotRun{slot(40, 60), 3}}, overlap);
 }
 
 TEST(SlotCalendar, ExtremeTimesStayExact) {
   // One slot across almost all of SimTime: its length is 2^64 - 1.
   SlotCalendar whole;
-  ASSERT_TRUE(whole.add({slot(kMin, kMax)}, kKey).ok());
+  ASSERT_TRUE(whole.add({SlotRun{slot(kMin, kMax), 1}}, kKey).ok());
   EXPECT_EQ(whole.runs()[0].length(),
             std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(whole.runs()[0].end(), kMax);
@@ -176,11 +236,11 @@ TEST(SlotCalendar, ExtremeTimesStayExact) {
 
   // Back-to-back slots at both ends of the range.
   SlotCalendar edges;
-  ASSERT_TRUE(edges.add(grid(kMin, 1'000'000, 3), kKey).ok());
-  ASSERT_TRUE(edges.add(grid(kMax - 30, 10, 3), kKey).ok());
+  ASSERT_TRUE(edges.add(runs_of(grid(kMin, 1'000'000, 3)), kKey).ok());
+  ASSERT_TRUE(edges.add({SlotRun{slot(kMax - 30, kMax - 20), 3}}, kKey).ok());
   ASSERT_EQ(edges.runs().size(), 2u);
   EXPECT_EQ(edges.runs()[1].end(), kMax);
-  EXPECT_FALSE(edges.add({slot(kMax - 5, kMax)}, kKey).ok());
+  EXPECT_FALSE(edges.add({SlotRun{slot(kMax - 5, kMax), 1}}, kKey).ok());
   EXPECT_TRUE(well_formed(edges));
 
   LookupSlotArgs query;
@@ -208,10 +268,7 @@ TEST(SlotCalendar, DecodeRejectsMalformedCalendars) {
   auto stored = [](const std::vector<SlotRun>& runs) {
     BytesWriter w;
     w.u32(static_cast<std::uint32_t>(runs.size()));
-    for (const SlotRun& run : runs) {
-      write_slot(w, run.first);
-      w.u32(run.count);
-    }
+    for (const SlotRun& run : runs) write_run(w, run);
     return w.take();
   };
   auto rejects = [](const Bytes& bytes, const std::string& why) {
@@ -239,10 +296,10 @@ TEST(SlotCalendar, QuoteAdvancesTheRunThatEndsFirst) {
   // Client [0,50) and [100,150); server [60,200). The client's first run
   // ends first and meets nothing; the answer is the client's second run.
   SlotCalendar client;
-  ASSERT_TRUE(client.add(grid(0, 10, 5), kKey).ok());
-  ASSERT_TRUE(client.add(grid(100, 10, 5), kKey).ok());
+  ASSERT_TRUE(client.add({SlotRun{slot(0, 10), 5}}, kKey).ok());
+  ASSERT_TRUE(client.add({SlotRun{slot(100, 110), 5}}, kKey).ok());
   SlotCalendar server;
-  ASSERT_TRUE(server.add(grid(60, 20, 7), kKey).ok());
+  ASSERT_TRUE(server.add({SlotRun{slot(60, 80), 7}}, kKey).ok());
   const LookupSlotArgs query;
   for (bool swap : {false, true}) {
     const SlotQuote q = swap ? quote_calendars(server, client, query, 0, 0)
@@ -279,10 +336,27 @@ SimTime random_time(Rng& rng, SimTime span) {
   return static_cast<SimTime>(rng.next_below(static_cast<std::uint64_t>(span)));
 }
 
+/// Cuts `slots` into runs: a slot that continues the last run joins it most
+/// of the time, so a batch mixes runs of one with longer runs.
+std::vector<SlotRun> cut_into_runs(Rng& rng,
+                                   const std::vector<TimeSlot>& slots) {
+  std::vector<SlotRun> runs;
+  for (const TimeSlot& s : slots) {
+    if (!runs.empty() && runs.back().end() == s.start &&
+        s == runs.back().slot(runs.back().count) && rng.chance(0.7)) {
+      ++runs.back().count;
+      continue;
+    }
+    runs.push_back(SlotRun{s, 1});
+  }
+  return runs;
+}
+
 /// A RegisterTimeSlot batch for an executor whose calendar is `current`.
-std::vector<TimeSlot> random_batch(Rng& rng, const FlatCalendar& current) {
+std::vector<SlotRun> random_batch(Rng& rng, const FlatCalendar& current) {
   const SimTime tail = current.slots.empty() ? 0 : current.slots.back().end;
   std::vector<TimeSlot> out;
+  bool past_the_end = false;  // the last run takes one slot past kMax
   auto push = [&](TimeSlot terms, SimTime start, SimTime end) {
     terms.start = start;
     terms.end = end;
@@ -334,6 +408,7 @@ std::vector<TimeSlot> random_batch(Rng& rng, const FlatCalendar& current) {
         case 0:
           for (int i = n; i > 0; --i)
             push(terms, kMax - i * length, kMax - (i - 1) * length);
+          past_the_end = rng.chance(0.5);
           break;
         case 1:
           for (int i = 0; i < n; ++i)
@@ -353,9 +428,19 @@ std::vector<TimeSlot> random_batch(Rng& rng, const FlatCalendar& current) {
       break;
     }
   }
-  for (std::size_t i = out.size(); i > 1; --i)
-    if (rng.chance(0.3)) std::swap(out[i - 1], out[rng.index(i)]);
-  return out;
+  std::vector<SlotRun> runs = cut_into_runs(rng, out);
+  if (past_the_end) ++runs.back().count;
+  if (rng.chance(0.04)) {  // an empty run among the others
+    TimeSlot terms = random_terms(rng);
+    terms.start = random_time(rng, 500);
+    terms.end = terms.start + 1 + random_time(rng, 10);
+    runs.insert(runs.begin() + static_cast<std::ptrdiff_t>(
+                                   rng.index(runs.size() + 1)),
+                SlotRun{terms, 0});
+  }
+  for (std::size_t i = runs.size(); i > 1; --i)
+    if (rng.chance(0.3)) std::swap(runs[i - 1], runs[rng.index(i)]);
+  return runs;
 }
 
 /// A query whose earliest start lands before, inside, between or after the
@@ -444,7 +529,7 @@ TEST(CalendarDifferential, RandomSequencesMatchTheFlatReference) {
         case 0:
         case 1:
         case 2: {  // RegisterTimeSlot
-          const std::vector<TimeSlot> batch = random_batch(rng, flat[c]);
+          const std::vector<SlotRun> batch = random_batch(rng, flat[c]);
           const Status want = flat[c].add(batch, kKeys[c]);
           const Status got = fast[c].add(batch, kKeys[c]);
           step = "register " + (want ? "ok" : want.error().message);
@@ -514,6 +599,7 @@ TEST(CalendarDifferential, RandomSequencesMatchTheFlatReference) {
   // Every outcome class must be exercised in earnest.
   for (const char* step :
        {"register ok", "register slot with non-positive duration",
+       "register empty slot run", "register slot run ends past the time range",
         "purchase ok", "purchase client slot not available",
         "purchase server slot not available",
         "purchase slots share no common time window", "quote found",

@@ -740,7 +740,7 @@ struct MassPurchase {
     for (int i = 0; i < kPairs * 2; ++i) {
       marketplace::RegisterTimeSlotArgs slots{
           keys[static_cast<std::size_t>(i)],
-          {make_slot(1000, 2000, kPrice)}};
+          {{make_slot(1000, 2000, kPrice), 1}}};
       setup.push_back(builder().make_transaction_with_nonce(
           executors[static_cast<std::size_t>(i)]->key, 1,
           marketplace::kContractName, "RegisterTimeSlot", slots.serialize(),
@@ -895,7 +895,8 @@ TEST(ChainParallelDifferential, MixedMarketplaceTrafficBitIdentical) {
     // Two slots per executor: contested traffic exhausts at most one.
     marketplace::RegisterTimeSlotArgs slots{
         keys[static_cast<std::size_t>(i)],
-        {make_slot(1000, 2000, 100), make_slot(3000, 4000, 100)}};
+        {{make_slot(1000, 2000, 100), 1},
+         {make_slot(3000, 4000, 100), 1}}};
     setup.push_back(builder().make_transaction_with_nonce(
         w.actors[static_cast<std::size_t>(i)].key, 1,
         marketplace::kContractName, "RegisterTimeSlot", slots.serialize(), 0,
@@ -1052,7 +1053,7 @@ TEST(ChainParallelAcceptance, ReputationPenalizedPurchaseBitIdentical) {
             pair[static_cast<std::size_t>(side)])));
     marketplace::RegisterTimeSlotArgs slots{
         pair[static_cast<std::size_t>(side)],
-        {make_slot(1000, 2000, kPrice)}};
+        {{make_slot(1000, 2000, kPrice), 1}}};
     setup.push_back(builder().make_transaction_with_nonce(
         exec.key, 1, marketplace::kContractName, "RegisterTimeSlot",
         slots.serialize(), 0, kDefaultBudget,

@@ -85,7 +85,7 @@ TEST(MarketEdge, LookupSlotViewMatchesTransaction) {
     slot.price = 9;
     auto r2 = chain.submit(chain.make_transaction(
         as_key, marketplace::kContractName, "RegisterTimeSlot",
-        marketplace::RegisterTimeSlotArgs{k, {slot}}.serialize()));
+        marketplace::RegisterTimeSlotArgs{k, {{slot, 1}}}.serialize()));
     ASSERT_TRUE(r2.ok() && r2->success) << r2->error;
   }
 

@@ -1088,11 +1088,14 @@ TEST(FuzzAccessEnforcement, UndeclaredTouchesAbortAndRollBack) {
 //
 // Valid RegisterTimeSlot, LookupSlot and PurchaseSlot arguments, damaged at
 // the byte level (link_damage) and at the field level (times at the ends of
-// SimTime, end - start past INT64_MAX, slot counts around the 65,536 cap),
-// go to the real contract. Every call must either succeed with each
-// calendar sorted, non-overlapping and equal to the flat reference
-// (calendar_oracle.hpp), or fail with the error the reference predicts.
+// SimTime, end - start past INT64_MAX, empty runs, runs past the end of
+// SimTime, slot counts just over the 65,536 cap, run counts the bytes
+// cannot back), go to the real contract while the chain clock stands
+// inside the busy part of the calendars. Every call must either succeed with each calendar sorted,
+// non-overlapping and equal to the flat reference (calendar_oracle.hpp),
+// or fail with the error the reference predicts.
 
+using marketplace::SlotRun;
 using marketplace::TimeSlot;
 using marketplace::oracle::FlatCalendar;
 
@@ -1103,22 +1106,32 @@ SimTime small_time(Rng& rng, std::size_t below) {
   return static_cast<SimTime>(rng.index(below));
 }
 
-/// A valid batch of slots around the busy part of the calendars.
-std::vector<TimeSlot> fuzz_slots(Rng& rng) {
-  std::vector<TimeSlot> out;
+/// The chain clock: purchases of windows that end by then fail.
+constexpr SimTime kFuzzNow = 500;
+
+/// A valid batch of runs around the busy part of the calendars.
+std::vector<SlotRun> fuzz_runs(Rng& rng) {
+  std::vector<SlotRun> out;
   SimTime t = small_time(rng, 3000);
   const SimTime length = 1 + small_time(rng, 20);
-  const int n = 1 + static_cast<int>(rng.index(8));
+  const int n = 1 + static_cast<int>(rng.index(4));
   for (int i = 0; i < n; ++i) {
-    TimeSlot slot;
-    slot.start = t;
-    slot.end = t + length;
-    slot.price = rng.chance(0.5) ? 5 : 7;
-    slot.cores = 1 + static_cast<std::uint32_t>(rng.index(2));
-    out.push_back(slot);
-    t += length + (rng.chance(0.3) ? small_time(rng, 5) : 0);
+    SlotRun run;
+    run.first.start = t;
+    run.first.end = t + length;
+    run.first.price = rng.chance(0.5) ? 5 : 7;
+    run.first.cores = 1 + static_cast<std::uint32_t>(rng.index(2));
+    run.count = 1 + static_cast<std::uint32_t>(rng.index(4));
+    out.push_back(run);
+    t = run.end() + (rng.chance(0.3) ? small_time(rng, 5) : 0);
   }
   return out;
+}
+
+std::uint64_t slots_in(const std::vector<SlotRun>& runs) {
+  std::uint64_t total = 0;
+  for (const SlotRun& run : runs) total += run.count;
+  return total;
 }
 
 /// Moves a slot to the ends of SimTime or inverts it.
@@ -1139,9 +1152,22 @@ void mutate_slot(Rng& rng, TimeSlot& slot) {
   }
 }
 
-/// RegisterTimeSlot arguments with the slot count rewritten (the varint
-/// after the 6-byte executor key) and the slots left as they were.
-Bytes with_slot_count(const Bytes& args, std::uint64_t count) {
+/// Empties a run, or sets its count so the batch holds just over 65,536
+/// slots (a batch at the cap is accepted, and the flat reference would
+/// expand it on every check; SlotCountCapHolds covers it).
+void mutate_count(Rng& rng, std::vector<SlotRun>& runs) {
+  SlotRun& run = runs[rng.index(runs.size())];
+  if (rng.chance(0.5)) {
+    run.count = 0;
+    return;
+  }
+  const std::uint64_t others = slots_in(runs) - run.count;
+  run.count = static_cast<std::uint32_t>(65'537 + rng.index(3) - others);
+}
+
+/// RegisterTimeSlot arguments with the run count rewritten (the varint
+/// after the 6-byte executor key) and the runs left as they were.
+Bytes with_run_count(const Bytes& args, std::uint64_t count) {
   BytesReader r(BytesView(args.data(), args.size()));
   EXPECT_TRUE(r.raw(6).ok());
   EXPECT_TRUE(r.varint().ok());
@@ -1160,6 +1186,7 @@ struct SlotMarket {
     auto contract = std::make_unique<marketplace::MarketplaceContract>();
     market = contract.get();
     EXPECT_TRUE(chain.register_contract(std::move(contract)).ok());
+    chain.set_clock([] { return kFuzzNow; });
     for (const crypto::KeyPair* key : {&owner, &buyer})
       chain.mint(chain::Address::of(key->public_key()),
                  1'000'000'000'000'000ULL);
@@ -1215,6 +1242,7 @@ TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
   SlotMarket m;
   int accepted = 0;
   int rejected = 0;
+  int ended = 0;  // purchases of a window that ended before kFuzzNow
   auto expect_receipt = [&](const chain::Receipt& r, const std::string& want,
                             int it) {
     EXPECT_EQ(r.success, want.empty()) << it << ": " << r.error;
@@ -1229,14 +1257,23 @@ TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
     const topology::InterfaceKey sk = rng.chance(0.2) ? ck : pick_key();
     switch (rng.index(3)) {
       case 0: {  // RegisterTimeSlot
-        marketplace::RegisterTimeSlotArgs args{ck, fuzz_slots(rng)};
+        marketplace::RegisterTimeSlotArgs args{ck, fuzz_runs(rng)};
         if (rng.chance(0.3))
-          mutate_slot(rng, args.slots[rng.index(args.slots.size())]);
-        Bytes bytes = args.serialize();
-        if (rng.chance(0.2))
-          bytes = link_damage(rng, bytes);
+          mutate_slot(rng, args.runs[rng.index(args.runs.size())].first);
         else if (rng.chance(0.1))
-          bytes = with_slot_count(bytes, 65'534 + rng.index(4));
+          mutate_count(rng, args.runs);
+        Bytes bytes = args.serialize();
+        if (rng.chance(0.2)) {
+          // Damage that leaves a valid batch of many slots is not sent: the
+          // flat reference expands every slot and quotes in O(slots²).
+          Bytes damaged = link_damage(rng, bytes);
+          auto parsed = marketplace::RegisterTimeSlotArgs::parse(
+              BytesView(damaged.data(), damaged.size()));
+          if (!parsed || slots_in(parsed->runs) <= 64)
+            bytes = std::move(damaged);
+        } else if (rng.chance(0.1)) {
+          bytes = with_run_count(bytes, 65'534 + rng.index(4));
+        }
         const bool as_owner = rng.chance(0.9);
         std::string want;
         auto parsed = marketplace::RegisterTimeSlotArgs::parse(
@@ -1249,7 +1286,7 @@ TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
           want = "caller does not own executor " + parsed->key.to_string();
         } else {
           FlatCalendar next = m.flat[parsed->key];
-          if (auto s = next.add(parsed->slots, parsed->key); s)
+          if (auto s = next.add(parsed->runs, parsed->key); s)
             m.flat[parsed->key] = std::move(next);
           else
             want = s.error().message;
@@ -1350,6 +1387,10 @@ TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
           } else if (std::max(cs.start, ss.start) >=
                      std::min(cs.end, ss.end)) {
             want = "slots share no common time window";
+          } else if (std::min(cs.end, ss.end) <= kFuzzNow) {
+            want = "slot window ended at " +
+                   std::to_string(std::min(cs.end, ss.end));
+            ++ended;
           } else {
             m.flat[parsed->client_key] = std::move(client);
             m.flat[parsed->server_key] = std::move(server);
@@ -1365,31 +1406,35 @@ TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
   }
   EXPECT_GT(accepted, iterations / 5);
   EXPECT_GT(rejected, iterations / 5);
+  EXPECT_GT(ended, 0);
 }
 
 TEST(FuzzContractArguments, SlotCountCapHolds) {
   SlotMarket m;
-  marketplace::RegisterTimeSlotArgs args;
-  args.key = m.keys[0];
-  const SimTime length = duration::seconds(20);
-  for (SimTime i = 0; i < 65'536; ++i) {
-    TimeSlot slot;
-    slot.start = i * length;
-    slot.end = slot.start + length;
-    args.slots.push_back(slot);
+  TimeSlot first;
+  first.start = 0;
+  first.end = duration::seconds(20);
+  const SlotRun full{first, 65'536};
+  TimeSlot next = first;
+  next.start = full.end();
+  next.end = next.start + duration::seconds(20);
+  const marketplace::RegisterTimeSlotArgs at_cap{m.keys[0], {full}};
+  const chain::Receipt accepted =
+      m.submit(m.owner, "RegisterTimeSlot", at_cap.serialize());
+  ASSERT_TRUE(accepted.success) << accepted.error;
+  std::vector<TimeSlot> stored;
+  for (std::uint32_t k = 0; k < full.count; ++k) stored.push_back(full.slot(k));
+  EXPECT_EQ(m.market->available_slots(m.keys[0]), stored);
+  // One slot more, in the same run or in a run of its own, is too many.
+  for (const std::vector<SlotRun>& runs :
+       {std::vector<SlotRun>{{first, 65'537}},
+        std::vector<SlotRun>{full, {next, 1}}}) {
+    const chain::Receipt over = m.submit(
+        m.owner, "RegisterTimeSlot",
+        marketplace::RegisterTimeSlotArgs{m.keys[1], runs}.serialize());
+    EXPECT_FALSE(over.success);
+    EXPECT_EQ(over.error, "RegisterTimeSlot: too many slots");
   }
-  const chain::Receipt full =
-      m.submit(m.owner, "RegisterTimeSlot", args.serialize());
-  ASSERT_TRUE(full.success) << full.error;
-  EXPECT_EQ(m.market->available_slots(m.keys[0]), args.slots);
-  TimeSlot extra;
-  extra.start = 65'536 * length;
-  extra.end = extra.start + length;
-  args.slots.push_back(extra);
-  const chain::Receipt over =
-      m.submit(m.owner, "RegisterTimeSlot", args.serialize());
-  EXPECT_FALSE(over.success);
-  EXPECT_EQ(over.error, "RegisterTimeSlot: too many slots");
 }
 
 }  // namespace

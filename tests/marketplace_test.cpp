@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "crypto/box.hpp"
 #include "marketplace/contract.hpp"
 
@@ -32,11 +34,12 @@ struct MarketFixture : ::testing::Test {
     ASSERT_TRUE(r.success) << r.error;
   }
 
+  /// Registers each slot as a run of one.
   void register_slots(const crypto::KeyPair& owner, InterfaceKey key,
-                      std::vector<TimeSlot> slots) {
-    auto r = must_submit(owner, "RegisterTimeSlot",
-                         RegisterTimeSlotArgs{key, std::move(slots)}
-                             .serialize());
+                      const std::vector<TimeSlot>& slots) {
+    RegisterTimeSlotArgs args{key, {}};
+    for (const TimeSlot& s : slots) args.runs.push_back(SlotRun{s, 1});
+    auto r = must_submit(owner, "RegisterTimeSlot", args.serialize());
     ASSERT_TRUE(r.success) << r.error;
   }
 
@@ -82,23 +85,34 @@ TEST_F(MarketFixture, RegisterExecutorIdempotentButExclusive) {
 TEST_F(MarketFixture, RegisterTimeSlotRequiresOwnership) {
   register_executor(as1, key1);
   auto r = must_submit(as2, "RegisterTimeSlot",
-                       RegisterTimeSlotArgs{key1, {slot(0, 100, 5)}}
+                       RegisterTimeSlotArgs{key1, {{slot(0, 100, 5), 1}}}
                            .serialize());
   EXPECT_FALSE(r.success);
   EXPECT_NE(r.error.find("own"), std::string::npos);
+  // The arguments are checked first: a bad run is reported before the
+  // owner, or the registration, is looked up.
+  for (const InterfaceKey key : {key1, key2}) {
+    auto bad = must_submit(as2, "RegisterTimeSlot",
+                           RegisterTimeSlotArgs{key, {{slot(10, 10, 5), 1}}}
+                               .serialize());
+    EXPECT_FALSE(bad.success);
+    EXPECT_EQ(bad.error, "slot with non-positive duration");
+  }
 }
 
 TEST_F(MarketFixture, RejectsOverlappingAndEmptySlots) {
   register_executor(as1, key1);
   auto bad = must_submit(as1, "RegisterTimeSlot",
-                         RegisterTimeSlotArgs{key1, {slot(10, 10, 5)}}
+                         RegisterTimeSlotArgs{key1, {{slot(10, 10, 5), 1}}}
                              .serialize());
   EXPECT_FALSE(bad.success);
+  EXPECT_EQ(bad.error, "slot with non-positive duration");
   register_slots(as1, key1, {slot(0, 100, 5)});
   auto overlap = must_submit(as1, "RegisterTimeSlot",
-                             RegisterTimeSlotArgs{key1, {slot(50, 150, 5)}}
+                             RegisterTimeSlotArgs{key1, {{slot(50, 150, 5), 1}}}
                                  .serialize());
   EXPECT_FALSE(overlap.success);
+  EXPECT_EQ(overlap.error, "overlapping time slots for " + key1.to_string());
 }
 
 TEST_F(MarketFixture, LookupFindsEarliestCommonWindow) {
@@ -475,13 +489,13 @@ TEST(MarketplaceTypes, AllCodecsRoundTrip) {
   s.start = -5;
   s.end = 100;
   s.price = 77;
-  RegisterTimeSlotArgs rts{InterfaceKey{1, 1}, {s, s}};
+  RegisterTimeSlotArgs rts{InterfaceKey{1, 1}, {{s, 3}, {s, 1}}};
   const Bytes rts_b = rts.serialize();
   auto rts_back = RegisterTimeSlotArgs::parse(
       BytesView(rts_b.data(), rts_b.size()));
   ASSERT_TRUE(rts_back.ok());
-  EXPECT_EQ(rts_back->slots.size(), 2u);
-  EXPECT_EQ(rts_back->slots[0], s);
+  EXPECT_EQ(rts_back->key, rts.key);
+  EXPECT_EQ(rts_back->runs, rts.runs);
 
   ApplicationPayload p;
   p.bytecode = bytes_of("code");
@@ -517,6 +531,66 @@ TEST(MarketplaceTypes, AllCodecsRoundTrip) {
   // Truncation fails cleanly for every codec.
   EXPECT_FALSE(ApplicationObject::parse(BytesView(ob.data(), 3)).ok());
   EXPECT_FALSE(RegisterTimeSlotArgs::parse(BytesView(rts_b.data(), 5)).ok());
+}
+
+TEST(MarketplaceTypes, RegisterTimeSlotArgsRejectBadRuns) {
+  const InterfaceKey key{1, 1};
+  TimeSlot s;
+  s.start = 0;
+  s.end = 20;
+  auto parse = [](const Bytes& b) {
+    return RegisterTimeSlotArgs::parse(BytesView(b.data(), b.size()));
+  };
+  auto error_of = [&](std::vector<SlotRun> runs) {
+    return parse(RegisterTimeSlotArgs{key, std::move(runs)}.serialize())
+        .error_message();
+  };
+  // 65,536 slots in one run or in several pass; one more does not.
+  EXPECT_EQ(error_of({{s, 65'536}}), "");
+  TimeSlot later = s;
+  later.start = 65'536 * 20;
+  later.end = later.start + 20;
+  EXPECT_EQ(error_of({{s, 65'536}, {later, 1}}),
+            "RegisterTimeSlot: too many slots");
+  EXPECT_EQ(error_of({{s, 65'537}}), "RegisterTimeSlot: too many slots");
+  EXPECT_EQ(error_of({{s, 0}}), "empty slot run");
+  TimeSlot flat = s;
+  flat.end = flat.start;
+  EXPECT_EQ(error_of({{s, 1}, {flat, 1}}), "slot with non-positive duration");
+  TimeSlot last = s;
+  last.start = std::numeric_limits<SimTime>::max() - 40;
+  last.end = last.start + 20;
+  EXPECT_EQ(error_of({{last, 2}}), "");
+  EXPECT_EQ(error_of({{last, 3}}), "slot run ends past the time range");
+
+  // A run count the bytes cannot back fails on the missing bytes; parse
+  // reserves room only for runs the remaining bytes could hold.
+  BytesWriter w;
+  write_key(w, key);
+  w.varint(65'536);
+  write_run(w, SlotRun{s, 1});
+  const Bytes short_of_runs = w.take();
+  EXPECT_FALSE(parse(short_of_runs).ok());
+  Bytes trailing = RegisterTimeSlotArgs{key, {{s, 1}}}.serialize();
+  trailing.push_back(0);
+  EXPECT_EQ(parse(trailing).error_message(),
+            "RegisterTimeSlot: trailing bytes");
+}
+
+TEST_F(PurchasedFixture, WindowsThatHaveEndedAreNotSold) {
+  // The common window is [1500, 2000): still for sale while under way,
+  // not once the block time reaches its end.
+  chain.set_clock([] { return SimTime{2000}; });
+  auto late = purchase(120);
+  EXPECT_FALSE(late.success);
+  EXPECT_EQ(late.error_kind, chain::ErrorKind::kContract);
+  EXPECT_EQ(late.error, "slot window ended at 2000");
+  EXPECT_EQ(market->available_slots(key1).size(), 1u);
+  EXPECT_EQ(market->available_slots(key2).size(), 1u);
+  chain.set_clock([] { return SimTime{1999}; });
+  auto under_way = purchase(120);
+  EXPECT_TRUE(under_way.success) << under_way.error;
+  EXPECT_TRUE(market->available_slots(key1).empty());
 }
 
 }  // namespace

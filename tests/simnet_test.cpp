@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <string>
+
 #include "simnet/hosts.hpp"
 #include "simnet/scenarios.hpp"
 
@@ -306,6 +310,26 @@ TEST(Network, SourceSpoofingRejected) {
   spec.payload = bytes_of("spoof");
   auto wire = net::build_probe(spec);
   EXPECT_FALSE(s.network->send(a, *wire).ok());
+}
+
+TEST(Network, HostAddressesRunOutLoudly) {
+  // 10.0.1.200 to 10.0.1.255: 56 distinct addresses, then an error naming
+  // the AS rather than a repeat of the first. Other ASes are unaffected.
+  Scenario s = build_chain_scenario(2, 1);
+  std::set<net::Ipv4Address> seen;
+  for (int i = 0; i < 56; ++i) {
+    const net::Ipv4Address a = s.network->allocate_host_address(1);
+    EXPECT_TRUE(seen.insert(a).second) << a.to_string();
+    EXPECT_EQ(s.network->as_of(a), 1u);
+  }
+  EXPECT_EQ(seen.rbegin()->to_string(), "10.0.1.255");
+  try {
+    s.network->allocate_host_address(1);
+    ADD_FAILURE() << "the 57th address was allocated";
+  } catch (const std::out_of_range& e) {
+    EXPECT_EQ(std::string(e.what()), "no host address left in AS1");
+  }
+  EXPECT_EQ(s.network->allocate_host_address(2).to_string(), "10.0.2.200");
 }
 
 TEST(Network, BlackholeCountsAsDrop) {

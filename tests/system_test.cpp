@@ -203,7 +203,8 @@ TEST(SystemEconomics, TokensConservedOverRandomMarketplaceSequence) {
       slot.end = slot.start + core::kSlotLength;
       slot.price = config.slot_price + rng.next_below(1000);
       auto r = run(kind, variant == 2 ? initiators[0] : operator_of(key),
-                   marketplace::RegisterTimeSlotArgs{key, {slot}}.serialize(),
+                   marketplace::RegisterTimeSlotArgs{key, {{slot, 1}}}
+                       .serialize(),
                    0, variant == 0);
       if (r && r->success) registered_until[key] = slot.end;
     } else if (kind == 1) {
@@ -279,6 +280,45 @@ TEST(SystemEconomics, TokensConservedOverRandomMarketplaceSequence) {
     EXPECT_GT(committed[kind], 0u) << kinds[kind];
     EXPECT_GT(failed[kind], 0u) << kinds[kind];
   }
+}
+
+// Registration carries runs: an executor's whole horizon is one run, so a
+// 96-h calendar costs the same transaction bytes as a 48-h one.
+TEST(SystemSlots, RegistrationSizeDoesNotGrowWithTheHorizon) {
+  /// The marketplace, recording the argument bytes of each registration.
+  struct RecordingMarketplace : marketplace::MarketplaceContract {
+    Result<Bytes> call(chain::CallContext& ctx, const std::string& function,
+                       BytesView arguments) override {
+      if (function == "RegisterTimeSlot") sizes.push_back(arguments.size());
+      return MarketplaceContract::call(ctx, function, arguments);
+    }
+    std::vector<std::size_t> sizes;
+  };
+  std::map<SimDuration, std::size_t> bytes;
+  for (const SimDuration horizon : {duration::hours(48), duration::hours(96)}) {
+    simnet::Scenario scenario = simnet::build_chain_scenario(2, 5);
+    chain::Blockchain chain;
+    auto contract = std::make_unique<RecordingMarketplace>();
+    RecordingMarketplace* market = contract.get();
+    ASSERT_TRUE(chain.register_contract(std::move(contract)).ok());
+    const crypto::KeyPair operator_key = crypto::KeyPair::from_seed(5);
+    chain.mint(chain::Address::of(operator_key.public_key()),
+               1'000'000'000'000);
+    core::SystemConfig config;
+    config.slot_horizon = horizon;
+    const topology::InterfaceKey key{
+        1, scenario.network->topology().interfaces_of(1).front()};
+    core::ExecutorAgent agent(chain, *scenario.network, key, operator_key,
+                              config);
+    const Status booted = agent.bootstrap(0);
+    ASSERT_TRUE(booted.ok()) << booted.error_message();
+    ASSERT_EQ(market->sizes.size(), 1u);
+    bytes[horizon] = market->sizes.front();
+    EXPECT_EQ(market->available_slots(key).size(),
+              static_cast<std::size_t>(horizon / core::kSlotLength));
+  }
+  EXPECT_EQ(bytes[duration::hours(96)], bytes[duration::hours(48)]);
+  EXPECT_LT(bytes[duration::hours(48)], 64u);
 }
 
 TEST(SystemSlots, SequentialMeasurementsGetLaterWindows) {

@@ -10,22 +10,28 @@
 #
 # OLD_DEBUGLET and NEW_DEBUGLET are paths to two `debuglet` binaries (for
 # example the parent commit's build/tools/debuglet and this tree's).
-# Exits 0 when every output is byte-identical, 1 otherwise.
+# Exits 0 when every output is byte-identical, 1 otherwise, and 2 with a
+# usage message when an argument is missing or is not an executable file
+# (a build directory, say).
 set -u
 
-if [ $# -lt 2 ]; then
+usage() {
   echo "usage: $0 OLD_DEBUGLET NEW_DEBUGLET [WORKDIR]" >&2
   exit 2
+}
+
+if [ $# -lt 2 ]; then
+  usage
 fi
+for bin in "$1" "$2"; do
+  if [ ! -f "$bin" ] || [ ! -x "$bin" ]; then
+    echo "not an executable file: $bin" >&2
+    usage
+  fi
+done
 old=$(realpath "$1")
 new=$(realpath "$2")
 work=${3:-$(mktemp -d)}
-for bin in "$old" "$new"; do
-  if [ ! -x "$bin" ]; then
-    echo "not an executable: $bin" >&2
-    exit 2
-  fi
-done
 
 commands=(
   "measure --ases 8 --client 2#2 --server 5#1"

@@ -1222,7 +1222,7 @@ MassPurchaseOutcome run_mass_purchase(std::size_t initiators,
     slot.start = 1000;
     slot.end = 2000;
     slot.price = kPrice;
-    marketplace::RegisterTimeSlotArgs slots{keys[i], {slot}};
+    marketplace::RegisterTimeSlotArgs slots{keys[i], {{slot, 1}}};
     setup.push_back(bc.make_transaction_with_nonce(
         operators[i], 1, marketplace::kContractName, "RegisterTimeSlot",
         slots.serialize(), 0, 1'000'000'000,

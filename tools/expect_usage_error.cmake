@@ -1,4 +1,5 @@
-# ctest helper: runs the debuglet CLI at DEBUGLET with the flags in ARGS (a
+# ctest helper: runs the debuglet CLI (or another tool, such as
+# tools/behaviour_diff.sh) at DEBUGLET with the flags in ARGS (a
 # space-separated string) and passes only when it exits EXIT_CODE (2 when
 # unset) and prints every string of the list MESSAGE: on standard error,
 # or on standard output when EXIT_CODE is 0.
