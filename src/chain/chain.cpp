@@ -76,14 +76,7 @@ Mist GroupView::escrow_of(const std::string& contract) const {
 const Bytes* GroupView::named_lookup(const std::string& full_key) const {
   auto it = named.find(full_key);
   if (it != named.end()) return it->second ? &*it->second : nullptr;
-  auto cached = named_cache.find(full_key);
-  const NamedEntry* entry;
-  if (cached != named_cache.end()) {
-    entry = cached->second;
-  } else {
-    entry = chain->named_entry(full_key);
-    named_cache.emplace(full_key, entry);  // negative results cached too
-  }
+  const NamedEntry* entry = chain->named_entry(full_key);
   return entry ? &entry->data : nullptr;
 }
 

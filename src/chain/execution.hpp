@@ -14,7 +14,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "chain/chain.hpp"
@@ -56,9 +55,6 @@ struct GroupView {
   std::map<Address, Delta> balance_delta;
   std::map<Address, std::uint64_t> nonce_bump;
   std::map<std::string, Delta> escrow_delta;  // credit = attached in
-  /// Memoized committed named-entry lookups — the versioned read path
-  /// that keeps hot ExecutorAddressMap reads off the std::map walk.
-  mutable std::unordered_map<std::string, const NamedEntry*> named_cache;
 
   Mist balance_of(const Address& account) const;
   std::uint64_t nonce_of(const Address& account) const;

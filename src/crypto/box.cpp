@@ -48,7 +48,7 @@ Bytes seal_for(const PublicKey& recipient, BytesView plaintext,
 Result<Bytes> open_box(const KeyPair& recipient, BytesView sealed) {
   if (sealed.size() < 32 + 8 + 32) return fail("sealed box too short");
   const U256 ephemeral_pk = U256::from_be_bytes(sealed.subspan(0, 32));
-  if (!valid_public_key(ephemeral_pk))
+  if (!valid_seal_key(ephemeral_pk))
     return fail("sealed box: bad ephemeral key");
   const U256 shared = recipient.shared_secret(PublicKey{ephemeral_pk});
   const Digest key = kdf(shared, ephemeral_pk, recipient.public_key());

@@ -10,13 +10,11 @@
 // with the stream cipher's seal(). Wire format:
 //   ephemeral_public_key (32 B) || stream::seal(...) output.
 //
-// Keys are checked with valid_public_key (schnorr.hpp): y in [2, p−2],
-// which rules out the elements of order 1 and 2, whose shared secrets
-// anyone can compute. Elements of the other small orders are not ruled
-// out (p − 1 = 2·3·7·13441·q with q prime, so subgroups of order 3, 7,
-// 13441 and their products exist); a key in one of them leaks its shared
-// secret to a small search. Honest keys are g^x and never land there by
-// chance; checking membership in the order-q subgroup is out of scope.
+// Keys are checked with valid_seal_key (schnorr.hpp): y in [2, p−2] rules
+// out orders 1 and 2, whose shared secrets anyone can compute, and
+// y^(2·3·7·13441) ≠ 1 the other small orders (p − 1 = 2·3·7·13441·q with q
+// prime), whose shared secrets fall to a small search. open_box checks the
+// ephemeral key; the marketplace checks the recipient's (ApplicationPayload).
 #pragma once
 
 #include "crypto/schnorr.hpp"

@@ -73,6 +73,12 @@ bool valid_public_key(const U256& y) {
   return y > U256(1) && y < prime_minus_one();
 }
 
+bool valid_seal_key(const U256& y) {
+  // y^m = 1 exactly when ord(y) divides m = 2·3·7·13441, the small factors.
+  return valid_public_key(y) &&
+         group_pow(y, U256(2 * 3 * 7 * 13441)) != U256(1);
+}
+
 U256 generator_pow(const U256& e) {
   const CombTable& table = comb();
   U256 result(1);

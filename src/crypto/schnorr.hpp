@@ -82,6 +82,11 @@ bool verify(const PublicKey& pk, std::string_view message,
 /// can forge a signature for them or compute their shared secret.
 bool valid_public_key(const U256& y);
 
+/// The check on sealed-box keys (box.hpp): valid_public_key(y), and y
+/// outside the subgroups of small order (p − 1 = 2·3·7·13441·q, q prime).
+/// It costs an exponentiation, so verify keeps the range check alone.
+bool valid_seal_key(const U256& y);
+
 // Exposed for tests and benches.
 
 /// The group prime p and generator g.

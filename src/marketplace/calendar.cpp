@@ -57,8 +57,15 @@ Status SlotCalendar::add(const std::vector<SlotRun>& added,
     if (list[i].end() > list[i + 1].start())
       return fail("overlapping time slots for " + key.to_string());
   }
+  runs_ = std::move(list);
+  regroup();
+  return ok_status();
+}
+
+void SlotCalendar::regroup() {
   // A run that continues the last one joins it. A run holds at most 2^32 - 1
   // slots, and the rest starts the next run, as appending slot by slot would.
+  std::vector<SlotRun> list = std::move(runs_);
   runs_.clear();
   for (SlotRun run : list) {
     if (!runs_.empty() && run.first == runs_.back().slot(runs_.back().count)) {
@@ -71,7 +78,6 @@ Status SlotCalendar::add(const std::vector<SlotRun>& added,
     }
     runs_.push_back(run);
   }
-  return ok_status();
 }
 
 bool SlotCalendar::remove(const TimeSlot& slot) {
@@ -99,6 +105,16 @@ bool SlotCalendar::remove(const TimeSlot& slot) {
     runs_.insert(it + 1, tail);
   }
   return true;
+}
+
+void SlotCalendar::drop_ended(SimTime now) {
+  std::erase_if(runs_, [now](const SlotRun& run) { return run.end() <= now; });
+  if (!runs_.empty() && runs_.front().start() <= now) {
+    SlotRun& run = runs_.front();
+    const std::uint64_t k = run.index_at(now);
+    run = SlotRun{run.slot(k), static_cast<std::uint32_t>(run.count - k)};
+  }
+  regroup();  // a full run cut short, here or by remove, joins the next
 }
 
 SlotQuote quote_calendars(const SlotCalendar& client,

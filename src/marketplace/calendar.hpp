@@ -2,9 +2,9 @@
 // entry ("slots/⟨AS#intf⟩", paper §IV-C), a sorted list of runs (SlotRun,
 // marketplace/types.hpp). The registered 48 h horizon of 20 s slots (8,640
 // slots) is one run, 52 bytes with the run count. Runs never overlap, and
-// neighbouring runs that could form one run are always merged, so the
-// stored bytes depend only on the set of available slots (remove explains
-// the one exception, at the run cap).
+// neighbouring runs that could form one run are merged (drop_ended regroups
+// what remove leaves at the run cap), so the stored bytes depend only on the
+// set of available slots. Every store drops the slots that have ended.
 //
 // Cost, for n runs: a lookup walks both calendars once, O(n); a purchase
 // finds its slot by binary search, O(log n), and splits that run;
@@ -38,7 +38,12 @@ class SlotCalendar {
   /// (times, resources and price).
   bool remove(const TimeSlot& slot);
 
+  /// Before every store: drops the slots that end at or before `now`, keeps
+  /// the one under way (it still sells) and regroups the runs.
+  void drop_ended(SimTime now);
+
  private:
+  void regroup();  // joins each run to the run it continues
   std::vector<SlotRun> runs_;
 };
 

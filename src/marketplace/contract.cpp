@@ -1,6 +1,7 @@
 #include "marketplace/contract.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "marketplace/calendar.hpp"
 #include "marketplace/reputation.hpp"
@@ -17,10 +18,6 @@ std::string exec_key(topology::InterfaceKey key) {
 }
 std::string slots_key(topology::InterfaceKey key) {
   return "slots/" + key.to_string();
-}
-std::string apps_key(topology::InterfaceKey client_key,
-                     topology::InterfaceKey server_key) {
-  return "apps/" + client_key.to_string() + "|" + server_key.to_string();
 }
 // Published results are indexed under named state, NOT inside the
 // application object: ReclaimApplication deletes the application (for its
@@ -45,27 +42,6 @@ Result<chain::Address> decode_address(BytesView data) {
   return out;
 }
 
-Bytes encode_ids(const std::vector<chain::ObjectId>& ids) {
-  BytesWriter w;
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (chain::ObjectId id : ids) w.u64(id);
-  return w.take();
-}
-
-Result<std::vector<chain::ObjectId>> decode_ids(BytesView data) {
-  BytesReader r(data);
-  auto count = r.u32();
-  if (!count) return count.error();
-  std::vector<chain::ObjectId> out;
-  out.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto id = r.u64();
-    if (!id) return id.error();
-    out.push_back(*id);
-  }
-  return out;
-}
-
 /// The calendar of `key`, or an empty one when no slots were registered.
 SlotCalendar read_calendar(chain::CallContext& ctx,
                            topology::InterfaceKey key) {
@@ -73,6 +49,13 @@ SlotCalendar read_calendar(chain::CallContext& ctx,
   if (!data) return {};
   auto calendar = SlotCalendar::decode(BytesView(data->data(), data->size()));
   return calendar ? std::move(*calendar) : SlotCalendar{};
+}
+
+/// Stores the calendar of `key`, less the slots that ended by the block time.
+Status write_calendar(chain::CallContext& ctx, topology::InterfaceKey key,
+                      SlotCalendar& calendar) {
+  calendar.drop_ended(ctx.timestamp());
+  return ctx.write_named(slots_key(key), calendar.encode());
 }
 
 /// On-chain strike count against `asn` (cross-contract read into the
@@ -129,8 +112,6 @@ chain::AccessSet access_purchase_slot(topology::InterfaceKey client_key,
       chain::named_access_key(kContractName, slots_key(client_key)));
   access.add_write(
       chain::named_access_key(kContractName, slots_key(server_key)));
-  access.add_write(
-      chain::named_access_key(kContractName, apps_key(client_key, server_key)));
   // Purchases re-derive the reputation penalty at commit time.
   access.add_read(chain::named_access_key(kReputationContractName,
                                           reputation_as_key(client_key.asn)));
@@ -215,7 +196,7 @@ Result<Bytes> MarketplaceContract::register_time_slot(chain::CallContext& ctx,
     return fail("caller does not own executor " + parsed->key.to_string());
   SlotCalendar calendar = read_calendar(ctx, parsed->key);
   if (auto s = calendar.add(parsed->runs, parsed->key); !s) return s.error();
-  if (auto s = ctx.write_named(slots_key(parsed->key), calendar.encode()); !s)
+  if (auto s = write_calendar(ctx, parsed->key, calendar); !s)
     return s.error();
   std::uint64_t slots = 0;
   for (const SlotRun& run : parsed->runs) slots += run.count;
@@ -294,13 +275,9 @@ Result<Bytes> MarketplaceContract::purchase_slot(chain::CallContext& ctx,
   if (window_end <= ctx.timestamp())
     return fail("slot window ended at " + std::to_string(window_end));
 
-  if (auto s = ctx.write_named(slots_key(parsed->client_key),
-                               client_calendar.encode());
-      !s)
+  if (auto s = write_calendar(ctx, parsed->client_key, client_calendar); !s)
     return s.error();
-  if (auto s = ctx.write_named(slots_key(parsed->server_key),
-                               server_calendar.encode());
-      !s)
+  if (auto s = write_calendar(ctx, parsed->server_key, server_calendar); !s)
     return s.error();
 
   // Create the two application objects with the tokens embedded.
@@ -335,20 +312,6 @@ Result<Bytes> MarketplaceContract::purchase_slot(chain::CallContext& ctx,
 
   obs_.slots_purchased->add(2);
   obs_.escrow_volume->add(price);
-
-  const std::string applications =
-      apps_key(parsed->client_key, parsed->server_key);
-  std::vector<chain::ObjectId> ids;
-  if (auto existing = ctx.read_named(applications); existing) {
-    if (auto decoded =
-            decode_ids(BytesView(existing->data(), existing->size()));
-        decoded)
-      ids = std::move(*decoded);
-  }
-  ids.push_back(*client_id);
-  ids.push_back(*server_id);
-  if (auto s = ctx.write_named(applications, encode_ids(ids)); !s)
-    return s.error();
 
   // Notify the executors, which "must have subscribed to the event with
   // arguments containing their AS number and interface ID".
@@ -486,12 +449,20 @@ std::vector<TimeSlot> MarketplaceContract::available_slots(
 std::vector<chain::ObjectId> MarketplaceContract::applications_for(
     topology::InterfaceKey client_key, topology::InterfaceKey server_key)
     const {
-  if (chain_ == nullptr) return {};
-  const chain::NamedEntry* entry = chain_->named_entry(chain::named_access_key(
-      kContractName, apps_key(client_key, server_key)));
-  if (entry == nullptr) return {};
-  auto ids = decode_ids(BytesView(entry->data.data(), entry->data.size()));
-  return ids ? std::move(*ids) : std::vector<chain::ObjectId>{};
+  std::vector<chain::ObjectId> out;
+  if (chain_ == nullptr) return out;
+  // PurchaseSlot creates the client's application and then the server's,
+  // and one call's objects get consecutive ids.
+  std::optional<chain::ObjectId> client;  // the last client application
+  for (const auto& [id, object] : chain_->objects()) {
+    auto app = ApplicationObject::parse(
+        BytesView(object.data.data(), object.data.size()));
+    if (!app) continue;
+    if (app->role == 0 && app->executor_key == client_key) client = id;
+    if (app->role == 1 && app->executor_key == server_key && client == id - 1)
+      out.insert(out.end(), {id - 1, id});
+  }
+  return out;
 }
 
 }  // namespace debuglet::marketplace

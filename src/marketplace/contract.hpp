@@ -8,18 +8,19 @@
 //                        sorted runs of back-to-back slots with equal
 //                        length, resources and price, each stored as its
 //                        first slot plus a count: the form RegisterTimeSlot
-//                        carries, so no entry point expands a run
+//                        carries, so no entry point expands a run. Every
+//                        write drops the slots that have ended
 //                        (marketplace/calendar.hpp gives their costs).
-//   ApplicationsMap    : named entry  "apps/⟨ck⟩|⟨sk⟩"  -> application ids
+//   ApplicationsMap    : the ApplicationObjects themselves, keyed by
+//                        object id as Sui keys objects (executor address,
+//                        embedded tokens, reported flag, result object
+//                        id) — so ResultReady and Reclaim touch one owned
+//                        object and parallelize across applications.
 //   ResultsMap         : named entry  "result/⟨app⟩"    -> {result object
 //                        id, reported_at}; the certified result bytes live
 //                        once, in the result object ResultReady creates
 //                        and charges for. The index outlives the
 //                        application (ReclaimApplication frees only that).
-//   application state  : the ApplicationObject itself (executor address,
-//                        embedded tokens, reported flag, result object
-//                        id) — so ResultReady and Reclaim touch one owned
-//                        object and parallelize across applications.
 //
 // Entry points: RegisterExecutor, RegisterTimeSlot, LookupSlot,
 // PurchaseSlot, ResultReady, ReclaimApplication, LookupResult.
@@ -68,6 +69,7 @@ class MarketplaceContract : public chain::Contract {
   // points; committed state only, reads only).
   std::size_t registered_executors() const;
   std::vector<TimeSlot> available_slots(topology::InterfaceKey key) const;
+  /// (client, server) ids of the live applications bought for the pair.
   std::vector<chain::ObjectId> applications_for(
       topology::InterfaceKey client_key, topology::InterfaceKey server_key)
       const;

@@ -252,10 +252,10 @@ Result<ApplicationPayload> ApplicationPayload::parse(BytesView data) {
   if (!seal_key->empty()) {
     if (seal_key->size() != 32)
       return fail("ApplicationPayload: seal key must be 32 bytes");
-    if (!crypto::valid_public_key(crypto::U256::from_be_bytes(
+    if (!crypto::valid_seal_key(crypto::U256::from_be_bytes(
             BytesView(seal_key->data(), seal_key->size()))))
-      return fail("ApplicationPayload: seal key is not a public key in "
-                  "[2, p-2]");
+      return fail("ApplicationPayload: seal key is not in [2, p-2] or has "
+                  "small order");
   }
   out.seal_output_for = std::move(*seal_key);
   if (!r.exhausted()) return fail("ApplicationPayload: trailing bytes");

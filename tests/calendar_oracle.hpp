@@ -1,9 +1,10 @@
 // Test-only reference for the marketplace slot calendar
 // (marketplace/calendar.hpp): an executor's slots as one flat sorted list,
-// with linear find/erase, and the nested-loop quote that compares every
-// client slot with every server slot. Registered runs are expanded into
-// their slots, so keep their counts small. Differential tests run the same
-// operations on both and compare every observable.
+// with linear find/erase, the drop of ended slots slot by slot, and the
+// nested-loop quote that compares every client slot with every server
+// slot. Registered runs are expanded into their slots, so keep their
+// counts small. Differential tests run the same operations on both and
+// compare every observable.
 #pragma once
 
 #include <algorithm>
@@ -58,6 +59,12 @@ struct FlatCalendar {
     if (it == slots.end()) return false;
     slots.erase(it);
     return true;
+  }
+
+  /// What the contract drops on every calendar write: each slot that ends
+  /// at or before `now`.
+  void drop_ended(SimTime now) {
+    std::erase_if(slots, [now](const TimeSlot& s) { return s.end <= now; });
   }
 };
 

@@ -1,7 +1,7 @@
 // The run-length slot calendar (marketplace/calendar.hpp): the stored
 // format, registered runs that merge and split at the run cap, purchases
-// that split runs, extreme times, and a randomized differential test
-// against the flat-list reference in calendar_oracle.hpp.
+// that split runs, dropping ended slots, extreme times, and a randomized
+// differential test against the flat-list reference in calendar_oracle.hpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -133,6 +133,90 @@ TEST(SlotCalendar, MergedRunsSplitAtTheRunCap) {
   EXPECT_EQ(calendar.runs()[1], (SlotRun{slot(1, 2), kCap}));
   EXPECT_EQ(calendar.runs()[2], (SlotRun{slot(kEnd + 1, kEnd + 2), 14}));
   EXPECT_TRUE(well_formed(calendar));
+}
+
+/// The calendar that registering `slots` one by one would build.
+SlotCalendar registered(const std::vector<TimeSlot>& slots) {
+  SlotCalendar calendar;
+  EXPECT_TRUE(calendar.add(runs_of(slots), kKey).ok());
+  return calendar;
+}
+
+TEST(SlotCalendar, DropEndedKeepsTheSlotUnderWay) {
+  // Runs: ten 10-ns slots from 0, five 20-ns slots from 200, and one slot
+  // at a different price that continues them at 300.
+  std::vector<TimeSlot> slots = grid(0, 10, 10);
+  for (const TimeSlot& s : grid(200, 20, 5)) slots.push_back(s);
+  slots.push_back(slot(300, 310, 9));
+  SlotCalendar calendar = registered(slots);
+  FlatCalendar flat;
+  ASSERT_TRUE(flat.add(runs_of(slots), kKey).ok());
+  ASSERT_EQ(calendar.runs().size(), 3u);
+  // Before every run, at the start of the first slot, on a slot boundary,
+  // in the middle of a slot, at the end of a run, in a gap, after every run.
+  const std::pair<SimTime, std::size_t> steps[] = {
+      {-5, 16}, {0, 16}, {30, 13}, {45, 12}, {100, 6},
+      {150, 6}, {219, 6}, {220, 5}, {310, 0}};
+  for (const auto& [now, left] : steps) {
+    calendar.drop_ended(now);
+    flat.drop_ended(now);
+    EXPECT_EQ(calendar.slots(), flat.slots) << now;
+    EXPECT_EQ(calendar.slots().size(), left) << now;
+    EXPECT_TRUE(well_formed(calendar)) << now;
+    // The bytes are those of the slots left, however they were reached.
+    EXPECT_EQ(calendar.encode(), registered(flat.slots).encode()) << now;
+  }
+  EXPECT_EQ(calendar.encode().size(), 4u);
+  // A cut run starts at the slot holding `now`.
+  SlotCalendar cut = registered(grid(0, 10, 10));
+  cut.drop_ended(45);
+  ASSERT_EQ(cut.runs().size(), 1u);
+  EXPECT_EQ(cut.runs()[0], (SlotRun{slot(40, 50), 6}));
+  // Every slot ends by the end of SimTime.
+  SlotCalendar last = registered({slot(kMax - 10, kMax)});
+  last.drop_ended(kMax - 1);
+  EXPECT_EQ(last.runs().size(), 1u);
+  last.drop_ended(kMax);
+  EXPECT_TRUE(last.runs().empty());
+}
+
+TEST(SlotCalendar, DropEndedRegroupsAtTheRunCap) {
+  // A full run of 1 ns slots, continued by ten more: cutting the full run
+  // lets it take slots from the next one, as registering what is left
+  // would.
+  constexpr std::uint32_t kCap = std::numeric_limits<std::uint32_t>::max();
+  constexpr SimTime kEnd = static_cast<SimTime>(kCap);
+  SlotCalendar calendar;
+  ASSERT_TRUE(calendar.add({SlotRun{slot(0, 1), kCap},
+                            SlotRun{slot(kEnd, kEnd + 1), 10}},
+                           kKey)
+                  .ok());
+  calendar.drop_ended(5);
+  ASSERT_EQ(calendar.runs().size(), 2u);
+  EXPECT_EQ(calendar.runs()[0], (SlotRun{slot(5, 6), kCap}));
+  EXPECT_EQ(calendar.runs()[1], (SlotRun{slot(kEnd + 5, kEnd + 6), 5}));
+  EXPECT_TRUE(well_formed(calendar));
+  SlotCalendar fresh;
+  ASSERT_TRUE(fresh.add({SlotRun{slot(kEnd, kEnd + 1), 10},
+                         SlotRun{slot(5, 6), kCap - 5}},
+                        kKey)
+                  .ok());
+  EXPECT_EQ(calendar.encode(), fresh.encode());
+
+  // What a sale leaves unmerged at the cap, the next drop regroups, even
+  // when nothing has ended.
+  ASSERT_TRUE(calendar.remove(slot(5, 6)));
+  EXPECT_EQ(calendar.runs()[0], (SlotRun{slot(6, 7), kCap - 1}));
+  calendar.drop_ended(0);
+  ASSERT_EQ(calendar.runs().size(), 2u);
+  EXPECT_EQ(calendar.runs()[0], (SlotRun{slot(6, 7), kCap}));
+  EXPECT_EQ(calendar.runs()[1], (SlotRun{slot(kEnd + 6, kEnd + 7), 4}));
+  EXPECT_TRUE(well_formed(calendar));
+
+  // Past the first run, only the run that continued it is left.
+  calendar.drop_ended(kEnd + 7);
+  ASSERT_EQ(calendar.runs().size(), 1u);
+  EXPECT_EQ(calendar.runs()[0], (SlotRun{slot(kEnd + 7, kEnd + 8), 3}));
 }
 
 TEST(SlotCalendar, PurchasesSplitRunsAndKeepTheRest) {
@@ -525,7 +609,7 @@ TEST(CalendarDifferential, RandomSequencesMatchTheFlatReference) {
       const std::size_t c = rng.index(kExecutors);
       const std::size_t s = rng.chance(0.2) ? c : rng.index(kExecutors);
       std::string step;
-      switch (rng.index(10)) {
+      switch (rng.index(11)) {
         case 0:
         case 1:
         case 2: {  // RegisterTimeSlot
@@ -571,6 +655,15 @@ TEST(CalendarDifferential, RandomSequencesMatchTheFlatReference) {
           ASSERT_EQ(got, want) << seq << "/" << op;
           break;
         }
+        case 10: {  // a store at a block time: drop what has ended
+          const SimTime now =
+              random_query(rng, flat[c], flat[s]).earliest_start;
+          const std::size_t before = flat[c].slots.size();
+          flat[c].drop_ended(now);
+          fast[c].drop_ended(now);
+          step = flat[c].slots.size() < before ? "drop some" : "drop none";
+          break;
+        }
         default: {  // LookupSlot
           const LookupSlotArgs query = random_query(rng, flat[c], flat[s]);
           const std::uint32_t cs =
@@ -603,7 +696,7 @@ TEST(CalendarDifferential, RandomSequencesMatchTheFlatReference) {
         "purchase ok", "purchase client slot not available",
         "purchase server slot not available",
         "purchase slots share no common time window", "quote found",
-        "quote none"})
+        "quote none", "drop some", "drop none"})
     EXPECT_GE(outcomes[step], 200) << step;
   int overlaps = 0;
   for (const auto& [step, n] : outcomes)

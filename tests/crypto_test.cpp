@@ -10,6 +10,7 @@
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/u256.hpp"
+#include "small_order_keys.hpp"
 #include "u256_oracle.hpp"
 #include "util/rng.hpp"
 
@@ -470,6 +471,24 @@ TEST(SchnorrVerify, KeyRangeIsTwoToPMinusTwo) {
   EXPECT_FALSE(valid_public_key(sub(p, U256(1))));
   EXPECT_FALSE(valid_public_key(p));
   EXPECT_FALSE(valid_public_key(max_u256()));
+}
+
+TEST(SchnorrVerify, SealKeysLeaveOutTheSmallSubgroups) {
+  const U256& p = group_prime();
+  for (const auto& [order, y] : oracle::kSmallOrderKeys) {
+    EXPECT_TRUE(valid_public_key(y)) << order;
+    EXPECT_EQ(oracle::pow_mod(y, U256(order), p), U256(1)) << order;
+    EXPECT_FALSE(valid_seal_key(y)) << order;
+  }
+  for (const U256& y :
+       {U256(0), U256(1), sub(p, U256(1)), p, max_u256()})
+    EXPECT_FALSE(valid_seal_key(y)) << y.hex();
+  EXPECT_TRUE(valid_seal_key(U256(2)));
+  EXPECT_TRUE(valid_seal_key(sub(p, U256(2))));
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const PublicKey pk = KeyPair::from_seed(2100 + i).public_key();
+    EXPECT_TRUE(valid_seal_key(pk.y)) << pk.hex();
+  }
 }
 
 TEST(SchnorrVerify, KeyOfOrderOneIsForgeableSoRejected) {

@@ -1090,10 +1090,11 @@ TEST(FuzzAccessEnforcement, UndeclaredTouchesAbortAndRollBack) {
 // the byte level (link_damage) and at the field level (times at the ends of
 // SimTime, end - start past INT64_MAX, empty runs, runs past the end of
 // SimTime, slot counts just over the 65,536 cap, run counts the bytes
-// cannot back), go to the real contract while the chain clock stands
-// inside the busy part of the calendars. Every call must either succeed with each calendar sorted,
-// non-overlapping and equal to the flat reference (calendar_oracle.hpp),
-// or fail with the error the reference predicts.
+// cannot back), go to the real contract while the chain clock moves
+// through the busy part of the calendars. Every call must either succeed
+// with each calendar sorted, non-overlapping and equal to the flat
+// reference (calendar_oracle.hpp), which drops the ended slots of each
+// calendar it stores, or fail with the error the reference predicts.
 
 using marketplace::SlotRun;
 using marketplace::TimeSlot;
@@ -1106,8 +1107,8 @@ SimTime small_time(Rng& rng, std::size_t below) {
   return static_cast<SimTime>(rng.index(below));
 }
 
-/// The chain clock: purchases of windows that end by then fail.
-constexpr SimTime kFuzzNow = 500;
+/// Where the chain clock starts; the fuzz moves it through the calendars.
+constexpr SimTime kFuzzStart = 500;
 
 /// A valid batch of runs around the busy part of the calendars.
 std::vector<SlotRun> fuzz_runs(Rng& rng) {
@@ -1186,7 +1187,7 @@ struct SlotMarket {
     auto contract = std::make_unique<marketplace::MarketplaceContract>();
     market = contract.get();
     EXPECT_TRUE(chain.register_contract(std::move(contract)).ok());
-    chain.set_clock([] { return kFuzzNow; });
+    chain.set_clock([this] { return now; });
     for (const crypto::KeyPair* key : {&owner, &buyer})
       chain.mint(chain::Address::of(key->public_key()),
                  1'000'000'000'000'000ULL);
@@ -1227,6 +1228,17 @@ struct SlotMarket {
     }
   }
 
+  /// A calendar write as the contract makes it: the reference drops what
+  /// has ended by the block time. Returns whether that dropped a slot.
+  bool store(topology::InterfaceKey key, FlatCalendar calendar) {
+    const std::size_t before = calendar.slots.size();
+    calendar.drop_ended(now);
+    const bool dropped = calendar.slots.size() < before;
+    flat[key] = std::move(calendar);
+    return dropped;
+  }
+
+  SimTime now = kFuzzStart;  // the chain clock
   chain::Blockchain chain;
   marketplace::MarketplaceContract* market = nullptr;
   crypto::KeyPair owner = crypto::KeyPair::from_seed(0xCA1E01);
@@ -1242,7 +1254,8 @@ TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
   SlotMarket m;
   int accepted = 0;
   int rejected = 0;
-  int ended = 0;  // purchases of a window that ended before kFuzzNow
+  int ended = 0;    // purchases of a window that had ended
+  int dropped = 0;  // calendar writes that dropped ended slots
   auto expect_receipt = [&](const chain::Receipt& r, const std::string& want,
                             int it) {
     EXPECT_EQ(r.success, want.empty()) << it << ": " << r.error;
@@ -1253,6 +1266,9 @@ TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
     return m.keys[rng.chance(0.1) ? 2 : rng.index(2)];
   };
   for (int it = 0; it < iterations; ++it) {
+    // The clock crosses the busy part of the calendars (runs start below
+    // 3,000) once over the run, at any scale.
+    m.now = kFuzzStart + SimTime{3000} * it / iterations;
     const topology::InterfaceKey ck = pick_key();
     const topology::InterfaceKey sk = rng.chance(0.2) ? ck : pick_key();
     switch (rng.index(3)) {
@@ -1287,7 +1303,7 @@ TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
         } else {
           FlatCalendar next = m.flat[parsed->key];
           if (auto s = next.add(parsed->runs, parsed->key); s)
-            m.flat[parsed->key] = std::move(next);
+            dropped += m.store(parsed->key, std::move(next));
           else
             want = s.error().message;
         }
@@ -1387,13 +1403,14 @@ TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
           } else if (std::max(cs.start, ss.start) >=
                      std::min(cs.end, ss.end)) {
             want = "slots share no common time window";
-          } else if (std::min(cs.end, ss.end) <= kFuzzNow) {
+          } else if (std::min(cs.end, ss.end) <= m.now) {
             want = "slot window ended at " +
                    std::to_string(std::min(cs.end, ss.end));
             ++ended;
           } else {
-            m.flat[parsed->client_key] = std::move(client);
-            m.flat[parsed->server_key] = std::move(server);
+            // The server's calendar is stored last, as the contract does.
+            dropped += m.store(parsed->client_key, std::move(client));
+            dropped += m.store(parsed->server_key, std::move(server));
           }
         }
         expect_receipt(
@@ -1407,6 +1424,7 @@ TEST(FuzzContractArguments, SlotCallsMatchTheFlatCalendar) {
   EXPECT_GT(accepted, iterations / 5);
   EXPECT_GT(rejected, iterations / 5);
   EXPECT_GT(ended, 0);
+  EXPECT_GT(dropped, iterations / 20);
 }
 
 TEST(FuzzContractArguments, SlotCountCapHolds) {

@@ -4,6 +4,7 @@
 
 #include "crypto/box.hpp"
 #include "marketplace/contract.hpp"
+#include "small_order_keys.hpp"
 
 namespace debuglet::marketplace {
 namespace {
@@ -237,11 +238,14 @@ struct PurchasedFixture : MarketFixture {
 
 TEST_F(PurchasedFixture, SealKeysOutsideTheGroupAreRejected) {
   // 0, 1, p−1, p and 2^256−1: a result sealed for any of them would be
-  // readable by anyone (shared secret 0 or ±1, or no group element).
+  // readable by anyone (shared secret 0 or ±1, or no group element). For
+  // the keys of order 3 to 40,323, the shared secret is one of that many.
   const crypto::U256& p = crypto::group_prime();
-  const crypto::U256 bad_keys[] = {
+  std::vector<crypto::U256> bad_keys = {
       crypto::U256(0), crypto::U256(1), crypto::sub(p, crypto::U256(1)), p,
       crypto::sub(crypto::U256(0), crypto::U256(1))};
+  for (const auto& small : crypto::oracle::kSmallOrderKeys)
+    bad_keys.push_back(small.y);
   const chain::Address buyer = chain::Address::of(initiator.public_key());
   const chain::Address seller1 = chain::Address::of(as1.public_key());
   const chain::Address seller2 = chain::Address::of(as2.public_key());
@@ -256,7 +260,8 @@ TEST_F(PurchasedFixture, SealKeysOutsideTheGroupAreRejected) {
     EXPECT_FALSE(r.success) << key.hex();
     EXPECT_EQ(r.error_kind, chain::ErrorKind::kContract) << key.hex();
     EXPECT_EQ(r.error,
-              "ApplicationPayload: seal key is not a public key in [2, p-2]")
+              "ApplicationPayload: seal key is not in [2, p-2] or has small "
+              "order")
         << key.hex();
     // Only gas was spent; no token moved and no slot was sold.
     EXPECT_EQ(chain.balance(buyer) + r.gas_charged, buyer_before);
@@ -320,7 +325,116 @@ TEST_F(PurchasedFixture, PurchaseCreatesApplicationsAndEmitsEvents) {
   // The purchased slots are gone.
   EXPECT_TRUE(market->available_slots(key1).empty());
   EXPECT_TRUE(market->available_slots(key2).empty());
-  EXPECT_EQ(market->applications_for(key1, key2).size(), 2u);
+  EXPECT_EQ(market->applications_for(key1, key2),
+            (std::vector<chain::ObjectId>{receipt->client_application,
+                                          receipt->server_application}));
+}
+
+// ApplicationsMap is the application objects themselves: no named list
+// per executor pair is written, read or declared.
+TEST_F(PurchasedFixture, PurchasesKeepNoApplicationList) {
+  ASSERT_TRUE(purchase(120).success);
+  const std::string apps = chain::named_access_key(kContractName, "apps/");
+  for (const auto& [name, entry] : chain.named_state())
+    EXPECT_NE(name.rfind(apps, 0), 0u) << name;
+  const chain::AccessSet access = access_purchase_slot(key1, key2);
+  EXPECT_EQ(access.writes,
+            (std::vector<std::string>{
+                chain::named_access_key(kContractName, "slots/AS1#2"),
+                chain::named_access_key(kContractName, "slots/AS2#1")}));
+  for (const std::string& read : access.reads)
+    EXPECT_EQ(read.find("apps/"), std::string::npos) << read;
+}
+
+TEST_F(MarketFixture, ApplicationsForPairsTheLiveApplicationObjects) {
+  const InterfaceKey key3{3, 1};
+  register_executor(as1, key1);
+  register_executor(as2, key2);
+  register_executor(as2, key3);
+  const std::vector<TimeSlot> grid = {slot(0, 100, 5), slot(100, 200, 5),
+                                      slot(200, 300, 5), slot(300, 400, 5)};
+  register_slots(as1, key1, grid);
+  register_slots(as2, key2, grid);
+  register_slots(as2, key3, grid);
+  // Buys slot k of both executors; returns the (client, server) ids.
+  auto buy = [&](InterfaceKey client, InterfaceKey server, std::size_t k) {
+    PurchaseSlotArgs args;
+    args.client_key = client;
+    args.server_key = server;
+    args.client_slot = grid[k];
+    args.server_slot = grid[k];
+    args.client_app = payload("client");
+    args.server_app = payload("server");
+    auto r = must_submit(initiator, "PurchaseSlot", args.serialize(), 10);
+    EXPECT_TRUE(r.success) << r.error;
+    auto receipt = PurchaseReceipt::parse(
+        BytesView(r.return_value.data(), r.return_value.size()));
+    EXPECT_TRUE(receipt.ok());
+    return std::vector<chain::ObjectId>{receipt->client_application,
+                                        receipt->server_application};
+  };
+  // key1 buys from key2 twice and from key3, which shares key1 with both;
+  // key2 buys from key1, the reversed pair.
+  const std::vector<chain::ObjectId> first = buy(key1, key2, 0);
+  const std::vector<chain::ObjectId> shared = buy(key1, key3, 1);
+  const std::vector<chain::ObjectId> reversed = buy(key2, key1, 2);
+  const std::vector<chain::ObjectId> second = buy(key1, key2, 3);
+  std::vector<chain::ObjectId> both = first;
+  both.insert(both.end(), second.begin(), second.end());
+  EXPECT_EQ(market->applications_for(key1, key2), both);
+  EXPECT_EQ(market->applications_for(key1, key3), shared);
+  EXPECT_EQ(market->applications_for(key2, key1), reversed);
+  EXPECT_TRUE(market->applications_for(key3, key1).empty());
+  EXPECT_TRUE(market->applications_for(key2, key3).empty());
+
+  // A result object is skipped, even one whose bytes read as a server
+  // application at key2: it is not the object after a client application.
+  ApplicationObject forged;
+  forged.executor_key = key2;
+  forged.role = 1;
+  ResultReadyArgs report;
+  report.application = first[0];
+  report.result = forged.serialize();
+  ASSERT_TRUE(must_submit(as1, "ResultReady", report.serialize()).success);
+  EXPECT_EQ(market->applications_for(key1, key2), both);
+
+  // Reclaiming the client's half takes the pair out; its server's half
+  // stays live, unpaired.
+  auto reclaim = must_submit(initiator, "ReclaimApplication",
+                             ReclaimApplicationArgs{first[0]}.serialize());
+  ASSERT_TRUE(reclaim.success) << reclaim.error;
+  EXPECT_TRUE(chain.object_exists(first[1]));
+  EXPECT_EQ(market->applications_for(key1, key2), second);
+}
+
+TEST_F(MarketFixture, CalendarWritesDropTheSlotsThatHaveEnded) {
+  register_executor(as1, key1);
+  register_executor(as2, key2);
+  register_slots(as1, key1,
+                 {slot(0, 100, 5), slot(100, 200, 5), slot(200, 300, 5)});
+  register_slots(as2, key2, {slot(0, 300, 5)});
+  // A registration at 150 drops [0, 100) and keeps [100, 200), under way.
+  chain.set_clock([] { return SimTime{150}; });
+  register_slots(as1, key1, {slot(300, 400, 5)});
+  EXPECT_EQ(market->available_slots(key1),
+            (std::vector<TimeSlot>{slot(100, 200, 5), slot(200, 300, 5),
+                                   slot(300, 400, 5)}));
+  // Reads do not trim: [100, 200) has ended at 250 but stays until the
+  // next write, a purchase, drops it.
+  chain.set_clock([] { return SimTime{250}; });
+  EXPECT_EQ(market->available_slots(key1).front(), slot(100, 200, 5));
+  PurchaseSlotArgs args;
+  args.client_key = key1;
+  args.server_key = key2;
+  args.client_slot = slot(200, 300, 5);
+  args.server_slot = slot(0, 300, 5);
+  args.client_app = payload("client");
+  args.server_app = payload("server");
+  auto r = must_submit(initiator, "PurchaseSlot", args.serialize(), 10);
+  ASSERT_TRUE(r.success) << r.error;
+  EXPECT_EQ(market->available_slots(key1),
+            (std::vector<TimeSlot>{slot(300, 400, 5)}));
+  EXPECT_TRUE(market->available_slots(key2).empty());
 }
 
 TEST_F(PurchasedFixture, PurchaseRefundsExcessTokens) {

@@ -7,6 +7,8 @@
 #include <optional>
 
 #include "core/debuglet.hpp"
+#include "marketplace/calendar.hpp"
+#include "small_order_keys.hpp"
 #include "util/log.hpp"
 
 namespace debuglet {
@@ -154,7 +156,8 @@ TEST(SystemEconomics, TokensConservedOverRandomMarketplaceSequence) {
   const crypto::U256& p = crypto::group_prime();
   const crypto::U256 bad_seal_keys[] = {
       crypto::U256(0), crypto::U256(1), crypto::sub(p, crypto::U256(1)), p,
-      crypto::sub(crypto::U256(0), crypto::U256(1))};
+      crypto::sub(crypto::U256(0), crypto::U256(1)),
+      crypto::oracle::kSmallOrderKeys[0].y};
 
   struct App {
     chain::ObjectId id;
@@ -232,7 +235,8 @@ TEST(SystemEconomics, TokensConservedOverRandomMarketplaceSequence) {
       purchase.server_app = server_app;
       if (variant == 3)
         purchase.server_app.seal_output_for =
-            bad_seal_keys[rng.next_below(5)].to_be_bytes();
+            bad_seal_keys[rng.next_below(std::size(bad_seal_keys))]
+                .to_be_bytes();
       chain::Mist tokens = client_slot.price + server_slot->price;
       if (variant == 1) tokens += 12'345;
       if (variant == 2) tokens -= 1;
@@ -394,6 +398,48 @@ TEST(SystemSlots, CalendarRollsForwardPastTheHorizon) {
     EXPECT_GT(slots.back().end, now + config.slot_horizon / 2)
         << key.to_string();
   }
+}
+
+// The marketplace keeps only what a later call can use: over a closed loop
+// of measurements (purchase, run, collect, reclaim on random executor
+// pairs), each calendar write drops the slots that have ended, so no
+// calendar grows past a run or two, and no application list is written.
+TEST(SystemSlots, MarketplaceStateDoesNotGrowWithMeasurements) {
+  core::DebugletSystem system(simnet::build_chain_scenario(8, 931));
+  core::Initiator initiator(system, 932, 1'000'000'000'000'000ULL);
+  const std::vector<topology::InterfaceKey> keys = system.executor_keys();
+  Rng rng(933);
+  for (int i = 0; i < 100; ++i) {
+    topology::InterfaceKey client;
+    topology::InterfaceKey server;
+    do {
+      client = keys[rng.next_below(keys.size())];
+      server = keys[rng.next_below(keys.size())];
+    } while (client.asn == server.asn);
+    auto handle = initiator.purchase_rtt_measurement(
+        client, server, Protocol::kUdp, 10, 100, system.queue().now());
+    ASSERT_TRUE(handle.ok()) << i << ": " << handle.error_message();
+    system.queue().run_until(handle->window_end + duration::seconds(2));
+    auto collected = initiator.collect(*handle);
+    ASSERT_TRUE(collected.ok()) << i << ": " << collected.error_message();
+    auto rebate = initiator.reclaim(*handle);
+    ASSERT_TRUE(rebate.ok()) << i << ": " << rebate.error_message();
+  }
+  const chain::Blockchain& chain = system.chain();
+  for (topology::InterfaceKey key : keys) {
+    const chain::NamedEntry* entry =
+        chain.named_entry(chain::named_access_key(
+            marketplace::kContractName, "slots/" + key.to_string()));
+    ASSERT_NE(entry, nullptr) << key.to_string();
+    auto calendar = marketplace::SlotCalendar::decode(
+        BytesView(entry->data.data(), entry->data.size()));
+    ASSERT_TRUE(calendar.ok()) << key.to_string();
+    EXPECT_LE(calendar->runs().size(), 2u) << key.to_string();
+  }
+  const std::string apps =
+      chain::named_access_key(marketplace::kContractName, "apps/");
+  for (const auto& [name, entry] : chain.named_state())
+    EXPECT_NE(name.rfind(apps, 0), 0u) << name;
 }
 
 // --- Asymmetric routing (paper §III: "Internet paths may not be

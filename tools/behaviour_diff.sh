@@ -10,6 +10,8 @@
 #
 # OLD_DEBUGLET and NEW_DEBUGLET are paths to two `debuglet` binaries (for
 # example the parent commit's build/tools/debuglet and this tree's).
+# Under each DIFFERS line it prints the first 20 lines of `diff -r`, so a
+# log shows what differed after WORKDIR is gone.
 # Exits 0 when every output is byte-identical, 1 otherwise, and 2 with a
 # usage message when an argument is missing or is not an executable file
 # (a build directory, say).
@@ -74,12 +76,15 @@ run_in() {  # run_in SIDE NAME CMD...
   (cd "$dir" && "$@" > stdout 2>&1; echo "exit $?" >> stdout)
 }
 
-# Byte-diffs the old and new directories of one invocation.
+# Byte-diffs the old and new directories of one invocation; on a
+# difference, prints the first 20 lines of the diff under the DIFFERS line.
 compare() {  # compare NAME LABEL
-  if diff -r "$work/old/$1" "$work/new/$1" > /dev/null; then
+  local out
+  if out=$(diff -r "$work/old/$1" "$work/new/$1"); then
     echo "same    $2"
   else
     echo "DIFFERS $2  (see $work/{old,new}/$1)"
+    printf '%s\n' "$out" | head -n 20
     status=1
   fi
 }
